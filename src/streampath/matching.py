@@ -105,10 +105,10 @@ class ContractionView:
     def n_viewed(self) -> int:
         return self.cmap.n_new
 
-    def map_edge(self, e: Edge) -> tuple[int, int] | None:
-        if e.u in self.banned or e.v in self.banned:
+    def map_edge(self, u: int, v: int) -> tuple[int, int] | None:
+        if u in self.banned or v in self.banned:
             return None
-        return self.cmap.map_pair(e.u, e.v)
+        return self.cmap.map_pair(u, v)
 
 
 def release_matching(session: StreamSession, matching: Matching) -> None:
@@ -116,8 +116,8 @@ def release_matching(session: StreamSession, matching: Matching) -> None:
     session.release(3 * matching.size)
 
 
-def _identity_mapper(e: Edge) -> tuple[int, int]:
-    return (e.u, e.v)
+def _identity_mapper(u: int, v: int) -> tuple[int, int]:
+    return (u, v)
 
 
 def streaming_max_matching(
@@ -140,12 +140,13 @@ def streaming_max_matching(
     session.begin_run(label)
     partner: list[int | None] = [None] * n_view
     session.charge(n_view)
-    witness: dict[tuple[int, int], tuple[int, Edge]] = {}
+    # Viewed pair -> (stream position, original (u, v, w) triple).
+    witness: dict[tuple[int, int], tuple[int, tuple[int, int, int]]] = {}
 
-    def match(u: int, v: int, pos: int, e: Edge) -> None:
+    def match(u: int, v: int, pos: int, t: tuple[int, int, int]) -> None:
         partner[u] = v
         partner[v] = u
-        witness[(u, v) if u < v else (v, u)] = (pos, e)
+        witness[(u, v) if u < v else (v, u)] = (pos, t)
         session.charge(3)
 
     def unmatch(key: tuple[int, int]) -> None:
@@ -154,36 +155,36 @@ def streaming_max_matching(
         del witness[key]
         session.release(3)
 
-    def greedy_visit(pos: int, e: Edge) -> None:
-        mapped = mapper(e)
+    def greedy_visit(pos: int, u: int, v: int, w: int) -> None:
+        mapped = mapper(u, v)
         if mapped is None:
             return
-        u, v = mapped
-        if partner[u] is None and partner[v] is None:
-            match(u, v, pos, e)
+        a, b = mapped
+        if partner[a] is None and partner[b] is None:
+            match(a, b, pos, (u, v, w))
 
     session.run_pass(greedy_visit)
 
     if params.k >= 2:
         cap = params.kernel_degree_cap
         adj: list[list[int]] = [[] for _ in range(n_view)]
-        entries: list[tuple[int, int, int, Edge]] = []
+        entries: list[tuple[int, int, int, tuple[int, int, int]]] = []
         kept: set[tuple[int, int]] = set()
 
-        def kernel_visit(pos: int, e: Edge) -> None:
-            mapped = mapper(e)
+        def kernel_visit(pos: int, u: int, v: int, w: int) -> None:
+            mapped = mapper(u, v)
             if mapped is None:
                 return
-            u, v = mapped
-            key = (u, v) if u < v else (v, u)
+            a, b = mapped
+            key = (a, b) if a < b else (b, a)
             if key in kept:
                 return
-            if len(adj[u]) < cap or len(adj[v]) < cap:
+            if len(adj[a]) < cap or len(adj[b]) < cap:
                 kept.add(key)
                 idx = len(entries)
-                entries.append((u, v, pos, e))
-                adj[u].append(idx)
-                adj[v].append(idx)
+                entries.append((a, b, pos, (u, v, w)))
+                adj[a].append(idx)
+                adj[b].append(idx)
                 session.charge(3)
 
         session.run_pass(kernel_visit)
@@ -193,7 +194,7 @@ def streaming_max_matching(
         session.release(3 * len(entries))
 
     session.release(n_view)
-    edges = tuple(e for _, e in sorted(witness.values(), key=lambda t: t[0]))
+    edges = tuple(Edge(*t) for _, t in sorted(witness.values(), key=lambda pt: pt[0]))
     session.end_run()
     return Matching(edges)
 
@@ -202,9 +203,9 @@ def _augment_on_kernel(
     n_view: int,
     partner: list[int | None],
     adj: list[list[int]],
-    entries: list[tuple[int, int, int, Edge]],
+    entries: list[tuple[int, int, int, tuple[int, int, int]]],
     max_len: int,
-    match: Callable[[int, int, int, Edge], None],
+    match: Callable[[int, int, int, tuple[int, int, int]], None],
     unmatch: Callable[[tuple[int, int]], None],
     session: StreamSession,
 ) -> None:
@@ -230,8 +231,8 @@ def _augment_on_kernel(
             for key in drops:
                 unmatch(key)
             for idx in adds:
-                u, v, pos, e = entries[idx]
-                match(u, v, pos, e)
+                u, v, pos, t = entries[idx]
+                match(u, v, pos, t)
                 used[u] = True
                 used[v] = True
     session.release(n_view)
@@ -242,7 +243,7 @@ def _alternating_path_exact(
     length: int,
     partner: list[int | None],
     adj: list[list[int]],
-    entries: list[tuple[int, int, int, Edge]],
+    entries: list[tuple[int, int, int, tuple[int, int, int]]],
     used: list[bool],
 ) -> tuple[list[int], list[tuple[int, int]]] | None:
     """First augmenting path of exactly ``length`` edges starting at free ``s``.
@@ -298,45 +299,49 @@ def streaming_max_weight_matching(
 
     session.begin_run(label)
     cap = params.kernel_degree_cap
-    tables: list[dict[int, tuple[int, int, Edge]]] = [dict() for _ in range(n_view)]
+    # Per viewed vertex: neighbour -> (weight, position, original triple).
+    tables: list[dict[int, tuple[int, int, tuple[int, int, int]]]] = [
+        dict() for _ in range(n_view)
+    ]
 
-    def consider(u: int, v: int, w: int, pos: int, e: Edge) -> None:
+    def consider(u: int, v: int, w: int, pos: int, t: tuple[int, int, int]) -> None:
         tab = tables[u]
         cur = tab.get(v)
         if cur is not None:
             if (w, -pos) > (cur[0], -cur[1]):
-                tab[v] = (w, pos, e)
+                tab[v] = (w, pos, t)
             return
         if len(tab) < cap:
-            tab[v] = (w, pos, e)
+            tab[v] = (w, pos, t)
             session.charge(2)
             return
         worst_v, worst = min(tab.items(), key=lambda kv: (kv[1][0], -kv[1][1]))
         if (w, -pos) > (worst[0], -worst[1]):
             del tab[worst_v]
-            tab[v] = (w, pos, e)
+            tab[v] = (w, pos, t)
 
-    def table_visit(pos: int, e: Edge) -> None:
-        mapped = mapper(e)
+    def table_visit(pos: int, u: int, v: int, w: int) -> None:
+        mapped = mapper(u, v)
         if mapped is None:
             return
-        u, v = mapped
-        consider(u, v, e.weight, pos, e)
-        consider(v, u, e.weight, pos, e)
+        a, b = mapped
+        t = (u, v, w)
+        consider(a, b, w, pos, t)
+        consider(b, a, w, pos, t)
 
     session.run_pass(table_visit)
 
     # Union of the per-vertex tables, one entry per pair, best copy wins.
-    union: dict[tuple[int, int], tuple[int, int, Edge]] = {}
+    union: dict[tuple[int, int], tuple[int, int, tuple[int, int, int]]] = {}
     for u in range(n_view):
-        for v, (w, pos, e) in tables[u].items():
+        for v, (w, pos, t) in tables[u].items():
             key = (u, v) if u < v else (v, u)
             cur = union.get(key)
             if cur is None or (w, -pos) > (cur[0], -cur[1]):
-                union[key] = (w, pos, e)
+                union[key] = (w, pos, t)
     kentries = [
-        (key[0], key[1], w, pos, e)
-        for key, (w, pos, e) in sorted(union.items(), key=lambda kv: kv[1][1])
+        (key[0], key[1], w, pos, t)
+        for key, (w, pos, t) in sorted(union.items(), key=lambda kv: kv[1][1])
     ]
     session.charge(3 * len(kentries))
     for u in range(n_view):
@@ -357,7 +362,7 @@ def streaming_max_weight_matching(
 
     def match(idx: int) -> None:
         nonlocal weight_now
-        u, v, w, pos, e = kentries[idx]
+        u, v, w, pos, _ = kentries[idx]
         if partner[u] is not None or partner[v] is not None:
             raise AssertionError("swap application touched a non-free vertex")
         partner[u] = v
@@ -421,14 +426,14 @@ def streaming_max_weight_matching(
     session.release(3 * len(kentries))
     session.release(n_view)
     picked = sorted(matched.values(), key=lambda i: kentries[i][3])
-    edges = tuple(kentries[i][4] for i in picked)
+    edges = tuple(Edge(*kentries[i][4]) for i in picked)
     session.end_run()
     return Matching(edges)
 
 
 def _enumerate_swaps(
     n_view: int,
-    kentries: list[tuple[int, int, int, Edge]],
+    kentries: list[tuple[int, int, int, int, tuple[int, int, int]]],
     adj: list[list[int]],
     partner: list[int | None],
     matched: dict[tuple[int, int], int],

@@ -71,12 +71,13 @@ def two_phase_path_cover(
     view = ContractionView(matching_contraction(source.n, first))
     second = streaming_max_matching(source, params, sess, view=view, label="second-matching")
     sess.release(source.n)
-    check = validate_path_cover(source.n, first.edges + second.edges)
-    if not check.ok:
-        raise AssertionError(f"two-phase union is not a path cover: {check.reason}")
-    if any(length not in (1, 2, 3) for length in check.lengths):
-        raise AssertionError(f"two-phase union has a path of length {max(check.lengths)}")
-    cover = PathCover(source.n, first.edges + second.edges)
+    try:
+        cover = PathCover(source.n, first.edges + second.edges)
+    except ValueError as err:
+        raise AssertionError(f"two-phase union is {err}") from None
+    lengths = cover.path_lengths
+    if any(length not in (1, 2, 3) for length in lengths):
+        raise AssertionError(f"two-phase union has a path of length {max(lengths)}")
     release_matching(sess, first)
     release_matching(sess, second)
     return MpcResult(cover, first, second, sess.report())

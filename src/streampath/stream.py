@@ -12,16 +12,26 @@ shrinks its retained state, with the conversion
 
 The session does not try to measure actual Python object sizes; the point
 is to certify the model's asymptotics, not CPython's allocator.
+
+A pass hands the engines plain ``(u, v, w)`` int triples; an engine
+builds ``Edge`` objects only for the edges it returns.  Every line of an
+edge-list file is validated once, when the file is opened.  Each pass
+re-reads the file in blocks and checks every block as a whole before
+yielding any of its edges, so a file that changed since it was opened fails with
+``StreamFormatError`` instead of feeding the engines bad edges.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from typing import Callable, Iterator
 
-from .graph import Edge, Graph
+from .graph import Graph
 
 
 class StreamFormatError(ValueError):
@@ -36,7 +46,8 @@ class EdgeStreamSource:
     """Interface for anything that can replay an edge sequence.
 
     Subclasses provide ``n``, ``m``, ``weighted``, ``max_weight``, ``name``
-    and an ``edges()`` iterator.  ``edges()`` must yield the same sequence
+    and an ``edges()`` iterator of plain ``(u, v, w)`` int triples (``w`` is
+    1 on an unweighted stream).  ``edges()`` must yield the same sequence
     every time it is called.
     """
 
@@ -46,7 +57,7 @@ class EdgeStreamSource:
     weighted: bool
     max_weight: int
 
-    def edges(self) -> Iterator[Edge]:
+    def edges(self) -> Iterator[tuple[int, int, int]]:
         raise NotImplementedError
 
 
@@ -62,8 +73,13 @@ class InMemoryEdgeSource(EdgeStreamSource):
         self.weighted = graph.weighted
         self.max_weight = graph.max_weight
 
-    def edges(self) -> Iterator[Edge]:
-        return iter(self.graph.edges)
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        return ((e.u, e.v, e.weight) for e in self.graph.edges)
+
+
+# Bytes per pass read: big enough that the per-block checks are cheap per
+# edge, small enough that a pass holds only a sliver of the file.
+_BLOCK_BYTES = 1 << 16
 
 
 def _parse_header(line: str, path: str) -> tuple[int, int, bool]:
@@ -85,8 +101,13 @@ def _parse_header(line: str, path: str) -> tuple[int, int, bool]:
     return n, m, weighted
 
 
-def _parse_edge_line(line: str, lineno: int, n: int, weighted: bool, path: str) -> Edge:
+def _check_edge_line(line: bytes, lineno: int, n: int, weighted: bool, path: str) -> int:
+    """Validate one edge line; return its weight."""
+    if not line.isascii():
+        raise StreamFormatError(f"{path}:{lineno}: non-ASCII byte in edge line")
     tokens = line.split()
+    if not tokens:
+        raise StreamFormatError(f"{path}:{lineno}: blank line inside edge list")
     want = 3 if weighted else 2
     if len(tokens) != want:
         raise StreamFormatError(
@@ -104,52 +125,127 @@ def _parse_edge_line(line: str, lineno: int, n: int, weighted: bool, path: str) 
         raise StreamFormatError(f"{path}:{lineno}: self-loop at vertex {u}")
     if w < 1:
         raise StreamFormatError(f"{path}:{lineno}: weight must be >= 1, got {w}")
-    return Edge(u, v, w)
+    return w
+
+
+def _block_problem(us: list[int], vs: list[int], ws: list[int] | None, n: int) -> str | None:
+    """The first check a block's endpoint and weight columns fail, or None.
+
+    Only C-level passes over the columns, so a block costs a few
+    operations per edge on top of parsing its ints.
+    """
+    if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
+        return f"endpoint out of range [0, {n})"
+    if any(map(operator.eq, us, vs)):
+        return "self-loop"
+    if ws is not None and min(ws) < 1:
+        return "weight below 1"
+    return None
+
+
+def _block_max_weight(block: list[bytes], lineno: int, n: int, weighted: bool, path: str) -> int:
+    """Validate a block of edge lines starting at ``lineno``; return its largest weight.
+
+    Every line must split into exactly the expected number of ints, and
+    the block's columns must pass ``_block_problem``.  A block that fails
+    is checked again line by line to name the first bad line.
+    """
+    want = 3 if weighted else 2
+    tokens = list(map(bytes.split, block))
+    if set(map(len, tokens)) == {want}:
+        try:
+            nums = list(map(int, chain.from_iterable(tokens)))
+        except ValueError:
+            pass
+        else:
+            ws = nums[2::3] if weighted else None
+            if _block_problem(nums[0::want], nums[1::want], ws, n) is None:
+                return max(ws) if ws is not None else 1
+    return max(
+        _check_edge_line(line, i, n, weighted, path) for i, line in enumerate(block, lineno)
+    )
 
 
 class FileEdgeSource(EdgeStreamSource):
     """Streams an edge-list file.
 
     Format: first line ``n m`` or ``n m weighted``; then exactly m lines
-    ``u v`` (or ``u v w``), 0-indexed, no self-loops, weights >= 1.  Line
-    order is the stream's arrival order.  The whole file is validated once
-    when the source is opened, without retaining the edges; each pass then
-    re-reads from disk.
+    ``u v`` (or ``u v w``), 0-indexed, no self-loops, weights >= 1, ASCII
+    only.  Line order is the stream's arrival order.
+
+    Opening validates the whole file once and keeps no edges; every format
+    error names its ``path:line``.  Each pass then re-reads the file in
+    blocks of whole lines (about 64 KiB), parses a block's ints in one go
+    and yields ``(u, v, w)`` triples.  Before any edge of a block is
+    yielded the block is checked as a whole: its token count, its endpoint
+    range, self-loops, weights >= 1, and that the pass stays within ``m``
+    edges (and reaches exactly ``m``).  So an engine never sees an edge
+    that the validation at open would have rejected, even when the file is
+    rewritten after it was opened; such a file fails with
+    ``StreamFormatError`` instead.  File timestamps are not consulted:
+    their resolution is coarse, so a check on them would depend on timing.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.name = os.path.basename(path)
         max_w = 1
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "rb") as fh:
             header = fh.readline()
             if not header:
                 raise StreamFormatError(f"{path}:1: empty file")
-            self.n, self.m, self.weighted = _parse_header(header, path)
+            if not header.isascii():
+                raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
+            self.n, self.m, self.weighted = _parse_header(header.decode("ascii"), path)
             count = 0
-            for lineno, line in enumerate(fh, start=2):
-                if line.strip() == "":
-                    raise StreamFormatError(f"{path}:{lineno}: blank line inside edge list")
-                e = _parse_edge_line(line, lineno, self.n, self.weighted, path)
-                max_w = max(max_w, e.weight)
-                count += 1
+            for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
+                w = _block_max_weight(block, count + 2, self.n, self.weighted, path)
+                if w > max_w:
+                    max_w = w
+                count += len(block)
             if count != self.m:
                 raise StreamFormatError(
                     f"{path}: header promises {self.m} edges, file has {count}"
                 )
         self.max_weight = max_w
 
-    def edges(self) -> Iterator[Edge]:
-        with open(self.path, "r", encoding="ascii") as fh:
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        n, m, path = self.n, self.m, self.path
+        want = 3 if self.weighted else 2
+        count = 0
+        with open(path, "rb") as fh:
             fh.readline()
-            for lineno, line in enumerate(fh, start=2):
-                yield _parse_edge_line(line, lineno, self.n, self.weighted, self.path)
+            for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
+                first = count + 2
+                count += len(block)
+                if count > m:
+                    raise _changed(path, first, f"more than the {m} edges it had")
+                try:
+                    nums = list(map(int, b"".join(block).split()))
+                except ValueError:
+                    raise _changed(path, first, "a field is not an int") from None
+                if len(nums) != want * len(block):
+                    raise _changed(path, first, f"expected {want} fields per line")
+                us = nums[0::want]
+                vs = nums[1::want]
+                ws = nums[2::3] if want == 3 else None
+                why = _block_problem(us, vs, ws, n)
+                if why is not None:
+                    raise _changed(path, first, why)
+                yield from zip(us, vs, repeat(1) if ws is None else ws)
+        if count != m:
+            raise _changed(path, count + 2, f"ends after {count} of its {m} edges")
+
+
+def _changed(path: str, lineno: int, why: str) -> StreamFormatError:
+    """Error for a pass that finds the file no longer as validated at open."""
+    return StreamFormatError(f"{path}:{lineno}: file changed since it was opened: {why}")
 
 
 def load_edge_list(path: str) -> Graph:
     """Read a whole edge-list file into a Graph (non-streaming convenience)."""
     src = FileEdgeSource(path)
-    return Graph(src.n, tuple(src.edges()), src.weighted)
+    return Graph.from_pairs(src.n, src.edges(), src.weighted)
 
 
 def save_edge_list(path: str, g: Graph) -> None:
@@ -259,11 +355,16 @@ class StreamSession:
             raise ValueError("releasing more words than are in use")
         self.words_in_use -= words
 
-    def run_pass(self, visit: Callable[[int, Edge], None]) -> None:
-        """Stream every edge through ``visit(position, edge)`` once."""
+    def run_pass(self, visit: Callable[[int, int, int, int], None]) -> None:
+        """Stream every edge through ``visit(position, u, v, w)`` once.
+
+        Edges arrive as plain ints, already validated by the source (a file
+        source checks each block before yielding it), so visits build no
+        per-edge objects.
+        """
         self.passes_used += 1
-        for pos, e in enumerate(self.source.edges()):
-            visit(pos, e)
+        for pos, (u, v, w) in enumerate(self.source.edges()):
+            visit(pos, u, v, w)
 
     def begin_run(self, label: str) -> None:
         if self._run_label is not None:

@@ -229,11 +229,11 @@ def approx_max_tsp(
         remaining = set(free)
         patch: list[Edge] = []
 
-        def patch_visit(pos: int, e: Edge) -> None:
-            if e.u in remaining and e.v in remaining:
-                remaining.discard(e.u)
-                remaining.discard(e.v)
-                patch.append(e)
+        def patch_visit(pos: int, u: int, v: int, w: int) -> None:
+            if u in remaining and v in remaining:
+                remaining.discard(u)
+                remaining.discard(v)
+                patch.append(Edge(u, v, w))
                 sess.charge(3)
 
         sess.begin_run("leftover-patch")

@@ -124,9 +124,9 @@ def test_contraction_view_banned_and_loops():
     cmap = components_contraction(4, [(0, 1)])
     view = ContractionView(cmap, banned=frozenset({3}))
     assert view.n_viewed == 3
-    assert view.map_edge(Edge(0, 1)) is None  # loop after merging
-    assert view.map_edge(Edge(2, 3)) is None  # banned endpoint
-    assert view.map_edge(Edge(1, 2)) == (0, 1)
+    assert view.map_edge(0, 1) is None  # loop after merging
+    assert view.map_edge(2, 3) is None  # banned endpoint
+    assert view.map_edge(1, 2) == (0, 1)
 
 
 def test_engine_respects_view():

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from streampath import stream
 from streampath.graph import Edge, Graph
+from streampath.matching import ApproxParams
+from streampath.pathcover import two_phase_path_cover
+from streampath.prng import SplitMix64
 from streampath.stream import (
     BudgetExceededError,
     FileEdgeSource,
@@ -20,7 +26,7 @@ from streampath.stream import (
 
 def _write(tmp_path, text, name="g.txt"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -49,9 +55,9 @@ def test_file_source_streams_in_file_order(tmp_path):
     path = _write(tmp_path, "3 2\n2 0\n0 1\n")
     src = FileEdgeSource(path)
     assert (src.n, src.m, src.weighted) == (3, 2, False)
-    assert [(e.u, e.v) for e in src.edges()] == [(2, 0), (0, 1)]
+    assert [(u, v) for u, v, _ in src.edges()] == [(2, 0), (0, 1)]
     # a second call replays the same order
-    assert [(e.u, e.v) for e in src.edges()] == [(2, 0), (0, 1)]
+    assert [(u, v) for u, v, _ in src.edges()] == [(2, 0), (0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -70,6 +76,8 @@ def test_file_source_streams_in_file_order(tmp_path):
         ("3 1 weighted\n0 1 0\n", "weight"),
         ("3 1\n\n0 1\n", "blank"),
         ("-1 0\n", "non-negative"),
+        ("3 1\n0 1\u00e9\n", "non-ASCII"),
+        ("3 1\u00a0\n0 1\n", "non-ASCII"),
     ],
 )
 def test_malformed_files_are_rejected_with_location(tmp_path, text, fragment):
@@ -86,7 +94,99 @@ def test_open_does_not_retain_edges(tmp_path):
     path = _write(tmp_path, "3 1\n0 1\n")
     src = FileEdgeSource(path)
     _write(tmp_path, "3 1\n1 2\n")
-    assert [(e.u, e.v) for e in src.edges()] == [(1, 2)]
+    assert [(u, v) for u, v, _ in src.edges()] == [(1, 2)]
+
+
+def test_crlf_file_streams_like_its_lf_twin(tmp_path):
+    lf = "4 3 weighted\n2 0 5\n0 1 1\n3 1 7\n"
+    a = FileEdgeSource(_write(tmp_path, lf, "lf.txt"))
+    b = FileEdgeSource(_write(tmp_path, lf.replace("\n", "\r\n"), "crlf.txt"))
+    assert (b.n, b.m, b.weighted, b.max_weight) == (a.n, a.m, a.weighted, a.max_weight)
+    assert list(b.edges()) == list(a.edges()) == [(2, 0, 5), (0, 1, 1), (3, 1, 7)]
+
+
+_ORIGINAL = "4 3\n0 1\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize(
+    "rewrite,fragment",
+    [
+        ("4 3\n0 1\n1 2\n", "ends after 2 of its 3 edges"),
+        ("4 3\n0 1\n1 2\n2", "fields per line"),
+        ("4 3\n0 1\n1 2\n2 3\n0 2\n", "more than the 3 edges"),
+        ("4 3\n0 1\n1 9\n2 3\n", "out of range"),
+        ("4 3\n0 1\n2 2\n2 3\n", "self-loop"),
+        ("4 3\n0 1\n1 x\n2 3\n", "not an int"),
+        ("4 3\n0 1\n1 \u00e9\n2 3\n", "not an int"),
+    ],
+    ids=["truncated", "cut-mid-line", "appended", "out-of-range", "self-loop",
+         "non-integer", "non-ascii"],
+)
+def test_file_changed_after_open_fails_with_format_error(tmp_path, rewrite, fragment):
+    path = _write(tmp_path, _ORIGINAL)
+    src = FileEdgeSource(path)
+    _write(tmp_path, rewrite)
+    seen = []
+    sess = open_session(src, k=2)
+    with pytest.raises(StreamFormatError, match="changed since it was opened") as err:
+        sess.run_pass(lambda pos, u, v, w: seen.append((u, v, w)))
+    assert fragment in str(err.value)
+    # the file is one block, so only a clean cut lets any edge through
+    assert all(0 <= u < 4 and 0 <= v < 4 and u != v and w == 1 for u, v, w in seen)
+    assert len(seen) == (2 if "ends after" in fragment else 0)
+    with pytest.raises(StreamFormatError, match="changed since it was opened"):
+        two_phase_path_cover(src, ApproxParams.parse("1/3"))
+
+
+def test_weight_rewritten_below_one_fails(tmp_path):
+    path = _write(tmp_path, "3 2 weighted\n0 1 4\n1 2 5\n")
+    src = FileEdgeSource(path)
+    _write(tmp_path, "3 2 weighted\n0 1 4\n1 2 0\n")
+    with pytest.raises(StreamFormatError, match="weight below 1"):
+        list(src.edges())
+
+
+def _multi_block_file(tmp_path, weighted):
+    """A seeded edge file of several read blocks, and its triples parsed here."""
+    rng = SplitMix64(7 if weighted else 8)
+    n, m = 30_000, 20_000
+    triples = []
+    while len(triples) < m:
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            triples.append((u, v, rng.randint(1, 999) if weighted else 1))
+    g = Graph.from_pairs(n, triples, weighted)
+    path = str(tmp_path / ("w.txt" if weighted else "u.txt"))
+    save_edge_list(path, g)
+    assert os.path.getsize(path) >= 3 * stream._BLOCK_BYTES
+    with open(path) as fh:
+        fh.readline()
+        parsed = [tuple(map(int, line.split())) for line in fh]
+    want = parsed if weighted else [(u, v, 1) for u, v in parsed]
+    return path, g, want
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_multi_block_pass_yields_exactly_the_file(tmp_path, weighted):
+    path, g, want = _multi_block_file(tmp_path, weighted)
+    src = FileEdgeSource(path)
+    assert (src.n, src.m, src.weighted) == (g.n, g.m, weighted)
+    assert src.max_weight == max(w for _, _, w in want)
+    assert list(src.edges()) == want
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_path_cover_from_file_matches_memory(tmp_path, weighted):
+    path, g, _ = _multi_block_file(tmp_path, weighted)
+    params = ApproxParams.parse("1/3")
+    results = []
+    for src in (FileEdgeSource(path), InMemoryEdgeSource(g)):
+        res = two_phase_path_cover(src, params, open_session(src, k=params.k, strict=True))
+        report = res.report.as_dict()
+        del report["source"]
+        results.append((res.cover.edges, res.first_matching, res.second_matching, report))
+    assert results[0] == results[1]
+    assert results[0][0]
 
 
 # --- budgets -------------------------------------------------------------------
@@ -154,8 +254,8 @@ def test_overrun_raises_in_strict_mode():
 def test_run_pass_counts_and_streams_positions():
     sess = _session()
     seen = []
-    sess.run_pass(lambda pos, e: seen.append((pos, e.pair)))
-    sess.run_pass(lambda pos, e: None)
+    sess.run_pass(lambda pos, u, v, w: seen.append((pos, Edge(u, v, w).pair)))
+    sess.run_pass(lambda pos, u, v, w: None)
     assert sess.passes_used == 2
     assert seen == [(0, (0, 1)), (1, (2, 3)), (2, (1, 2))]
 
@@ -163,7 +263,7 @@ def test_run_pass_counts_and_streams_positions():
 def test_runs_attribute_passes_and_peaks():
     sess = _session()
     sess.begin_run("alpha")
-    sess.run_pass(lambda pos, e: None)
+    sess.run_pass(lambda pos, u, v, w: None)
     sess.charge(40)
     sess.end_run()
     sess.release(40)
