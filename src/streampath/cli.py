@@ -356,6 +356,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"streampath: {exc}", file=sys.stderr)
         return _INPUT
+    except (OverflowError, MemoryError) as exc:
+        # A header can promise far more vertices than the file holds; the
+        # per-vertex tables for such an n cannot be allocated.
+        print(f"streampath: input too large to process ({type(exc).__name__})", file=sys.stderr)
+        return _INPUT
 
 
 if __name__ == "__main__":

@@ -43,13 +43,6 @@ class Edge:
         """Endpoints as a sorted tuple, usable as a dict key."""
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
-    def other(self, vertex: int) -> int:
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise ValueError(f"vertex {vertex} is not an endpoint of {self}")
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -97,9 +90,6 @@ class Graph:
     def max_weight(self) -> int:
         """Largest edge weight, 1 for an edgeless graph."""
         return max((e.weight for e in self.edges), default=1)
-
-    def total_weight(self) -> int:
-        return sum(e.weight for e in self.edges)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -171,14 +161,6 @@ class Matching:
     def pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(e.pair for e in self.edges)
 
-    def partner(self, vertex: int) -> int | None:
-        for e in self.edges:
-            if vertex == e.u:
-                return e.v
-            if vertex == e.v:
-                return e.u
-        return None
-
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
 
@@ -199,22 +181,12 @@ class ContractionMap:
     n_new: int
     target: tuple[int, ...]
 
-    def apply(self, vertex: int) -> int:
-        return self.target[vertex]
-
     def map_pair(self, u: int, v: int) -> tuple[int, int] | None:
         """Map an edge's endpoints; None when the edge becomes a self-loop."""
         a, b = self.target[u], self.target[v]
         if a == b:
             return None
         return (a, b)
-
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """Original vertices of each contracted vertex, indexed by new id."""
-        groups: list[list[int]] = [[] for _ in range(self.n_new)]
-        for v, t in enumerate(self.target):
-            groups[t].append(v)
-        return tuple(tuple(g) for g in groups)
 
 
 def components_contraction(n: int, pairs: Iterable[tuple[int, int]]) -> ContractionMap:
@@ -264,21 +236,6 @@ def contract_edges(g: Graph, merge: Iterable[tuple[int, int]]) -> tuple[Graph, C
 def contract(g: Graph, matching: Matching) -> tuple[Graph, ContractionMap]:
     """Contract every matching edge of ``g``."""
     return contract_edges(g, [e.pair for e in matching])
-
-
-def dedupe_parallel_max(g: Graph) -> Graph:
-    """Keep one copy per endpoint pair: the max-weight copy, earliest on ties."""
-    best: dict[tuple[int, int], Edge] = {}
-    order: list[tuple[int, int]] = []
-    for e in g.edges:
-        key = e.pair
-        cur = best.get(key)
-        if cur is None:
-            best[key] = e
-            order.append(key)
-        elif e.weight > cur.weight:
-            best[key] = e
-    return Graph(g.n, tuple(best[k] for k in order), g.weighted)
 
 
 @dataclass(frozen=True)
@@ -402,7 +359,3 @@ class Tour:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def legs(self) -> tuple[tuple[int, int], ...]:
-        n = len(self.order)
-        return tuple((self.order[i], self.order[(i + 1) % n]) for i in range(n))

@@ -95,29 +95,28 @@ class ContractionView:
 
     Edges with a banned original endpoint are dropped, remaining endpoints
     are mapped through the contraction, and edges that become self-loops
-    are dropped.  Nothing is materialized; each arriving edge costs O(1).
+    are dropped.  No edge is materialized: ``target[v]``, computed once, is
+    the viewed id of original vertex ``v`` or -1 when ``v`` is banned, so
+    each arriving edge costs two lookups.
     """
 
     cmap: ContractionMap
     banned: frozenset[int] = frozenset()
+    target: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        banned = self.banned
+        target = tuple(-1 if v in banned else t for v, t in enumerate(self.cmap.target))
+        object.__setattr__(self, "target", target)
 
     @property
     def n_viewed(self) -> int:
         return self.cmap.n_new
 
-    def map_edge(self, u: int, v: int) -> tuple[int, int] | None:
-        if u in self.banned or v in self.banned:
-            return None
-        return self.cmap.map_pair(u, v)
-
 
 def release_matching(session: StreamSession, matching: Matching) -> None:
     """Return a matching's 3 words per edge to the session budget."""
     session.release(3 * matching.size)
-
-
-def _identity_mapper(u: int, v: int) -> tuple[int, int]:
-    return (u, v)
 
 
 def streaming_max_matching(
@@ -135,7 +134,9 @@ def streaming_max_matching(
     disjoint, the original endpoints need not be.
     """
     n_view = view.n_viewed if view is not None else source.n
-    mapper = view.map_edge if view is not None else _identity_mapper
+    # A list, not a range: indexing a range makes a new int per lookup, and
+    # the kernel would keep those copies next to the stream's own ints.
+    target = view.target if view is not None else list(range(source.n))
 
     session.begin_run(label)
     partner: list[int | None] = [None] * n_view
@@ -156,10 +157,10 @@ def streaming_max_matching(
         session.release(3)
 
     def greedy_visit(pos: int, u: int, v: int, w: int) -> None:
-        mapped = mapper(u, v)
-        if mapped is None:
+        a = target[u]
+        b = target[v]
+        if a == b or a < 0 or b < 0:
             return
-        a, b = mapped
         if partner[a] is None and partner[b] is None:
             match(a, b, pos, (u, v, w))
 
@@ -172,10 +173,10 @@ def streaming_max_matching(
         kept: set[tuple[int, int]] = set()
 
         def kernel_visit(pos: int, u: int, v: int, w: int) -> None:
-            mapped = mapper(u, v)
-            if mapped is None:
+            a = target[u]
+            b = target[v]
+            if a == b or a < 0 or b < 0:
                 return
-            a, b = mapped
             key = (a, b) if a < b else (b, a)
             if key in kept:
                 return
@@ -295,7 +296,8 @@ def streaming_max_weight_matching(
     zero-threshold sweep makes the matching maximal within the kernel.
     """
     n_view = view.n_viewed if view is not None else source.n
-    mapper = view.map_edge if view is not None else _identity_mapper
+    # A list for the reason given in streaming_max_matching.
+    target = view.target if view is not None else list(range(source.n))
 
     session.begin_run(label)
     cap = params.kernel_degree_cap
@@ -321,10 +323,10 @@ def streaming_max_weight_matching(
             tab[v] = (w, pos, t)
 
     def table_visit(pos: int, u: int, v: int, w: int) -> None:
-        mapped = mapper(u, v)
-        if mapped is None:
+        a = target[u]
+        b = target[v]
+        if a == b or a < 0 or b < 0:
             return
-        a, b = mapped
         t = (u, v, w)
         consider(a, b, w, pos, t)
         consider(b, a, w, pos, t)

@@ -3,8 +3,10 @@
 The workhorse is ``two_phase_path_cover``: match once, contract the
 matched pairs, match the contraction, and return the union of both
 matchings.  The union is always a set of vertex-disjoint paths of one to
-three edges, and its edge count is at least (2/3)(1 - epsilon) times the
-size of a maximum path cover.
+three edges.  With the unweighted engine its edge count is at least
+(2/3)(1 - epsilon) times the size of a maximum path cover; with the
+weighted engine (``weighted=True``) it is the heavy cover that
+``tsp.approx_max_tsp`` closes into a tour.
 
 ``iterative_path_cover`` repeats the idea: after each round it bans every
 interior vertex of the current cover (so new edges can only attach at
@@ -13,6 +15,9 @@ path is extended at both ends into a cycle and no two ends of the same
 path are joined), and matches again until a round comes back empty.  It
 is exploratory: it can beat the two-phase bound on some inputs, but no
 ratio better than 2/3 is promised.
+
+Both entry points run in a session the caller opens (``open_session``),
+which fixes the word budget and whether an overrun is fatal.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 
 from .graph import (
     Edge,
-    Graph,
     Matching,
     PathCover,
     components_contraction,
@@ -35,7 +39,7 @@ from .matching import (
     streaming_max_matching,
     streaming_max_weight_matching,
 )
-from .stream import EdgeStreamSource, StreamReport, StreamSession, open_session
+from .stream import EdgeStreamSource, StreamReport, StreamSession
 
 
 @dataclass(frozen=True)
@@ -51,26 +55,26 @@ class MpcResult:
 def two_phase_path_cover(
     source: EdgeStreamSource,
     params: ApproxParams,
-    session: StreamSession | None = None,
+    session: StreamSession,
     *,
-    words_budget: int | None = None,
-    strict: bool = False,
+    weighted: bool = False,
 ) -> MpcResult:
     """Match, contract the matching, match again; the union is the cover.
 
-    Edge weights are ignored; the cover maximizes edge count.  The first
-    matching is maximal, so no surviving edge joins two unmatched
-    vertices, and the second matching joins matched pairs end to end;
-    that is why the union stays acyclic with paths of at most 3 edges.
+    The unweighted engine ignores edge weights and maximizes edge count;
+    ``weighted=True`` runs the weighted engine in both phases instead.
+    The second matching is a matching of the contraction, so each of its
+    edges joins two first-phase pairs (or unmatched vertices) end to end
+    and no vertex joins two of its edges: the union stays acyclic with
+    paths of at most 3 edges, whichever engine ran.  Both matchings are
+    released from ``session`` before the result is returned.
     """
-    sess = session
-    if sess is None:
-        sess = open_session(source, k=params.k, words_budget=words_budget, strict=strict)
-    first = streaming_max_matching(source, params, sess, label="first-matching")
-    sess.charge(source.n)  # the contraction map is retained during phase two
+    engine = streaming_max_weight_matching if weighted else streaming_max_matching
+    first = engine(source, params, session, label="first-matching")
+    session.charge(source.n)  # the contraction map is retained during phase two
     view = ContractionView(matching_contraction(source.n, first))
-    second = streaming_max_matching(source, params, sess, view=view, label="second-matching")
-    sess.release(source.n)
+    second = engine(source, params, session, view=view, label="second-matching")
+    session.release(source.n)
     try:
         cover = PathCover(source.n, first.edges + second.edges)
     except ValueError as err:
@@ -78,9 +82,9 @@ def two_phase_path_cover(
     lengths = cover.path_lengths
     if any(length not in (1, 2, 3) for length in lengths):
         raise AssertionError(f"two-phase union has a path of length {max(lengths)}")
-    release_matching(sess, first)
-    release_matching(sess, second)
-    return MpcResult(cover, first, second, sess.report())
+    release_matching(session, first)
+    release_matching(session, second)
+    return MpcResult(cover, first, second, session.report())
 
 
 def cover_interior_vertices(n: int, edges: tuple[Edge, ...]) -> frozenset[int]:
@@ -89,24 +93,6 @@ def cover_interior_vertices(n: int, edges: tuple[Edge, ...]) -> frozenset[int]:
     if not check.ok:
         raise ValueError(f"not a path cover: {check.reason}")
     return frozenset(v for path in check.paths for v in path[1:-1])
-
-
-def remove_middle_incident_edges(g: Graph, cover_edges: tuple[Edge, ...]) -> Graph:
-    """Drop every non-cover edge that touches an interior vertex of the cover.
-
-    Cover pairs themselves survive (all parallel copies of them, too);
-    everything else incident to a degree-2 cover vertex is removed.  This
-    is the materialized form of what ``iterative_path_cover`` does with a
-    banned-vertex stream view.
-    """
-    interior = cover_interior_vertices(g.n, cover_edges)
-    cover_pairs = {e.pair for e in cover_edges}
-    kept = tuple(
-        e
-        for e in g.edges
-        if e.pair in cover_pairs or (e.u not in interior and e.v not in interior)
-    )
-    return Graph(g.n, kept, g.weighted)
 
 
 @dataclass(frozen=True)
@@ -121,11 +107,7 @@ class IterativeCoverResult:
 def iterative_path_cover(
     source: EdgeStreamSource,
     params: ApproxParams,
-    session: StreamSession | None = None,
-    *,
-    weighted: bool = False,
-    words_budget: int | None = None,
-    strict: bool = False,
+    session: StreamSession,
 ) -> IterativeCoverResult:
     """Match repeatedly, freezing path interiors between rounds.
 
@@ -135,10 +117,6 @@ def iterative_path_cover(
     (or untouched vertices) at endpoints; the union therefore stays a
     valid path cover after every round.  Stops when a round adds nothing.
     """
-    engine = streaming_max_weight_matching if weighted else streaming_max_matching
-    sess = session
-    if sess is None:
-        sess = open_session(source, k=params.k, words_budget=words_budget, strict=strict)
     rounds: list[Matching] = []
     union: list[Edge] = []
     while True:
@@ -148,10 +126,12 @@ def iterative_path_cover(
             interior = cover_interior_vertices(source.n, tuple(union))
             cmap = components_contraction(source.n, [e.pair for e in union])
             view = ContractionView(cmap, banned=interior)
-            sess.charge(source.n + len(interior))
-        got = engine(source, params, sess, view=view, label=f"round-{len(rounds) + 1}")
+            session.charge(source.n + len(interior))
+        got = streaming_max_matching(
+            source, params, session, view=view, label=f"round-{len(rounds) + 1}"
+        )
         if view is not None:
-            sess.release(source.n + len(view.banned))
+            session.release(source.n + len(view.banned))
         if got.size == 0:
             break
         rounds.append(got)
@@ -160,5 +140,5 @@ def iterative_path_cover(
             raise AssertionError("more matching rounds than vertices")
     cover = PathCover(source.n, tuple(union))
     for got in rounds:
-        release_matching(sess, got)
-    return IterativeCoverResult(cover, tuple(rounds), sess.report())
+        release_matching(session, got)
+    return IterativeCoverResult(cover, tuple(rounds), session.report())

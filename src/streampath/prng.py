@@ -56,8 +56,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, items: list):
-        if not items:
-            raise ValueError("empty sequence")
-        return items[self.below(len(items))]

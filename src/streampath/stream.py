@@ -407,8 +407,10 @@ def open_session(
 ) -> StreamSession:
     """Make a session for ``source`` with an explicit or default budget.
 
-    Exactly one of ``k`` (for the default 64*n*k budget) or ``words_budget``
-    must be given.
+    ``words_budget`` sets the budget; without it ``k`` sizes the default
+    64*n*k budget (see ``default_words_budget``).  When both are given,
+    ``words_budget`` wins, so a pipeline can pass its ``k`` and a caller's
+    override together.
     """
     if words_budget is None:
         if k is None:

@@ -1,11 +1,13 @@
 """Tours from path covers: the (1,2)-cost and max-weight TSP pipelines.
 
-Both pipelines run the two-phase cover construction and then close the
-cover into a Hamiltonian cycle deterministically.  For (1,2)-costs every
-missing edge costs 2, so any completion works and the tour cost is at
-most ``2 n - cover_size``.  For max-weight tours on complete graphs the
-cover is first patched so at most one vertex is left uncovered, then the
-paths are concatenated.
+Both pipelines run the one two-phase cover driver,
+``pathcover.two_phase_path_cover``, and then close the cover into a
+Hamiltonian cycle deterministically.  For (1,2)-costs the driver runs the
+unweighted engine on the cost-1 pairs; every missing edge costs 2, so any
+completion works and the tour cost is at most ``2 n - cover_size``.  For
+max-weight tours on complete graphs it runs the weighted engine, the
+cover is patched so at most one vertex is left uncovered, then the paths
+are concatenated.
 
 The exact oracles (Held-Karp tours, branch-and-bound path cover) are
 deliberately small-instance: they exist to certify the streaming results
@@ -17,15 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graph import Edge, Graph, Matching, PathCover, Tour, contract, matching_contraction
-from .matching import (
-    ApproxParams,
-    ContractionView,
-    OracleLimitError,
-    oracle_max_weight_matching,
-    release_matching,
-    streaming_max_weight_matching,
-)
+from .graph import Edge, Graph, Matching, PathCover, Tour, contract
+from .matching import ApproxParams, OracleLimitError, oracle_max_weight_matching
 from .pathcover import MpcResult, two_phase_path_cover
 from .stream import InMemoryEdgeSource, StreamReport, open_session
 
@@ -113,10 +108,6 @@ class MaxTspInstance:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def max_weight(self) -> int:
-        return max(e.weight for e in self.edges)
 
     def graph(self) -> Graph:
         return Graph(self.n, self.edges, weighted=True)
@@ -207,23 +198,20 @@ def approx_max_tsp(
 ) -> MaxTspResult:
     """Two weighted matching phases, then close the heavy cover into a tour.
 
-    Phase one matches the whole instance; phase two matches the contraction
-    of phase one (parallel copies collapse to their heaviest copy inside
-    the engine).  Completeness plus engine maximality leave at most one
-    uncovered vertex; if the degree cap ever spoils maximality, one extra
-    greedy patch pass over the stream restores it.  The leftover vertex,
-    if any, is attached at the cover endpoint with the smallest id.
+    The two-phase driver runs the weighted engine: phase one matches the
+    whole instance, phase two matches the contraction of phase one
+    (parallel copies collapse to their heaviest copy inside the engine),
+    and both matchings are released before it returns.  Completeness plus
+    engine maximality leave at most one uncovered vertex; if the degree
+    cap ever spoils maximality, one extra greedy patch pass over the
+    stream restores it, charging its set of free vertices and the edges
+    it adds until it ends.  The leftover vertex, if any, is attached at
+    the cover endpoint with the smallest id.
     """
-    g = inst.graph()
-    src = InMemoryEdgeSource(g, name="max-tsp")
+    src = InMemoryEdgeSource(inst.graph(), name="max-tsp")
     sess = open_session(src, k=params.k, words_budget=words_budget, strict=strict)
-    first = streaming_max_weight_matching(src, params, sess, label="first-matching")
-    sess.charge(inst.n)
-    view = ContractionView(matching_contraction(inst.n, first))
-    second = streaming_max_weight_matching(src, params, sess, view=view, label="second-matching")
-    sess.release(inst.n)
-
-    cover = PathCover(inst.n, first.edges + second.edges)
+    mpc = two_phase_path_cover(src, params, sess, weighted=True)
+    cover, first, second = mpc.cover, mpc.first_matching, mpc.second_matching
     free = sorted(set(range(inst.n)) - cover.covered)
     if len(free) >= 2:
         remaining = set(free)
@@ -237,7 +225,9 @@ def approx_max_tsp(
                 sess.charge(3)
 
         sess.begin_run("leftover-patch")
+        sess.charge(len(free))
         sess.run_pass(patch_visit)
+        sess.release(len(free) + 3 * len(patch))
         sess.end_run()
         second = Matching(second.edges + tuple(patch))
         cover = PathCover(inst.n, first.edges + second.edges)
@@ -260,8 +250,6 @@ def approx_max_tsp(
 
     order = hamiltonian_order(paths, inst.n)
     tour = Tour.from_order(order, inst.weight)
-    release_matching(sess, first)
-    release_matching(sess, second)
     return MaxTspResult(tour, cover, first, second, sess.report())
 
 

@@ -70,6 +70,25 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mpc", "tsp12"])
+def test_hostile_header_exits_one(tmp_path, capsys, command):
+    # n is far past what an index can hold, so the vertex tables overflow
+    huge = tmp_path / "huge.txt"
+    huge.write_text("10000000000000000000 1\n0 1\n")
+    assert main([command, str(huge)]) == 1
+    assert "too large" in capsys.readouterr().err
+
+
+def test_memory_error_exits_one(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    path = _fixture_file(tmp_path)
+    monkeypatch.setattr("streampath.cli.two_phase_path_cover", exhausted)
+    assert main(["mpc", path]) == 1
+    assert "too large" in capsys.readouterr().err
+
+
 def test_strict_budget_exits_two(tmp_path, capsys):
     path = _fixture_file(tmp_path)
     assert main(["mpc", path, "--budget", "10", "--strict"]) == 2

@@ -124,9 +124,9 @@ def test_contraction_view_banned_and_loops():
     cmap = components_contraction(4, [(0, 1)])
     view = ContractionView(cmap, banned=frozenset({3}))
     assert view.n_viewed == 3
-    assert view.map_edge(0, 1) is None  # loop after merging
-    assert view.map_edge(2, 3) is None  # banned endpoint
-    assert view.map_edge(1, 2) == (0, 1)
+    # 0 and 1 merge (an edge between them is a loop); banned 3 maps to -1
+    assert view.target == (0, 0, 1, -1)
+    assert ContractionView(cmap).target == cmap.target
 
 
 def test_engine_respects_view():

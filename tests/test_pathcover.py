@@ -12,7 +12,6 @@ from streampath.matching import ApproxParams
 from streampath.pathcover import (
     cover_interior_vertices,
     iterative_path_cover,
-    remove_middle_incident_edges,
     two_phase_path_cover,
 )
 from streampath.stream import InMemoryEdgeSource, open_session
@@ -71,7 +70,8 @@ def test_two_phase_session_releases_everything():
 def test_two_phase_accepts_budget_override():
     g = Graph.from_pairs(3, [(0, 1), (1, 2)])
     src = InMemoryEdgeSource(g)
-    res = two_phase_path_cover(src, _P13, words_budget=5000)
+    # words_budget wins over the k-sized default when both are given
+    res = two_phase_path_cover(src, _P13, open_session(src, k=3, words_budget=5000))
     assert res.report.words_budget == 5000
 
 
@@ -86,15 +86,6 @@ def test_interior_vertices_of_a_cover():
 def test_interior_rejects_non_cover():
     with pytest.raises(ValueError):
         cover_interior_vertices(3, (Edge(0, 1), Edge(0, 2), Edge(1, 2)))
-
-
-def test_remove_middle_incident_edges_keeps_cover_and_clean_edges():
-    g = Graph.from_pairs(6, [(0, 1), (1, 2), (1, 5), (3, 4), (2, 3)])
-    cover = (Edge(0, 1), Edge(1, 2))
-    pruned = remove_middle_incident_edges(g, cover)
-    kept = [e.pair for e in pruned.edges]
-    # vertex 1 is interior: (1,5) goes away, cover copies stay, (3,4),(2,3) stay
-    assert kept == [(0, 1), (1, 2), (3, 4), (2, 3)]
 
 
 # --- iterative variant -------------------------------------------------------------

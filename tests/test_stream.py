@@ -135,7 +135,7 @@ def test_file_changed_after_open_fails_with_format_error(tmp_path, rewrite, frag
     assert all(0 <= u < 4 and 0 <= v < 4 and u != v and w == 1 for u, v, w in seen)
     assert len(seen) == (2 if "ends after" in fragment else 0)
     with pytest.raises(StreamFormatError, match="changed since it was opened"):
-        two_phase_path_cover(src, ApproxParams.parse("1/3"))
+        two_phase_path_cover(src, ApproxParams.parse("1/3"), open_session(src, k=3))
 
 
 def test_weight_rewritten_below_one_fails(tmp_path):

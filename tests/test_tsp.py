@@ -55,7 +55,6 @@ def test_max_tsp_instance_must_be_complete():
     pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     inst = MaxTspInstance(4, tuple(Edge(u, v, u + v + 1) for u, v in pairs))
     assert inst.weight(1, 3) == 5
-    assert inst.max_weight == 6
 
 
 def test_hamiltonian_order_appends_leftovers():
@@ -135,6 +134,29 @@ def test_max_tsp_cover_leaves_at_most_one_vertex():
         inst = gen_random_max_tsp(5 + seed % 5, 500 + seed, 7)
         res = approx_max_tsp(inst, _P14)
         assert inst.n - len(res.cover.covered) <= 1
+
+
+def test_max_tsp_patch_pass_charges_only_what_it_keeps():
+    # 13 heavy pairs (2i+2, 2i+3) joined by weight 100; vertices 0 and 1 weigh
+    # 2 to every pair member but the last pair's (1), and 0-1 weighs 1.  At
+    # eps = 1/2 the 12-slot tables drop 0-1 in both phases, so 0 and 1 stay
+    # free until the patch pass joins them.
+    def weight(u, v):
+        if u < 2:
+            return 1 if v == 1 or v >= 26 else 2
+        return 1000 if u // 2 == v // 2 else 100
+
+    n = 28
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    inst = MaxTspInstance(n, tuple(Edge(u, v, weight(u, v)) for u, v in pairs))
+    res = approx_max_tsp(inst, ApproxParams.parse("1/2"))
+    runs = res.report.runs
+    assert [r.label for r in runs] == ["first-matching", "second-matching", "leftover-patch"]
+    # two free vertices plus one patch edge; the matchings are already released
+    assert (runs[2].passes, runs[2].words_peak) == (1, 2 + 3)
+    assert res.second_matching.edges[-1].pair == (0, 1)
+    assert res.cover.covered == frozenset(range(n))
+    assert res.tour.cost == 14204
 
 
 def test_max_tsp_uniform_weights_hits_optimum():
