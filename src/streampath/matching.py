@@ -26,6 +26,12 @@ Guarantee tiers, stated precisely because the kernel cap matters:
 * Unconditionally, the unweighted result is a maximal matching (>= 1/2 of
   optimum) and the weighted result is locally optimal within the kernel.
 
+The cap binds whenever some vertex has more than 6k distinct neighbours in
+the viewed stream.  The oracle-checked sweeps stay below it, but complete
+graphs with n - 1 > 6k fill every table: each heavy tour with n > 6k + 1
+(n = 60 at eps = 1/3 has degree 59 against a cap of 18) earns only the
+second tier, and the tour bound built on the first is not guaranteed there.
+
 No fixed per-vertex cap can make the strong tier unconditional: pad both
 endpoints of every optimum edge with enough earlier junk edges and a
 capped kernel drops the optimum entirely.  Degree caps trade that corner
@@ -276,6 +282,9 @@ def _alternating_path_exact(
     return walk(s, length, {s})
 
 
+_TableEntry = tuple[int, int, int, tuple[int, int, int]]
+
+
 def streaming_max_weight_matching(
     source: EdgeStreamSource,
     params: ApproxParams,
@@ -294,6 +303,11 @@ def streaming_max_weight_matching(
     the loop finite, and it is small enough that the k/(k+1) local-search
     bound only erodes to (k/(k+1)) / (1 + eps/4) >= 1 - eps.  A final
     zero-threshold sweep makes the matching maximal within the kernel.
+
+    The table pass charges 2 words per table entry, and 1 word per vertex
+    whose table is full for the cached weakest entry of that table, which
+    lets an arriving edge that loses be rejected with one comparison; the
+    cache words are charged as tables fill and released when the pass ends.
     """
     n_view = view.n_viewed if view is not None else source.n
     # A list for the reason given in streaming_max_matching.
@@ -301,26 +315,38 @@ def streaming_max_weight_matching(
 
     session.begin_run(label)
     cap = params.kernel_degree_cap
-    # Per viewed vertex: neighbour -> (weight, position, original triple).
-    tables: list[dict[int, tuple[int, int, tuple[int, int, int]]]] = [
-        dict() for _ in range(n_view)
-    ]
+    # Per viewed vertex: neighbour -> (weight, -position, neighbour, original
+    # triple).  The first two fields are unique within a table, so the
+    # smallest value is the one entry the cap evicts: the lightest, and the
+    # latest among equal weights.
+    tables: list[dict[int, _TableEntry]] = [dict() for _ in range(n_view)]
+    # Per vertex whose table is full: the table's smallest value, kept up
+    # to date so that an arriving edge that loses costs one comparison.
+    weakest: dict[int, _TableEntry] = {}
 
-    def consider(u: int, v: int, w: int, pos: int, t: tuple[int, int, int]) -> None:
+    # Positions only grow along a pass, so an arriving copy beats a kept
+    # entry exactly when it is strictly heavier.
+    def consider(u: int, v: int, w: int, entry: _TableEntry) -> None:
         tab = tables[u]
         cur = tab.get(v)
         if cur is not None:
-            if (w, -pos) > (cur[0], -cur[1]):
-                tab[v] = (w, pos, t)
+            if w > cur[0]:
+                tab[v] = entry
+                if weakest.get(u) is cur:  # it was the weakest entry
+                    weakest[u] = min(tab.values())
             return
         if len(tab) < cap:
-            tab[v] = (w, pos, t)
+            tab[v] = entry
             session.charge(2)
+            if len(tab) == cap:
+                weakest[u] = min(tab.values())
+                session.charge(1)
             return
-        worst_v, worst = min(tab.items(), key=lambda kv: (kv[1][0], -kv[1][1]))
-        if (w, -pos) > (worst[0], -worst[1]):
-            del tab[worst_v]
-            tab[v] = (w, pos, t)
+        low = weakest[u]
+        if w > low[0]:
+            del tab[low[2]]
+            tab[v] = entry
+            weakest[u] = min(tab.values())
 
     def table_visit(pos: int, u: int, v: int, w: int) -> None:
         a = target[u]
@@ -328,22 +354,24 @@ def streaming_max_weight_matching(
         if a == b or a < 0 or b < 0:
             return
         t = (u, v, w)
-        consider(a, b, w, pos, t)
-        consider(b, a, w, pos, t)
+        consider(a, b, w, (w, -pos, b, t))
+        consider(b, a, w, (w, -pos, a, t))
 
     session.run_pass(table_visit)
+    session.release(len(weakest))
+    weakest.clear()
 
     # Union of the per-vertex tables, one entry per pair, best copy wins.
-    union: dict[tuple[int, int], tuple[int, int, tuple[int, int, int]]] = {}
+    union: dict[tuple[int, int], _TableEntry] = {}
     for u in range(n_view):
-        for v, (w, pos, t) in tables[u].items():
+        for v, entry in tables[u].items():
             key = (u, v) if u < v else (v, u)
             cur = union.get(key)
-            if cur is None or (w, -pos) > (cur[0], -cur[1]):
-                union[key] = (w, pos, t)
+            if cur is None or entry[:2] > cur[:2]:
+                union[key] = entry
     kentries = [
-        (key[0], key[1], w, pos, t)
-        for key, (w, pos, t) in sorted(union.items(), key=lambda kv: kv[1][1])
+        (key[0], key[1], w, -negpos, t)
+        for key, (w, negpos, _, t) in sorted(union.items(), key=lambda kv: -kv[1][1])
     ]
     session.charge(3 * len(kentries))
     for u in range(n_view):
@@ -387,16 +415,16 @@ def streaming_max_weight_matching(
     w_bits = max(1, source.max_weight.bit_length())
     n_bits = max(1, n_view.bit_length())
     scan_cap = 64 + 8 * n_view * params.k * params.k * (w_bits + n_bits + 4)
+    # Accept gain > eps^2 * w(M) / (4 n), compared cross-multiplied so the
+    # hot path stays in integers.
+    eps_sq = params.epsilon * params.epsilon
+    thr_mul = eps_sq.denominator * 4 * n_view
     scans = 0
     while True:
         scans += 1
         if scans > scan_cap:
             raise AssertionError("weighted local search failed to converge")
-        # Accept gain > eps^2 * w(M) / (4 n), compared cross-multiplied so the
-        # hot path stays in integers.
-        eps_sq = params.epsilon * params.epsilon
         thr_num = eps_sq.numerator * weight_now
-        thr_mul = eps_sq.denominator * 4 * n_view
         swaps = _enumerate_swaps(
             n_view, kentries, adj, partner, matched, params.max_swap_edges, thr_num, thr_mul
         )
@@ -450,19 +478,50 @@ def _enumerate_swaps(
     matched edge, strictly alternate add/drop, may stop at a free vertex or
     right after a drop, and may close into an even cycle at a start whose
     matched edge was dropped.  "Improving" means ``gain * thr_mul >
-    thr_num``.  Every swap is reported once, deduplicated by its sorted
-    position signature; vertices visited along a walk are tracked as a
-    bitmask.
+    thr_num``, i.e. ``gain > thr_num // thr_mul`` for an integer gain.
+    Every swap is reported once, deduplicated by its sorted position
+    signature, in the order a depth-first search from vertices 0, 1, ...
+    over ``adj`` (heaviest first) first meets it; vertices visited along a
+    walk are tracked as a bitmask.
+
+    The search is pruned by a bound, and the pruning is exact.  Let
+    ``top[x]`` be the heaviest kernel edge at ``x`` that is not matched, and
+    ``step`` the largest ``top[x] - w(x's matched edge)`` over matched
+    ``x``, or 0 if that is larger.  A walk at ``cur`` with gain ``g`` and
+    ``room`` edges left that adds an edge of weight ``w`` next can record
+    no gain above ``g + w + ((room - 1) // 2) * step``: after that add,
+    each further add first drops the matched edge at its tail ``x`` and
+    then adds an unmatched edge at ``x`` (a net of at most ``step``, for two
+    units of room), and a final drop only subtracts, because weights are at
+    least 1.  ``adj`` lists edges heaviest first, so once an edge fails the
+    bound every later edge at ``cur`` fails it too and the loop stops; a
+    walk is extended through ``mate`` only if ``top[mate]`` passes it.  No
+    pruned branch could have reached a record, so the list and its order
+    are what the unpruned search returns.
     """
     out: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = []
     seen: set[tuple[int, ...]] = set()
+    cut = thr_num // thr_mul
+    # Per vertex: (weight, other end, entry index), in adj order.
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n_view)]
+    top = [0] * n_view
+    for x in range(n_view):
+        row = rows[x]
+        for idx in adj[x]:
+            u, v, w, _, _ = kentries[idx]
+            row.append((w, v if u == x else u, idx))
+        top[x] = next((w for w, y, _ in row if y != partner[x]), 0)
+    mweight = [0] * n_view
+    for (a, b), idx in matched.items():
+        mweight[a] = mweight[b] = kentries[idx][2]
+    step = max([0] + [top[x] - mweight[x] for x in range(n_view) if partner[x] is not None])
+    # The swap being built; record() copies it.
+    adds: list[int] = []
+    drops: list[tuple[int, int]] = []
+    # The vertex a walk may close a cycle at: its start, if that was matched.
+    close = -1
 
-    def weight_of(key: tuple[int, int]) -> int:
-        return kentries[matched[key]][2]
-
-    def record(gain: int, adds: list[int], drops: list[tuple[int, int]]) -> None:
-        if gain * thr_mul <= thr_num:
-            return
+    def record(gain: int) -> None:
         signature = tuple(
             sorted([kentries[i][3] for i in adds] + [kentries[matched[k]][3] for k in drops])
         )
@@ -471,55 +530,58 @@ def _enumerate_swaps(
         seen.add(signature)
         out.append((gain, signature, tuple(adds), tuple(drops)))
 
-    def grow(
-        cur: int,
-        start: int,
-        start_matched: bool,
-        adds: list[int],
-        drops: list[tuple[int, int]],
-        visited: int,
-        gain: int,
-    ) -> None:
-        room = limit - len(adds) - len(drops)
-        if room < 1:
-            return
-        for idx in adj[cur]:
-            u, v, w, _, _ = kentries[idx]
-            nxt = v if u == cur else u
-            key = (u, v) if u < v else (v, u)
-            if key in matched:
+    def grow(cur: int, visited: int, gain: int, room: int) -> None:
+        bar = cut - gain - (room - 1) // 2 * step
+        mine = partner[cur]
+        for w, nxt, idx in rows[cur]:
+            if w <= bar:
+                break
+            if nxt == mine:
                 continue
-            if nxt == start and start_matched:
-                record(gain + w, adds + [idx], drops)
+            reach = gain + w
+            if nxt == close:
+                if reach > cut:
+                    adds.append(idx)
+                    record(reach)
+                    adds.pop()
                 continue
             if (visited >> nxt) & 1:
                 continue
             mate = partner[nxt]
             if mate is None:
-                record(gain + w, adds + [idx], drops)
+                if reach > cut:
+                    adds.append(idx)
+                    record(reach)
+                    adds.pop()
                 continue
             if room < 2 or (visited >> mate) & 1:
                 continue
-            mkey = (nxt, mate) if nxt < mate else (mate, nxt)
-            dropped = gain + w - weight_of(mkey)
-            record(dropped, adds + [idx], drops + [mkey])
-            grow(
-                mate,
-                start,
-                start_matched,
-                adds + [idx],
-                drops + [mkey],
-                visited | (1 << nxt) | (1 << mate),
-                dropped,
-            )
+            dropped = reach - mweight[nxt]
+            deeper = room >= 3 and dropped + top[mate] + (room - 3) // 2 * step > cut
+            if dropped > cut or deeper:
+                adds.append(idx)
+                drops.append((nxt, mate) if nxt < mate else (mate, nxt))
+                if dropped > cut:
+                    record(dropped)
+                if deeper:
+                    grow(mate, visited | (1 << nxt) | (1 << mate), dropped, room - 2)
+                adds.pop()
+                drops.pop()
 
     for s in range(n_view):
         mate = partner[s]
         if mate is None:
-            grow(s, s, False, [], [], 1 << s, 0)
+            close = -1
+            grow(s, 1 << s, 0, limit)
         else:
-            skey = (s, mate) if s < mate else (mate, s)
-            grow(mate, s, True, [], [skey], (1 << s) | (1 << mate), -weight_of(skey))
+            close = s
+            drops.append((s, mate) if s < mate else (mate, s))
+            grow(mate, (1 << s) | (1 << mate), -mweight[s], limit - 1)
+            drops.pop()
+    # grow reaches itself through its closure.  Breaking that cycle frees
+    # the scan's rows and lists now; left to the cyclic collector, they
+    # pile up across scans and raise the process's peak memory.
+    del grow
     return out
 
 

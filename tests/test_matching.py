@@ -1,9 +1,10 @@
 """Streaming matching engines against the exact oracles.
 
 The strong guarantee tier applies whenever no vertex hits the kernel
-degree cap; every graph in these tests is small enough for that, so the
-tier inequalities are asserted as exact integers (unweighted) or exact
-fractions (weighted).
+degree cap; every graph checked against an oracle here is small enough for
+that, so the tier inequalities are asserted as exact integers (unweighted)
+or exact fractions (weighted).  Where the cap binds, outputs are pinned
+instead.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from streampath.matching import (
     ApproxParams,
     ContractionView,
     OracleLimitError,
+    _enumerate_swaps,
     oracle_max_matching,
     oracle_max_weight_matching,
     release_matching,
     streaming_max_matching,
     streaming_max_weight_matching,
 )
+from streampath.prng import SplitMix64
 from streampath.stream import InMemoryEdgeSource, open_session
 
 
@@ -180,6 +183,194 @@ def test_weighted_result_is_maximal(seed):
     covered = m.covered
     for e in g.edges:
         assert e.u in covered or e.v in covered
+
+
+def test_weighted_full_table_upgrade_tie_and_eviction():
+    # eps = 1/2: k = 2, so every table holds at most 12 entries.  A and B
+    # fill their tables; V1, V2 and V3 first fill theirs with heavier edges
+    # to H, so they never keep an edge to A or B, and only A's or B's
+    # choices decide whether such an edge reaches the kernel.
+    a, b, v1, v2, v3 = 0, 1, 2, 3, 4
+    h, p = range(5, 17), range(17, 29)
+    leaves, late = range(29, 40), 40
+    q, r = range(41, 52), range(52, 63)
+    triples = [(x, y, 100) for x, y in zip(h, p)]
+    triples += [(x, y, 10) for x in (v1, v2, v3) for y in h]
+    # A's table fills with (A, V1) weakest; a parallel copy then upgrades
+    # that entry, so the weakest becomes the latest weight-8 leaf.  The late
+    # weight-8 edge ties with it and must lose; a stale weakest entry would
+    # evict V1 instead.  The equal-weight copy after it must not replace the
+    # first weight-9 copy, whose orientation the matching shows.
+    triples += [(a, v1, 1)] + [(a, x, 8) for x in leaves]
+    triples += [(v1, a, 9), (a, late, 8), (a, v1, 9)]
+    # B's table fills with two tied weight-5 entries as its weakest; a
+    # heavier arrival must evict the later of them (V3), leaving (B, V2).
+    triples += [(x, y, 50) for x, y in zip(q, r)]
+    triples += [(b, v2, 5), (b, v3, 5)] + [(b, x, 8) for x in q[:10]] + [(b, q[10], 6)]
+    g = Graph.from_pairs(63, triples, weighted=True)
+
+    params = ApproxParams.parse("1/2")
+    src = InMemoryEdgeSource(g)
+    sess = open_session(src, k=params.k, strict=True)
+    m = streaming_max_weight_matching(src, params, sess)
+    release_matching(sess, m)
+    assert sess.words_in_use == 0
+    assert [(e.u, e.v, e.weight) for e in m.edges] == (
+        [(x, y, 100) for x, y in zip(h, p)]
+        + [(v1, a, 9)]
+        + [(x, y, 50) for x, y in zip(q, r)]
+        + [(b, v2, 5)]
+    )
+    assert sess.report().as_dict() == {
+        "source": "memory", "n": 63, "m": 87, "passes_used": 1, "words_budget": 56448,
+        "words_peak": 582, "budget_exceeded": False,
+        "runs": [{"label": "weighted-matching", "passes": 1, "words_peak": 582}],
+    }
+
+
+# --- the pruned swap search ------------------------------------------------------
+
+
+def _reference_enumerate_swaps(
+    n_view: int,
+    kentries: list[tuple[int, int, int, int, tuple[int, int, int]]],
+    adj: list[list[int]],
+    partner: list[int | None],
+    matched: dict[tuple[int, int], int],
+    limit: int,
+    thr_num: int,
+    thr_mul: int,
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """The unpruned swap search, kept as the reference for the pruned one.
+
+    A swap adds kernel edges and drops matched edges so that the result is
+    again a matching: walks start either at a free vertex or by dropping a
+    matched edge, strictly alternate add/drop, may stop at a free vertex or
+    right after a drop, and may close into an even cycle at a start whose
+    matched edge was dropped.  "Improving" means ``gain * thr_mul >
+    thr_num``.  Every swap is reported once, deduplicated by its sorted
+    position signature; vertices visited along a walk are tracked as a
+    bitmask.
+    """
+    out: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+    seen: set[tuple[int, ...]] = set()
+
+    def weight_of(key: tuple[int, int]) -> int:
+        return kentries[matched[key]][2]
+
+    def record(gain: int, adds: list[int], drops: list[tuple[int, int]]) -> None:
+        if gain * thr_mul <= thr_num:
+            return
+        signature = tuple(
+            sorted([kentries[i][3] for i in adds] + [kentries[matched[k]][3] for k in drops])
+        )
+        if signature in seen:
+            return
+        seen.add(signature)
+        out.append((gain, signature, tuple(adds), tuple(drops)))
+
+    def grow(
+        cur: int,
+        start: int,
+        start_matched: bool,
+        adds: list[int],
+        drops: list[tuple[int, int]],
+        visited: int,
+        gain: int,
+    ) -> None:
+        room = limit - len(adds) - len(drops)
+        if room < 1:
+            return
+        for idx in adj[cur]:
+            u, v, w, _, _ = kentries[idx]
+            nxt = v if u == cur else u
+            key = (u, v) if u < v else (v, u)
+            if key in matched:
+                continue
+            if nxt == start and start_matched:
+                record(gain + w, adds + [idx], drops)
+                continue
+            if (visited >> nxt) & 1:
+                continue
+            mate = partner[nxt]
+            if mate is None:
+                record(gain + w, adds + [idx], drops)
+                continue
+            if room < 2 or (visited >> mate) & 1:
+                continue
+            mkey = (nxt, mate) if nxt < mate else (mate, nxt)
+            dropped = gain + w - weight_of(mkey)
+            record(dropped, adds + [idx], drops + [mkey])
+            grow(
+                mate,
+                start,
+                start_matched,
+                adds + [idx],
+                drops + [mkey],
+                visited | (1 << nxt) | (1 << mate),
+                dropped,
+            )
+
+    for s in range(n_view):
+        mate = partner[s]
+        if mate is None:
+            grow(s, s, False, [], [], 1 << s, 0)
+        else:
+            skey = (s, mate) if s < mate else (mate, s)
+            grow(mate, s, True, [], [skey], (1 << s) | (1 << mate), -weight_of(skey))
+    return out
+
+
+def _swap_kernel(n: int, seed: int):
+    """A seeded kernel in the weighted engine's layout, with an empty, a
+    partial and a perfect (one vertex left over when n is odd) matching."""
+    rng = SplitMix64(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    perfect = sorted((min(x, y), max(x, y)) for x, y in zip(order[0::2], order[1::2]))
+    chosen = set(perfect)
+    triples = [
+        (u, v, rng.randint(1, 9))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u, v) in chosen or rng.coin()
+    ]
+    rng.shuffle(triples)
+    kentries = [(u, v, w, pos, (u, v, w)) for pos, (u, v, w) in enumerate(triples)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for idx, (u, v, _, _, _) in enumerate(kentries):
+        adj[u].append(idx)
+        adj[v].append(idx)
+    for lst in adj:
+        lst.sort(key=lambda i: (-kentries[i][2], kentries[i][3]))
+    index = {(u, v): idx for idx, (u, v, _, _, _) in enumerate(kentries)}
+    matchings = [[], [key for key in perfect if rng.coin()], perfect]
+    return kentries, adj, [{key: index[key] for key in keys} for keys in matchings]
+
+
+def test_pruned_swap_search_matches_the_unpruned_reference():
+    free_ends = cycles = 0
+    for seed in range(27):
+        n = 6 + seed % 9
+        kentries, adj, matchings = _swap_kernel(n, seed)
+        for matched in matchings:
+            partner: list[int | None] = [None] * n
+            for u, v in matched:
+                partner[u], partner[v] = v, u
+            weight = sum(kentries[idx][2] for idx in matched.values())
+            for k in (2, 3, 4):
+                # threshold 0, the engine's eps^2 w(M) / 4n at eps = 1/k, and
+                # a cut of 3 that prunes harder
+                for thr_num, thr_mul in ((0, 1), (weight, k * k * 4 * n), (3, 1)):
+                    args = (n, kentries, adj, partner, matched, 2 * k - 1, thr_num, thr_mul)
+                    want = _reference_enumerate_swaps(*args)
+                    assert _enumerate_swaps(*args) == want, (seed, sorted(matched), k, thr_num)
+                    for _, _, adds, drops in want:
+                        ends = {x for i in adds for x in kentries[i][:2]}
+                        dropped = {x for key in drops for x in key}
+                        free_ends += len(adds) > len(drops)
+                        cycles += bool(drops) and ends == dropped
+    assert free_ends and cycles
 
 
 # --- oracles ------------------------------------------------------------------------

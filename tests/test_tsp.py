@@ -159,6 +159,49 @@ def test_max_tsp_patch_pass_charges_only_what_it_keeps():
     assert res.tour.cost == 14204
 
 
+def _max_tsp_report(n, m, budget, peak, first_peak, second_peak):
+    return {
+        "source": "max-tsp", "n": n, "m": m, "passes_used": 2, "words_budget": budget,
+        "words_peak": peak, "budget_exceeded": False,
+        "runs": [
+            {"label": "first-matching", "passes": 1, "words_peak": first_peak},
+            {"label": "second-matching", "passes": 1, "words_peak": second_peak},
+        ],
+    }
+
+
+_PINNED_TOURS = [
+    # n, seed, eps, tour order, tour weight, report; every vertex has degree
+    # n - 1 > 6k, so the kernel cap binds in every table
+    (30, 11, "1/4",
+     [12, 10, 0, 14, 23, 15, 1, 26, 5, 2, 16, 24, 3, 6, 20, 9, 4, 7, 28, 22, 8, 11, 21, 25,
+      13, 29, 18, 27, 17, 19],
+     501, _max_tsp_report(30, 435, 38400, 2580, 2580, 810)),
+    (34, 12, "1/3",
+     [7, 4, 0, 22, 1, 28, 19, 29, 5, 32, 2, 18, 3, 24, 13, 12, 16, 6, 21, 33, 8, 25, 17, 27,
+      9, 31, 23, 10, 20, 30, 15, 11, 14, 26],
+     556, _max_tsp_report(34, 561, 32640, 2229, 2229, 1037)),
+    (37, 13, "1/4",
+     [7, 14, 0, 24, 1, 31, 18, 15, 2, 27, 28, 36, 8, 29, 3, 10, 4, 22, 5, 12, 9, 30, 16, 6,
+      34, 21, 11, 13, 35, 25, 26, 20, 17, 32, 19, 23, 33],
+     660, _max_tsp_report(37, 666, 47360, 3198, 3198, 1288)),
+    (40, 14, "1/3",
+     [5, 19, 0, 36, 1, 2, 35, 39, 3, 4, 11, 27, 6, 29, 8, 15, 16, 14, 7, 17, 24, 10, 9, 30,
+      12, 37, 26, 33, 13, 21, 34, 28, 20, 23, 18, 31, 32, 25, 22, 38],
+     669, _max_tsp_report(40, 780, 38400, 2640, 2640, 1375)),
+]
+
+
+@pytest.mark.parametrize(
+    "n, seed, eps, order, weight, report", _PINNED_TOURS, ids=[f"n{t[0]}" for t in _PINNED_TOURS]
+)
+def test_max_tsp_outputs_pinned_when_the_cap_binds(n, seed, eps, order, weight, report):
+    res = approx_max_tsp(gen_random_max_tsp(n, seed), ApproxParams.parse(eps))
+    assert list(res.tour.order) == order
+    assert res.tour.cost == weight
+    assert res.report.as_dict() == report
+
+
 def test_max_tsp_uniform_weights_hits_optimum():
     pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     inst = MaxTspInstance(5, tuple(Edge(u, v, 3) for u, v in pairs))
