@@ -207,10 +207,18 @@ def components_contraction(n: int, pairs: Iterable[tuple[int, int]]) -> Contract
                 ru, rv = rv, ru
             parent[rv] = ru
 
-    roots = sorted({find(v) for v in range(n)})
-    new_id = {r: i for i, r in enumerate(roots)}
-    target = tuple(new_id[find(v)] for v in range(n))
-    return ContractionMap(n_old=n, n_new=len(roots), target=target)
+    # Roots are class minima, so walking v upwards meets each class's root
+    # before any other member and numbers classes by their smallest vertex.
+    target = [0] * n
+    n_new = 0
+    for v in range(n):
+        r = find(v)
+        if r == v:
+            target[v] = n_new
+            n_new += 1
+        else:
+            target[v] = target[r]
+    return ContractionMap(n_old=n, n_new=n_new, target=tuple(target))
 
 
 def matching_contraction(n: int, matching: Matching) -> ContractionMap:

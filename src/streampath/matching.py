@@ -1,14 +1,14 @@
 """Streaming matching engines and exact matching oracles.
 
 Two engines live here, one per weight model.  Both follow the same plan:
-a cheap first pass builds a starting matching (or weight tables), then a
-second pass retains a degree-capped kernel of the stream, and all further
-improvement happens offline on the kernel.
+one pass over the stream retains a degree-capped kernel, kept as one row
+of incident kernel edges per vertex, and all further improvement happens
+offline on those rows.
 
-* ``streaming_max_matching`` starts from the greedy maximal matching and
-  eliminates augmenting paths of length <= 2k - 1 inside the kernel, in
-  increasing length order, flipping maximal vertex-disjoint batches
-  (Hopcroft-Karp style, so one sweep per length suffices).
+* ``streaming_max_matching`` builds the greedy maximal matching in the
+  same pass, then eliminates augmenting paths of length <= 2k - 1 inside
+  the kernel, in increasing length order, flipping maximal vertex-disjoint
+  batches (Hopcroft-Karp style, so one sweep per length suffices).
 * ``streaming_max_weight_matching`` keeps per-vertex tables of the
   heaviest incident edges, then runs a local search over alternating
   path/cycle swaps of at most 2k - 1 edges, accepting a swap only when
@@ -132,12 +132,14 @@ def streaming_max_matching(
     view: ContractionView | None = None,
     label: str = "matching",
 ) -> Matching:
-    """Unweighted engine: greedy pass, then kernel augmentation.
+    """Unweighted engine: one pass, then kernel augmentation.
 
-    Uses 1 pass for k = 1 and 2 passes otherwise.  Edge weights are
-    ignored.  The returned edges are original stream edges (pre-view), in
-    arrival order; when a view is given their *viewed* endpoints are
-    disjoint, the original endpoints need not be.
+    The pass builds the greedy maximal matching and, alongside it, a kernel
+    of at most ``6k`` distinct viewed pairs per vertex; augmenting paths
+    are then eliminated offline on the kernel.  Edge weights are ignored.
+    The returned edges are original stream edges (pre-view), in arrival
+    order; when a view is given their *viewed* endpoints are disjoint, the
+    original endpoints need not be.
     """
     n_view = view.n_viewed if view is not None else source.n
     # A list, not a range: indexing a range makes a new int per lookup, and
@@ -149,6 +151,13 @@ def streaming_max_matching(
     session.charge(n_view)
     # Viewed pair -> (stream position, original (u, v, w) triple).
     witness: dict[tuple[int, int], tuple[int, tuple[int, int, int]]] = {}
+    cap = params.kernel_degree_cap
+    # The kernel: viewed pair -> (stream position, original triple), and per
+    # viewed vertex the other ends of its kernel edges in arrival order.
+    # Rows hold bare ids and a walk finds an edge's entry by its pair, so a
+    # row costs one pointer per kernel edge and allocates nothing per edge.
+    kernel: dict[tuple[int, int], tuple[int, tuple[int, int, int]]] = {}
+    rows: list[list[int]] = [[] for _ in range(n_view)]
 
     def match(u: int, v: int, pos: int, t: tuple[int, int, int]) -> None:
         partner[u] = v
@@ -162,44 +171,28 @@ def streaming_max_matching(
         del witness[key]
         session.release(3)
 
-    def greedy_visit(pos: int, u: int, v: int, w: int) -> None:
+    # The greedy matching and the kernel only grow during the pass, so each
+    # ends as it would alone, and the pass's word peak is its final count.
+    def visit(pos: int, u: int, v: int, w: int) -> None:
         a = target[u]
         b = target[v]
         if a == b or a < 0 or b < 0:
             return
+        t = (u, v, w)
         if partner[a] is None and partner[b] is None:
-            match(a, b, pos, (u, v, w))
+            match(a, b, pos, t)
+        key = (a, b) if a < b else (b, a)
+        if key in kernel:
+            return
+        if len(rows[a]) < cap or len(rows[b]) < cap:
+            kernel[key] = (pos, t)
+            rows[a].append(b)
+            rows[b].append(a)
+            session.charge(3)
 
-    session.run_pass(greedy_visit)
-
-    if params.k >= 2:
-        cap = params.kernel_degree_cap
-        adj: list[list[int]] = [[] for _ in range(n_view)]
-        entries: list[tuple[int, int, int, tuple[int, int, int]]] = []
-        kept: set[tuple[int, int]] = set()
-
-        def kernel_visit(pos: int, u: int, v: int, w: int) -> None:
-            a = target[u]
-            b = target[v]
-            if a == b or a < 0 or b < 0:
-                return
-            key = (a, b) if a < b else (b, a)
-            if key in kept:
-                return
-            if len(adj[a]) < cap or len(adj[b]) < cap:
-                kept.add(key)
-                idx = len(entries)
-                entries.append((a, b, pos, (u, v, w)))
-                adj[a].append(idx)
-                adj[b].append(idx)
-                session.charge(3)
-
-        session.run_pass(kernel_visit)
-        _augment_on_kernel(
-            n_view, partner, adj, entries, params.max_swap_edges, match, unmatch, session
-        )
-        session.release(3 * len(entries))
-
+    session.run_pass(visit)
+    _augment_on_kernel(n_view, partner, rows, kernel, params.max_swap_edges, match, unmatch, session)
+    session.release(3 * len(kernel))
     session.release(n_view)
     edges = tuple(Edge(*t) for _, t in sorted(witness.values(), key=lambda pt: pt[0]))
     session.end_run()
@@ -209,8 +202,8 @@ def streaming_max_matching(
 def _augment_on_kernel(
     n_view: int,
     partner: list[int | None],
-    adj: list[list[int]],
-    entries: list[tuple[int, int, int, tuple[int, int, int]]],
+    rows: list[list[int]],
+    kernel: dict[tuple[int, int], tuple[int, tuple[int, int, int]]],
     max_len: int,
     match: Callable[[int, int, int, tuple[int, int, int]], None],
     unmatch: Callable[[tuple[int, int]], None],
@@ -231,15 +224,14 @@ def _augment_on_kernel(
         for s in range(n_view):
             if used[s] or partner[s] is not None:
                 continue
-            hit = _alternating_path_exact(s, target, partner, adj, entries, used)
+            hit = _alternating_path_exact(s, target, partner, rows, used)
             if hit is None:
                 continue
             adds, drops = hit
             for key in drops:
                 unmatch(key)
-            for idx in adds:
-                u, v, pos, t = entries[idx]
-                match(u, v, pos, t)
+            for u, v in adds:
+                match(u, v, *kernel[(u, v) if u < v else (v, u)])
                 used[u] = True
                 used[v] = True
     session.release(n_view)
@@ -249,25 +241,23 @@ def _alternating_path_exact(
     s: int,
     length: int,
     partner: list[int | None],
-    adj: list[list[int]],
-    entries: list[tuple[int, int, int, tuple[int, int, int]]],
+    rows: list[list[int]],
     used: list[bool],
-) -> tuple[list[int], list[tuple[int, int]]] | None:
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
     """First augmenting path of exactly ``length`` edges starting at free ``s``.
 
-    Deterministic: neighbors are tried in arrival order.  Returns entry
-    indices to match and pair keys to unmatch, or None.
+    Deterministic: neighbors are tried in arrival order.  Returns the
+    kernel edges to match, as (u, v) pairs, and the pair keys to unmatch,
+    or None.
     """
 
     def walk(u: int, remaining: int, visited: set[int]):
-        for idx in adj[u]:
-            eu, ev, _, _ = entries[idx]
-            v = ev if eu == u else eu
+        for v in rows[u]:
             if v in visited or used[v] or partner[u] == v:
                 continue
             if remaining == 1:
                 if partner[v] is None:
-                    return [idx], []
+                    return [(u, v)], []
                 continue
             mate = partner[v]
             if mate is None or mate in visited or used[mate]:
@@ -276,7 +266,7 @@ def _alternating_path_exact(
             if tail is not None:
                 adds, drops = tail
                 key = (v, mate) if v < mate else (mate, v)
-                return [idx] + adds, [key] + drops
+                return [(u, v)] + adds, [key] + drops
         return None
 
     return walk(s, length, {s})
@@ -378,12 +368,14 @@ def streaming_max_weight_matching(
         session.release(2 * len(tables[u]))
     tables.clear()
 
-    adj: list[list[int]] = [[] for _ in range(n_view)]
-    for idx, (u, v, _, _, _) in enumerate(kentries):
-        adj[u].append(idx)
-        adj[v].append(idx)
-    for lst in adj:
-        lst.sort(key=lambda i: (-kentries[i][2], kentries[i][3]))
+    # Per vertex: (weight, other end, entry index), heaviest first and
+    # earliest first on ties (entry indices follow stream positions).
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n_view)]
+    for idx, (u, v, w, _, _) in enumerate(kentries):
+        rows[u].append((w, v, idx))
+        rows[v].append((w, u, idx))
+    for row in rows:
+        row.sort(key=lambda r: (-r[0], r[2]))
 
     partner: list[int | None] = [None] * n_view
     session.charge(n_view)
@@ -426,7 +418,7 @@ def streaming_max_weight_matching(
             raise AssertionError("weighted local search failed to converge")
         thr_num = eps_sq.numerator * weight_now
         swaps = _enumerate_swaps(
-            n_view, kentries, adj, partner, matched, params.max_swap_edges, thr_num, thr_mul
+            kentries, rows, partner, matched, params.max_swap_edges, thr_num, thr_mul
         )
         if not swaps:
             break
@@ -462,9 +454,8 @@ def streaming_max_weight_matching(
 
 
 def _enumerate_swaps(
-    n_view: int,
     kentries: list[tuple[int, int, int, int, tuple[int, int, int]]],
-    adj: list[list[int]],
+    rows: list[list[tuple[int, int, int]]],
     partner: list[int | None],
     matched: dict[tuple[int, int], int],
     limit: int,
@@ -481,8 +472,10 @@ def _enumerate_swaps(
     thr_num``, i.e. ``gain > thr_num // thr_mul`` for an integer gain.
     Every swap is reported once, deduplicated by its sorted position
     signature, in the order a depth-first search from vertices 0, 1, ...
-    over ``adj`` (heaviest first) first meets it; vertices visited along a
-    walk are tracked as a bitmask.
+    over ``rows`` first meets it; ``rows[x]`` lists the kernel edges at
+    ``x`` as ``(weight, other end, entry index)``, heaviest first and
+    earliest first on ties.  Vertices visited along a walk are tracked as
+    a bitmask.
 
     The search is pruned by a bound, and the pruning is exact.  Let
     ``top[x]`` be the heaviest kernel edge at ``x`` that is not matched, and
@@ -493,7 +486,7 @@ def _enumerate_swaps(
     each further add first drops the matched edge at its tail ``x`` and
     then adds an unmatched edge at ``x`` (a net of at most ``step``, for two
     units of room), and a final drop only subtracts, because weights are at
-    least 1.  ``adj`` lists edges heaviest first, so once an edge fails the
+    least 1.  Rows are heaviest first, so once an edge fails the
     bound every later edge at ``cur`` fails it too and the loop stops; a
     walk is extended through ``mate`` only if ``top[mate]`` passes it.  No
     pruned branch could have reached a record, so the list and its order
@@ -502,15 +495,8 @@ def _enumerate_swaps(
     out: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = []
     seen: set[tuple[int, ...]] = set()
     cut = thr_num // thr_mul
-    # Per vertex: (weight, other end, entry index), in adj order.
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n_view)]
-    top = [0] * n_view
-    for x in range(n_view):
-        row = rows[x]
-        for idx in adj[x]:
-            u, v, w, _, _ = kentries[idx]
-            row.append((w, v if u == x else u, idx))
-        top[x] = next((w for w, y, _ in row if y != partner[x]), 0)
+    n_view = len(rows)
+    top = [next((w for w, y, _ in rows[x] if y != partner[x]), 0) for x in range(n_view)]
     mweight = [0] * n_view
     for (a, b), idx in matched.items():
         mweight[a] = mweight[b] = kentries[idx][2]
@@ -579,7 +565,7 @@ def _enumerate_swaps(
             grow(mate, (1 << s) | (1 << mate), -mweight[s], limit - 1)
             drops.pop()
     # grow reaches itself through its closure.  Breaking that cycle frees
-    # the scan's rows and lists now; left to the cyclic collector, they
+    # the scan's lists now; left to the cyclic collector, they
     # pile up across scans and raise the process's peak memory.
     del grow
     return out

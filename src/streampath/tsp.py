@@ -302,24 +302,20 @@ def _held_karp(n: int, cost: list[list[int]], maximize: bool) -> int:
     return best
 
 
+def _cost_matrix(inst: Tsp12Instance | MaxTspInstance) -> list[list[int]]:
+    """``inst.weight`` of every ordered pair as an n x n matrix, 0 on the diagonal."""
+    n = inst.n
+    return [[inst.weight(u, v) if u != v else 0 for v in range(n)] for u in range(n)]
+
+
 def oracle_tsp12(inst: Tsp12Instance) -> int:
     """Exact optimum cost of a (1,2) instance (n <= 15)."""
-    cost = [[0] * inst.n for _ in range(inst.n)]
-    for u in range(inst.n):
-        for v in range(inst.n):
-            if u != v:
-                cost[u][v] = inst.weight(u, v)
-    return _held_karp(inst.n, cost, maximize=False)
+    return _held_karp(inst.n, _cost_matrix(inst), maximize=False)
 
 
 def oracle_max_tsp(inst: MaxTspInstance) -> int:
     """Exact maximum tour weight (n <= 15)."""
-    cost = [[0] * inst.n for _ in range(inst.n)]
-    for u in range(inst.n):
-        for v in range(inst.n):
-            if u != v:
-                cost[u][v] = inst.weight(u, v)
-    return _held_karp(inst.n, cost, maximize=True)
+    return _held_karp(inst.n, _cost_matrix(inst), maximize=True)
 
 
 def _has_all_cheap_tour(inst: Tsp12Instance) -> bool:

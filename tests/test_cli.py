@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -36,8 +39,24 @@ def test_mpc_json_report_is_deterministic(tmp_path, capsys):
     assert data["algorithm"] == "two-phase-path-cover"
     assert data["cover_size"] == 4
     assert data["oracle"] == {"best_cover": 6, "bound_holds": True, "ratio": "2/3"}
-    assert data["stream"]["passes_used"] == 4
+    assert data["stream"]["passes_used"] == 2
     assert data["k"] == 3
+
+
+def test_readme_example_transcript_is_current(tmp_path, capsys, monkeypatch):
+    # The README's example block is a transcript: "$ streampath ..." lines,
+    # each followed by what the command prints.  Replay it and compare.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```$", readme, flags=re.S | re.M)
+    (block,) = [b for b in blocks if b.startswith("$ streampath gen fixture tight-two-thirds")]
+    monkeypatch.chdir(tmp_path)
+    replay = []
+    for line in block.splitlines():
+        if line.startswith("$ streampath "):
+            assert main(shlex.split(line)[2:]) == 0, line
+            replay.append(line)
+            replay.extend(capsys.readouterr().out.splitlines())
+    assert replay == block.splitlines()
 
 
 def test_mpc_iterative_flag(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_params_derive_k_as_inverse_ceiling():
     assert ApproxParams.parse("1/2").k == 2
     assert ApproxParams.parse("2/5").k == 3
     assert ApproxParams.parse("0.25").k == 4
-    assert ApproxParams.parse("0.9").k == 2  # k stays >= 2 so the kernel pass exists
+    assert ApproxParams.parse("0.9").k == 2  # eps < 1 keeps k >= 2, so 3-edge paths are searched
 
 
 def test_params_expose_swap_and_cap_limits():
@@ -353,6 +353,11 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
     for seed in range(27):
         n = 6 + seed % 9
         kentries, adj, matchings = _swap_kernel(n, seed)
+        rows = [
+            [(kentries[i][2], kentries[i][1] if kentries[i][0] == x else kentries[i][0], i)
+             for i in adj[x]]
+            for x in range(n)
+        ]
         for matched in matchings:
             partner: list[int | None] = [None] * n
             for u, v in matched:
@@ -362,9 +367,10 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
                 # threshold 0, the engine's eps^2 w(M) / 4n at eps = 1/k, and
                 # a cut of 3 that prunes harder
                 for thr_num, thr_mul in ((0, 1), (weight, k * k * 4 * n), (3, 1)):
-                    args = (n, kentries, adj, partner, matched, 2 * k - 1, thr_num, thr_mul)
-                    want = _reference_enumerate_swaps(*args)
-                    assert _enumerate_swaps(*args) == want, (seed, sorted(matched), k, thr_num)
+                    search = (partner, matched, 2 * k - 1, thr_num, thr_mul)
+                    want = _reference_enumerate_swaps(n, kentries, adj, *search)
+                    got = _enumerate_swaps(kentries, rows, *search)
+                    assert got == want, (seed, sorted(matched), k, thr_num)
                     for _, _, adds, drops in want:
                         ends = {x for i in adds for x in kentries[i][:2]}
                         dropped = {x for key in drops for x in key}

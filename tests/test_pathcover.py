@@ -130,3 +130,147 @@ def test_iterative_round_labels_and_cleanup():
     labels = [r.label for r in sess.report().runs]
     assert labels == [f"round-{i}" for i in range(1, len(labels) + 1)]
     assert len(res.rounds) >= 1
+
+
+# --- pinned outputs ----------------------------------------------------------------
+
+
+def _star_then_random(n: int, seed: int) -> Graph:
+    """A star at vertex 0, streamed first, then a sparse random graph on the rest."""
+    rest = [e.pair for e in gen_random_graph(n, seed, Fraction(1, 8)).edges if 0 not in e.pair]
+    return Graph.from_pairs(n, [(0, v) for v in range(1, n)] + rest)
+
+
+_PIN_GRAPHS = {
+    "sparse14": lambda: gen_random_graph(14, 5, Fraction(1, 2)),
+    "sparse20": lambda: gen_random_graph(20, 6, Fraction(1, 4)),
+    # vertex 0 has 25 neighbours, more than the 6k cap at every eps below
+    "star26": lambda: _star_then_random(26, 8),
+    # degrees up to 14: at eps = 1/2 (cap 12) the kernel drops 7 edges
+    "dense16": lambda: gen_random_graph(16, 22, Fraction(7, 8)),
+}
+
+# graph, eps, budget; two-phase cover edges, overall and per-run word peaks;
+# iterative cover edges, overall and per-round word peaks.  Augmentations
+# flip the greedy first matching in every case but sparse20 at eps = 1/2.
+_PINNED_COVERS = [
+    ("sparse14", "1/2", 1792,
+     [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
+     199, [199, 115],
+     [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
+      (6, 10), (4, 7)],
+     199, [199, 115, 79, 70, 67]),
+    ("sparse14", "1/3", 2688,
+     [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
+     199, [199, 115],
+     [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
+      (6, 10), (4, 7)],
+     199, [199, 115, 79, 70, 67]),
+    ("sparse14", "1/4", 3584,
+     [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
+     199, [199, 115],
+     [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
+      (6, 10), (4, 7)],
+     199, [199, 115, 79, 70, 67]),
+    ("sparse20", "1/2", 2560,
+     [(4, 8), (1, 19), (12, 14), (0, 13), (2, 7), (3, 15), (11, 17), (5, 6), (10, 16), (8, 16),
+      (12, 13), (6, 19), (3, 17), (7, 18)],
+     232, [232, 186],
+     [(4, 8), (1, 19), (12, 14), (0, 13), (2, 7), (3, 15), (11, 17), (5, 6), (10, 16), (8, 16),
+      (12, 13), (6, 19), (3, 17), (7, 18), (2, 10), (0, 9), (5, 11), (4, 14), (1, 18)],
+     232, [232, 186, 119, 103, 100, 97]),
+    ("sparse20", "1/3", 3840,
+     [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
+      (8, 16), (12, 13), (0, 7), (6, 19), (3, 17)],
+     235, [235, 187],
+     [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
+      (8, 16), (12, 13), (0, 7), (6, 19), (3, 17), (2, 10), (1, 18), (4, 15), (5, 11)],
+     235, [235, 187, 109, 100, 100, 97]),
+    ("sparse20", "1/4", 5120,
+     [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
+      (8, 16), (12, 13), (0, 7), (6, 19), (3, 17)],
+     235, [235, 187],
+     [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
+      (8, 16), (12, 13), (0, 7), (6, 19), (3, 17), (2, 10), (1, 18), (4, 15), (5, 11)],
+     235, [235, 187, 109, 100, 100, 97]),
+    ("star26", "1/2", 3328,
+     [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
+      (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13)],
+     256, [256, 192],
+     [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
+      (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13), (1, 9),
+      (22, 25), (6, 23)],
+     256, [256, 192, 142, 118]),
+    ("star26", "1/3", 4992,
+     [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
+      (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13)],
+     256, [256, 192],
+     [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
+      (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13), (1, 9),
+      (22, 25), (6, 23)],
+     256, [256, 192, 142, 118]),
+    ("star26", "1/4", 6656,
+     [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
+      (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17)],
+     259, [259, 196],
+     [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
+      (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17), (4, 11),
+      (7, 14), (9, 10), (12, 16)],
+     259, [259, 196, 136, 124, 121]),
+    ("dense16", "1/2", 2048,
+     [(5, 14), (1, 9), (8, 13), (0, 12), (4, 11), (3, 7), (6, 10), (2, 15), (2, 14), (6, 13),
+      (4, 12), (1, 3)],
+     344, [344, 152],
+     [(5, 14), (1, 9), (8, 13), (0, 12), (4, 11), (3, 7), (6, 10), (2, 15), (2, 14), (6, 13),
+      (4, 12), (1, 3), (5, 11), (7, 8), (9, 15)],
+     344, [344, 152, 92, 80, 77]),
+    ("dense16", "1/3", 3072,
+     [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
+      (7, 8), (10, 12)],
+     365, [365, 152],
+     [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
+      (7, 8), (10, 12), (6, 13), (4, 11), (0, 3)],
+     365, [365, 152, 92, 80, 77]),
+    ("dense16", "1/4", 4096,
+     [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
+      (7, 8), (10, 12)],
+     365, [365, 152],
+     [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
+      (7, 8), (10, 12), (6, 13), (4, 11), (0, 3)],
+     365, [365, 152, 92, 80, 77]),
+
+]
+
+
+def _one_pass_per_run_report(g: Graph, budget: int, peak: int, labels, run_peaks) -> dict:
+    return {
+        "source": "memory", "n": g.n, "m": g.m, "passes_used": len(labels),
+        "words_budget": budget, "words_peak": peak, "budget_exceeded": False,
+        "runs": [
+            {"label": label, "passes": 1, "words_peak": run_peak}
+            for label, run_peak in zip(labels, run_peaks, strict=True)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "name, eps, budget, cover, peak, run_peaks, it_cover, it_peak, it_run_peaks",
+    _PINNED_COVERS,
+    ids=[f"{t[0]}-eps{t[1].replace('/', '_')}" for t in _PINNED_COVERS],
+)
+def test_cover_outputs_pinned_with_one_pass_per_matching_run(
+    name, eps, budget, cover, peak, run_peaks, it_cover, it_peak, it_run_peaks
+):
+    # The greedy matching and the kernel grow together in one pass, so the
+    # covers and every word peak are those of building them in two passes.
+    g = _PIN_GRAPHS[name]()
+    params = ApproxParams.parse(eps)
+    src = InMemoryEdgeSource(g)
+    res = two_phase_path_cover(src, params, open_session(src, k=params.k, strict=True))
+    assert [(e.u, e.v) for e in res.cover.edges] == cover
+    labels = ["first-matching", "second-matching"]
+    assert res.report.as_dict() == _one_pass_per_run_report(g, budget, peak, labels, run_peaks)
+    it = iterative_path_cover(src, params, open_session(src, k=params.k, strict=True))
+    assert [(e.u, e.v) for e in it.cover.edges] == it_cover
+    labels = [f"round-{i}" for i in range(1, len(it_run_peaks) + 1)]
+    assert it.report.as_dict() == _one_pass_per_run_report(g, budget, it_peak, labels, it_run_peaks)
