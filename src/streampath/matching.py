@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Callable
 
 from .graph import ContractionMap, Edge, Graph, Matching
@@ -149,52 +150,74 @@ def streaming_max_matching(
     session.begin_run(label)
     partner: list[int | None] = [None] * n_view
     session.charge(n_view)
-    # Viewed pair -> (stream position, original (u, v, w) triple).
-    witness: dict[tuple[int, int], tuple[int, tuple[int, int, int]]] = {}
+    # Viewed pairs a < b are keyed by the int a * n_view + b throughout.
+    # The matching: pair key -> (stream position, original u, v, w).
+    witness: dict[int, tuple[int, int, int, int]] = {}
     cap = params.kernel_degree_cap
-    # The kernel: viewed pair -> (stream position, original triple), and per
-    # viewed vertex the other ends of its kernel edges in arrival order.
-    # Rows hold bare ids and a walk finds an edge's entry by its pair, so a
-    # row costs one pointer per kernel edge and allocates nothing per edge.
-    kernel: dict[tuple[int, int], tuple[int, tuple[int, int, int]]] = {}
+    # The kernel: pair key -> index into four parallel columns holding each
+    # kernel edge's stream position and original u, v, w; and per viewed
+    # vertex the other ends of its kernel edges in arrival order.  Only
+    # ints are stored per kernel edge, so keeping one allocates no object
+    # that the cyclic garbage collector tracks.
+    kernel: dict[int, int] = {}
+    kpos: list[int] = []
+    ku: list[int] = []
+    kv: list[int] = []
+    kw: list[int] = []
     rows: list[list[int]] = [[] for _ in range(n_view)]
 
-    def match(u: int, v: int, pos: int, t: tuple[int, int, int]) -> None:
-        partner[u] = v
-        partner[v] = u
-        witness[(u, v) if u < v else (v, u)] = (pos, t)
+    def match(key: int) -> None:
+        a, b = divmod(key, n_view)
+        idx = kernel[key]
+        partner[a] = b
+        partner[b] = a
+        witness[key] = (kpos[idx], ku[idx], kv[idx], kw[idx])
         session.charge(3)
 
-    def unmatch(key: tuple[int, int]) -> None:
-        partner[key[0]] = None
-        partner[key[1]] = None
+    def unmatch(key: int) -> None:
+        a, b = divmod(key, n_view)
+        partner[a] = None
+        partner[b] = None
         del witness[key]
         session.release(3)
 
     # The greedy matching and the kernel only grow during the pass, so each
-    # ends as it would alone, and the pass's word peak is its final count.
-    def visit(pos: int, u: int, v: int, w: int) -> None:
-        a = target[u]
-        b = target[v]
-        if a == b or a < 0 or b < 0:
-            return
-        t = (u, v, w)
-        if partner[a] is None and partner[b] is None:
-            match(a, b, pos, t)
-        key = (a, b) if a < b else (b, a)
-        if key in kernel:
-            return
-        if len(rows[a]) < cap or len(rows[b]) < cap:
-            kernel[key] = (pos, t)
-            rows[a].append(b)
-            rows[b].append(a)
-            session.charge(3)
+    # ends as it would alone, and charging a block's growth at its end
+    # leaves every word peak as per-edge charging would.
+    def visit(pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
+        words = 0
+        for pos, u, v, w in zip(count(pos0), us, vs, ws):
+            a = target[u]
+            b = target[v]
+            if a == b or a < 0 or b < 0:
+                continue
+            key = a * n_view + b if a < b else b * n_view + a
+            if partner[a] is None and partner[b] is None:
+                partner[a] = b
+                partner[b] = a
+                witness[key] = (pos, u, v, w)
+                words += 3
+            if key in kernel:
+                continue
+            row_a = rows[a]
+            row_b = rows[b]
+            if len(row_a) < cap or len(row_b) < cap:
+                kernel[key] = len(kpos)
+                kpos.append(pos)
+                ku.append(u)
+                kv.append(v)
+                kw.append(w)
+                row_a.append(b)
+                row_b.append(a)
+                words += 3
+        if words:
+            session.charge(words)
 
     session.run_pass(visit)
-    _augment_on_kernel(n_view, partner, rows, kernel, params.max_swap_edges, match, unmatch, session)
+    _augment_on_kernel(n_view, partner, rows, params.max_swap_edges, match, unmatch, session)
     session.release(3 * len(kernel))
     session.release(n_view)
-    edges = tuple(Edge(*t) for _, t in sorted(witness.values(), key=lambda pt: pt[0]))
+    edges = tuple(Edge(u, v, w) for _, u, v, w in sorted(witness.values()))
     session.end_run()
     return Matching(edges)
 
@@ -203,10 +226,9 @@ def _augment_on_kernel(
     n_view: int,
     partner: list[int | None],
     rows: list[list[int]],
-    kernel: dict[tuple[int, int], tuple[int, tuple[int, int, int]]],
     max_len: int,
-    match: Callable[[int, int, int, tuple[int, int, int]], None],
-    unmatch: Callable[[tuple[int, int]], None],
+    match: Callable[[int], None],
+    unmatch: Callable[[int], None],
     session: StreamSession,
 ) -> None:
     """Flip maximal disjoint batches of augmenting paths, shortest first.
@@ -216,24 +238,26 @@ def _augment_on_kernel(
     1, 3, ..., max_len once each leaves no augmenting path of length
     <= max_len among the retained edges.  Applying each accepted path
     immediately and skipping its vertices afterwards builds exactly such a
-    maximal set.
+    maximal set.  ``match`` and ``unmatch`` take a pair key (see
+    ``streaming_max_matching``).  A vertex with an empty kernel row cannot
+    start a path, so it is skipped.
     """
     used = [False] * n_view
     session.charge(n_view)
-    for target in range(1, max_len + 1, 2):
+    for length in range(1, max_len + 1, 2):
         for s in range(n_view):
-            if used[s] or partner[s] is not None:
+            if used[s] or partner[s] is not None or not rows[s]:
                 continue
-            hit = _alternating_path_exact(s, target, partner, rows, used)
+            hit = _alternating_path_exact(s, length, partner, rows, used)
             if hit is None:
                 continue
             adds, drops = hit
-            for key in drops:
-                unmatch(key)
-            for u, v in adds:
-                match(u, v, *kernel[(u, v) if u < v else (v, u)])
-                used[u] = True
-                used[v] = True
+            for a, b in drops:
+                unmatch(a * n_view + b if a < b else b * n_view + a)
+            for a, b in adds:
+                match(a * n_view + b if a < b else b * n_view + a)
+                used[a] = True
+                used[b] = True
     session.release(n_view)
 
 
@@ -247,8 +271,8 @@ def _alternating_path_exact(
     """First augmenting path of exactly ``length`` edges starting at free ``s``.
 
     Deterministic: neighbors are tried in arrival order.  Returns the
-    kernel edges to match, as (u, v) pairs, and the pair keys to unmatch,
-    or None.
+    kernel edges to match and the matched edges to unmatch, each as
+    (u, v) vertex pairs, or None.
     """
 
     def walk(u: int, remaining: int, visited: set[int]):
@@ -265,8 +289,7 @@ def _alternating_path_exact(
             tail = walk(mate, remaining - 2, visited | {v, mate})
             if tail is not None:
                 adds, drops = tail
-                key = (v, mate) if v < mate else (mate, v)
-                return [(u, v)] + adds, [key] + drops
+                return [(u, v)] + adds, [(v, mate)] + drops
         return None
 
     return walk(s, length, {s})
@@ -338,14 +361,15 @@ def streaming_max_weight_matching(
             tab[v] = entry
             weakest[u] = min(tab.values())
 
-    def table_visit(pos: int, u: int, v: int, w: int) -> None:
-        a = target[u]
-        b = target[v]
-        if a == b or a < 0 or b < 0:
-            return
-        t = (u, v, w)
-        consider(a, b, w, (w, -pos, b, t))
-        consider(b, a, w, (w, -pos, a, t))
+    def table_visit(pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
+        for pos, u, v, w in zip(count(pos0), us, vs, ws):
+            a = target[u]
+            b = target[v]
+            if a == b or a < 0 or b < 0:
+                continue
+            t = (u, v, w)
+            consider(a, b, w, (w, -pos, b, t))
+            consider(b, a, w, (w, -pos, a, t))
 
     session.run_pass(table_visit)
     session.release(len(weakest))

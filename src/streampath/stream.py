@@ -13,12 +13,13 @@ shrinks its retained state, with the conversion
 The session does not try to measure actual Python object sizes; the point
 is to certify the model's asymptotics, not CPython's allocator.
 
-A pass hands the engines plain ``(u, v, w)`` int triples; an engine
-builds ``Edge`` objects only for the edges it returns.  Every line of an
-edge-list file is validated once, when the file is opened.  Each pass
-re-reads the file in blocks and checks every block as a whole before
-yielding any of its edges, so a file that changed since it was opened fails with
-``StreamFormatError`` instead of feeding the engines bad edges.
+A pass hands the engines blocks of plain int columns ``(us, vs, ws)``,
+one visit per block, so the per-edge work is the engine's own loop; an
+engine builds ``Edge`` objects only for the edges it returns.  Every line
+of an edge-list file is validated once, when the file is opened.  Each
+pass re-reads the file in blocks and checks every block as a whole
+before yielding it, so a file that changed since it was opened fails
+with ``StreamFormatError`` instead of feeding the engines bad edges.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterator
 
 from .graph import Graph
@@ -42,13 +43,18 @@ class BudgetExceededError(RuntimeError):
     """Retained words exceeded the session budget (strict mode only)."""
 
 
+Block = tuple[list[int], list[int], list[int]]
+
+
 class EdgeStreamSource:
     """Interface for anything that can replay an edge sequence.
 
     Subclasses provide ``n``, ``m``, ``weighted``, ``max_weight``, ``name``
-    and an ``edges()`` iterator of plain ``(u, v, w)`` int triples (``w`` is
-    1 on an unweighted stream).  ``edges()`` must yield the same sequence
-    every time it is called.
+    and ``blocks()``, an iterator of non-empty blocks of the stream as
+    equal-length int columns ``(us, vs, ws)`` (``ws`` is all 1 on an
+    unweighted stream).  ``blocks()`` must yield the same edge sequence
+    every time it is called; where it cuts that sequence into blocks is
+    the source's choice.  A caller must not modify a block.
     """
 
     name: str
@@ -57,24 +63,47 @@ class EdgeStreamSource:
     weighted: bool
     max_weight: int
 
-    def edges(self) -> Iterator[tuple[int, int, int]]:
+    def blocks(self) -> Iterator[Block]:
         raise NotImplementedError
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """The stream as ``(u, v, w)`` int triples: ``blocks()`` flattened."""
+        return chain.from_iterable(zip(*block) for block in self.blocks())
+
+
+# Edges per block of an in-memory pass.  The unweighted engine charges the
+# words it retains once per block, so this also sets how far into a pass
+# its strict overrun can run before it fires.
+_SLICE_EDGES = 8192
 
 
 class InMemoryEdgeSource(EdgeStreamSource):
-    """Streams a Graph held in memory.  The graph itself is not charged
-    against any session budget: it plays the role of the external input."""
+    """Streams a Graph held in memory.
+
+    The graph's endpoint and weight columns are built once, here, and each
+    pass yields them in slices of at most ``_SLICE_EDGES`` edges.  They are
+    not charged against any session budget: they play the role of the
+    external input.
+    """
 
     def __init__(self, graph: Graph, name: str = "memory") -> None:
-        self.graph = graph
         self.name = name
         self.n = graph.n
         self.m = graph.m
         self.weighted = graph.weighted
         self.max_weight = graph.max_weight
+        edges = graph.edges
+        self._columns = (
+            [e.u for e in edges],
+            [e.v for e in edges],
+            [e.weight for e in edges],
+        )
 
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        return ((e.u, e.v, e.weight) for e in self.graph.edges)
+    def blocks(self) -> Iterator[Block]:
+        us, vs, ws = self._columns
+        for i in range(0, self.m, _SLICE_EDGES):
+            j = i + _SLICE_EDGES
+            yield us[i:j], vs[i:j], ws[i:j]
 
 
 # Bytes per pass read: big enough that the per-block checks are cheap per
@@ -176,10 +205,10 @@ class FileEdgeSource(EdgeStreamSource):
     Opening validates the whole file once and keeps no edges; every format
     error names its ``path:line``.  Each pass then re-reads the file in
     blocks of whole lines (about 64 KiB), parses a block's ints in one go
-    and yields ``(u, v, w)`` triples.  Before any edge of a block is
-    yielded the block is checked as a whole: its token count, its endpoint
-    range, self-loops, weights >= 1, and that the pass stays within ``m``
-    edges (and reaches exactly ``m``).  So an engine never sees an edge
+    and yields them as one block of columns.  Before a block is yielded it
+    is checked as a whole: its token count, its endpoint range,
+    self-loops, weights >= 1, and that the pass stays within ``m`` edges
+    (and reaches exactly ``m``).  So an engine never sees an edge
     that the validation at open would have rejected, even when the file is
     rewritten after it was opened; such a file fails with
     ``StreamFormatError`` instead.  File timestamps are not consulted:
@@ -209,7 +238,7 @@ class FileEdgeSource(EdgeStreamSource):
                 )
         self.max_weight = max_w
 
-    def edges(self) -> Iterator[tuple[int, int, int]]:
+    def blocks(self) -> Iterator[Block]:
         n, m, path = self.n, self.m, self.path
         want = 3 if self.weighted else 2
         count = 0
@@ -232,7 +261,7 @@ class FileEdgeSource(EdgeStreamSource):
                 why = _block_problem(us, vs, ws, n)
                 if why is not None:
                     raise _changed(path, first, why)
-                yield from zip(us, vs, repeat(1) if ws is None else ws)
+                yield us, vs, [1] * len(us) if ws is None else ws
         if count != m:
             raise _changed(path, count + 2, f"ends after {count} of its {m} edges")
 
@@ -314,8 +343,11 @@ class StreamSession:
 
     In strict mode the first ``charge`` that pushes retained state past the
     budget raises ``BudgetExceededError``; otherwise the overrun is only
-    recorded in the report.  ``begin_run``/``end_run`` bracket one engine
-    invocation so multi-run pipelines can attribute resources per phase.
+    recorded in the report.  The unweighted engine charges a pass's growth
+    once per block, so its overrun fires at the end of the block that
+    crosses the budget, inside that pass.  ``begin_run``/``end_run``
+    bracket one engine invocation so multi-run pipelines can attribute
+    resources per phase.
     """
 
     def __init__(self, source: EdgeStreamSource, words_budget: int, strict: bool = False) -> None:
@@ -334,6 +366,13 @@ class StreamSession:
         self._run_peak = 0
 
     def charge(self, words: int) -> None:
+        """Add ``words`` of retained state; in strict mode, fail past the budget.
+
+        The check runs once per call.  An engine that sums a block's
+        growth and charges it at the end of the block therefore overruns
+        at the end of the block that crosses the budget; its peaks are
+        unchanged as long as its state only grows during the pass.
+        """
         if words < 0:
             raise ValueError("cannot charge negative words")
         self.words_in_use += words
@@ -355,16 +394,21 @@ class StreamSession:
             raise ValueError("releasing more words than are in use")
         self.words_in_use -= words
 
-    def run_pass(self, visit: Callable[[int, int, int, int], None]) -> None:
-        """Stream every edge through ``visit(position, u, v, w)`` once.
+    def run_pass(self, visit: Callable[[int, list[int], list[int], list[int]], None]) -> None:
+        """Stream the source through ``visit(pos0, us, vs, ws)`` once per block.
 
-        Edges arrive as plain ints, already validated by the source (a file
-        source checks each block before yielding it), so visits build no
-        per-edge objects.
+        A block is the source's int columns for the edges at stream
+        positions ``pos0, pos0 + 1, ...``, already validated by the source
+        (a file source checks each block before yielding it), so visits
+        build no per-edge objects.  A visitor that charges its growth once
+        per block makes a strict overrun fire at the end of the block that
+        crosses the budget, inside this call.
         """
         self.passes_used += 1
-        for pos, (u, v, w) in enumerate(self.source.edges()):
-            visit(pos, u, v, w)
+        pos0 = 0
+        for block in self.source.blocks():
+            visit(pos0, *block)
+            pos0 += len(block[0])
 
     def begin_run(self, label: str) -> None:
         if self._run_label is not None:

@@ -217,12 +217,13 @@ def approx_max_tsp(
         remaining = set(free)
         patch: list[Edge] = []
 
-        def patch_visit(pos: int, u: int, v: int, w: int) -> None:
-            if u in remaining and v in remaining:
-                remaining.discard(u)
-                remaining.discard(v)
-                patch.append(Edge(u, v, w))
-                sess.charge(3)
+        def patch_visit(pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
+            for u, v, w in zip(us, vs, ws):
+                if u in remaining and v in remaining:
+                    remaining.discard(u)
+                    remaining.discard(v)
+                    patch.append(Edge(u, v, w))
+                    sess.charge(3)
 
         sess.begin_run("leftover-patch")
         sess.charge(len(free))

@@ -101,6 +101,29 @@ def test_longer_augmenting_paths_are_found():
     assert m.size == 3
 
 
+def test_searches_start_only_at_vertices_with_kernel_edges(monkeypatch):
+    # a header n far above the touched vertices: a vertex with an empty
+    # kernel row cannot start an augmenting path, so it is never searched
+    from streampath import matching
+
+    calls = []
+    search = matching._alternating_path_exact
+
+    def counted(s, *rest):
+        calls.append(s)
+        return search(s, *rest)
+
+    monkeypatch.setattr(matching, "_alternating_path_exact", counted)
+    n = 20_000
+    g = Graph.from_pairs(n, [(1, 2), (0, 1), (2, 3), (7, 8), (n - 2, n - 1)])
+    touched = {v for e in g.edges for v in e.pair}
+    params = ApproxParams.parse("1/3")
+    m, _ = _run_unweighted(g, "1/3")
+    assert m.size == 4
+    assert 0 < len(calls) <= len(touched) * params.k
+    assert set(calls) <= touched
+
+
 def test_unweighted_tier_against_oracle():
     for seed in range(120):
         g = gen_random_graph(3 + seed % 8, seed, Fraction(1, 2))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from itertools import count
 
 import pytest
 
@@ -28,6 +29,15 @@ def _write(tmp_path, text, name="g.txt"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def _collect(seen):
+    """A block visitor that appends each edge as (position, u, v, w)."""
+
+    def visit(pos0, us, vs, ws):
+        seen.extend(zip(count(pos0), us, vs, ws))
+
+    return visit
 
 
 # --- file format --------------------------------------------------------------
@@ -129,11 +139,11 @@ def test_file_changed_after_open_fails_with_format_error(tmp_path, rewrite, frag
     seen = []
     sess = open_session(src, k=2)
     with pytest.raises(StreamFormatError, match="changed since it was opened") as err:
-        sess.run_pass(lambda pos, u, v, w: seen.append((u, v, w)))
+        sess.run_pass(_collect(seen))
     assert fragment in str(err.value)
     # the file is one block, so only a clean cut lets any edge through
-    assert all(0 <= u < 4 and 0 <= v < 4 and u != v and w == 1 for u, v, w in seen)
-    assert len(seen) == (2 if "ends after" in fragment else 0)
+    assert all(0 <= u < 4 and 0 <= v < 4 and u != v and w == 1 for _, u, v, w in seen)
+    assert seen == ([(0, 0, 1, 1), (1, 1, 2, 1)] if "ends after" in fragment else [])
     with pytest.raises(StreamFormatError, match="changed since it was opened"):
         two_phase_path_cover(src, ApproxParams.parse("1/3"), open_session(src, k=3))
 
@@ -173,6 +183,56 @@ def test_multi_block_pass_yields_exactly_the_file(tmp_path, weighted):
     assert (src.n, src.m, src.weighted) == (g.n, g.m, weighted)
     assert src.max_weight == max(w for _, _, w in want)
     assert list(src.edges()) == want
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_blocks_are_the_stream_in_contiguous_columns(tmp_path, weighted):
+    path, g, want = _multi_block_file(tmp_path, weighted)
+    assert g.m > stream._SLICE_EDGES
+    for src in (FileEdgeSource(path), InMemoryEdgeSource(g)):
+        blocks = list(src.blocks())
+        assert len(blocks) > 1
+        assert all(len(us) == len(vs) == len(ws) > 0 for us, vs, ws in blocks)
+        assert [t for block in blocks for t in zip(*block)] == list(src.edges()) == want
+        starts = []
+        sess = open_session(src, k=2)
+        sess.run_pass(lambda pos0, us, vs, ws: starts.append((pos0, len(us))))
+        ends = [pos0 + c for pos0, c in starts]
+        assert [pos0 for pos0, _ in starts] == [0] + ends[:-1]
+        assert ends[-1] == src.m
+        assert [c for _, c in starts] == [len(us) for us, _, _ in blocks]
+
+
+def test_strict_overrun_fires_inside_the_pass_that_crosses_the_budget(tmp_path, monkeypatch):
+    from streampath import matching
+
+    def offline(*args):
+        raise AssertionError("the offline phase ran after an overrun")
+
+    monkeypatch.setattr(matching, "_augment_on_kernel", offline)
+    path, g, _ = _multi_block_file(tmp_path, False)
+    params = ApproxParams.parse("1/3")
+    # The partner table costs n words up front; the kernel and the greedy
+    # matching then grow by 3 words per kept edge and cross this budget
+    # about two thirds of the way through the first pass.
+    budget = g.n + 3 * g.m
+    for src in (FileEdgeSource(path), InMemoryEdgeSource(g)):
+        blocks = list(src.blocks())
+        visited = []
+
+        def replay():
+            for block in blocks:
+                visited.append(block)
+                yield block
+
+        monkeypatch.setattr(src, "blocks", replay)
+        sess = open_session(src, words_budget=budget, strict=True)
+        with pytest.raises(BudgetExceededError) as err:
+            two_phase_path_cover(src, params, sess)
+        assert any(entry.name == "run_pass" for entry in err.traceback)
+        assert sess.passes_used == 1
+        assert 1 < len(visited) < len(blocks)
+        assert sess.words_in_use > budget
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -254,10 +314,12 @@ def test_overrun_raises_in_strict_mode():
 def test_run_pass_counts_and_streams_positions():
     sess = _session()
     seen = []
-    sess.run_pass(lambda pos, u, v, w: seen.append((pos, Edge(u, v, w).pair)))
-    sess.run_pass(lambda pos, u, v, w: None)
+    sess.run_pass(_collect(seen))
+    sess.run_pass(lambda pos0, us, vs, ws: None)
     assert sess.passes_used == 2
-    assert seen == [(0, (0, 1)), (1, (2, 3)), (2, (1, 2))]
+    assert [(pos, Edge(u, v, w).pair) for pos, u, v, w in seen] == [
+        (0, (0, 1)), (1, (2, 3)), (2, (1, 2))
+    ]
 
 
 def test_runs_attribute_passes_and_peaks():
