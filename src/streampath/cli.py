@@ -256,7 +256,12 @@ def _cmd_gen(args) -> int:
         print(f"wrote {args.out}: n={fx.graph.n} m={fx.graph.m} ({fx.notes}; {expected})")
         return _OK
     seed = args.seed if args.seed is not None else _default_seed()
-    density = Fraction(args.density)
+    try:
+        density = Fraction(args.density)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(
+            f"cannot parse density {args.density!r}; write a fraction such as 1/2"
+        ) from None
     if args.kind == "graph":
         g = gen_random_graph(args.n, seed, density)
     elif args.kind == "weighted":
@@ -301,6 +306,16 @@ def _cmd_verify(args) -> int:
     return _OK if all_ok else _GUARANTEE
 
 
+def _trial_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an int, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="streampath", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -334,7 +349,9 @@ def _build_parser() -> _Parser:
 
     verify = subs.add_parser("verify", help="run oracle sweeps")
     verify.add_argument("--suite", default="all", choices=("all",) + tuple(SWEEPS))
-    verify.add_argument("--trials", type=int, default=None, help="override per-suite trial count")
+    verify.add_argument(
+        "--trials", type=_trial_count, default=None, help="override per-suite trial count"
+    )
     verify.add_argument("--seed", type=int, default=None, help="override per-suite seed")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)

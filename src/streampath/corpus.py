@@ -126,6 +126,8 @@ def gen_random_graph(n: int, seed: int, density: Fraction = Fraction(1, 2)) -> G
 def gen_random_weighted_graph(
     n: int, seed: int, density: Fraction = Fraction(1, 2), max_weight: int = 20
 ) -> Graph:
+    if not (0 <= density <= 1):
+        raise ValueError("density must be in [0, 1]")
     rng = SplitMix64(seed)
     triples = []
     for u in range(n):

@@ -376,53 +376,54 @@ def streaming_max_weight_matching(
     weakest.clear()
 
     # Union of the per-vertex tables, one entry per pair, best copy wins.
-    union: dict[tuple[int, int], _TableEntry] = {}
+    # Viewed pairs a < b are keyed by the int a * n_view + b.
+    union: dict[int, _TableEntry] = {}
     for u in range(n_view):
         for v, entry in tables[u].items():
-            key = (u, v) if u < v else (v, u)
+            key = u * n_view + v if u < v else v * n_view + u
             cur = union.get(key)
             if cur is None or entry[:2] > cur[:2]:
                 union[key] = entry
+    # Kernel entries (a, b, w, original triple) with a < b, in stream order,
+    # so an entry's index orders it as its stream position does; from here
+    # on a kernel edge is named only by its index.
     kentries = [
-        (key[0], key[1], w, -negpos, t)
-        for key, (w, negpos, _, t) in sorted(union.items(), key=lambda kv: -kv[1][1])
+        (*divmod(key, n_view), w, t)
+        for key, (w, _, _, t) in sorted(union.items(), key=lambda kv: -kv[1][1])
     ]
     session.charge(3 * len(kentries))
     for u in range(n_view):
         session.release(2 * len(tables[u]))
     tables.clear()
 
-    # Per vertex: (weight, other end, entry index), heaviest first and
-    # earliest first on ties (entry indices follow stream positions).
+    # Per vertex: (weight, other end, entry index), heaviest first; a row is
+    # built in index order and the sort is stable, so earliest first on ties.
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n_view)]
-    for idx, (u, v, w, _, _) in enumerate(kentries):
+    for idx, (u, v, w, _) in enumerate(kentries):
         rows[u].append((w, v, idx))
         rows[v].append((w, u, idx))
     for row in rows:
-        row.sort(key=lambda r: (-r[0], r[2]))
+        row.sort(key=lambda r: -r[0])
 
-    partner: list[int | None] = [None] * n_view
+    # Per vertex: the entry index of its matched edge, or -1 when free.
+    medge = [-1] * n_view
     session.charge(n_view)
-    matched: dict[tuple[int, int], int] = {}
     weight_now = 0
 
     def match(idx: int) -> None:
         nonlocal weight_now
-        u, v, w, pos, _ = kentries[idx]
-        if partner[u] is not None or partner[v] is not None:
+        u, v, w, _ = kentries[idx]
+        if medge[u] >= 0 or medge[v] >= 0:
             raise AssertionError("swap application touched a non-free vertex")
-        partner[u] = v
-        partner[v] = u
-        matched[(u, v) if u < v else (v, u)] = idx
+        medge[u] = medge[v] = idx
         weight_now += w
         session.charge(3)
 
-    def unmatch(key: tuple[int, int]) -> None:
+    def unmatch(idx: int) -> None:
         nonlocal weight_now
-        idx = matched.pop(key)
-        weight_now -= kentries[idx][2]
-        partner[key[0]] = None
-        partner[key[1]] = None
+        u, v, w, _ = kentries[idx]
+        medge[u] = medge[v] = -1
+        weight_now -= w
         session.release(3)
 
     # The scan cap is a defensive bound on the damped local search; see the
@@ -441,51 +442,45 @@ def streaming_max_weight_matching(
         if scans > scan_cap:
             raise AssertionError("weighted local search failed to converge")
         thr_num = eps_sq.numerator * weight_now
-        swaps = _enumerate_swaps(
-            kentries, rows, partner, matched, params.max_swap_edges, thr_num, thr_mul
-        )
+        swaps = _enumerate_swaps(kentries, rows, medge, params.max_swap_edges, thr_num, thr_mul)
         if not swaps:
             break
         swaps.sort(key=lambda c: (-c[0], c[1]))
         touched: set[int] = set()
         for _, _, adds, drops in swaps:
-            verts: set[int] = set()
-            for idx in adds:
-                verts.add(kentries[idx][0])
-                verts.add(kentries[idx][1])
-            for key in drops:
-                verts.add(key[0])
-                verts.add(key[1])
+            verts = {x for idx in adds + drops for x in kentries[idx][:2]}
             if verts & touched:
                 continue
-            for key in drops:
-                unmatch(key)
+            for idx in drops:
+                unmatch(idx)
             for idx in adds:
                 match(idx)
             touched |= verts
 
-    for idx in sorted(range(len(kentries)), key=lambda i: (-kentries[i][2], kentries[i][3])):
-        u, v, _, _, _ = kentries[idx]
-        if partner[u] is None and partner[v] is None:
+    # Heaviest first; the sort is stable, so earliest first on ties.
+    for idx in sorted(range(len(kentries)), key=lambda i: -kentries[i][2]):
+        u, v, _, _ = kentries[idx]
+        if medge[u] < 0 and medge[v] < 0:
             match(idx)
 
     session.release(3 * len(kentries))
     session.release(n_view)
-    picked = sorted(matched.values(), key=lambda i: kentries[i][3])
-    edges = tuple(Edge(*kentries[i][4]) for i in picked)
+    edges = tuple(Edge(*t) for idx, (u, _, _, t) in enumerate(kentries) if medge[u] == idx)
     session.end_run()
     return Matching(edges)
 
 
+_Swap = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
 def _enumerate_swaps(
-    kentries: list[tuple[int, int, int, int, tuple[int, int, int]]],
+    kentries: list[tuple[int, int, int, tuple[int, int, int]]],
     rows: list[list[tuple[int, int, int]]],
-    partner: list[int | None],
-    matched: dict[tuple[int, int], int],
+    medge: list[int],
     limit: int,
     thr_num: int,
     thr_mul: int,
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]]:
+) -> list[_Swap]:
     """All improving alternating path/cycle swaps of at most ``limit`` edges.
 
     A swap adds kernel edges and drops matched edges so that the result is
@@ -494,12 +489,16 @@ def _enumerate_swaps(
     right after a drop, and may close into an even cycle at a start whose
     matched edge was dropped.  "Improving" means ``gain * thr_mul >
     thr_num``, i.e. ``gain > thr_num // thr_mul`` for an integer gain.
-    Every swap is reported once, deduplicated by its sorted position
+    A swap is ``(gain, signature, adds, drops)``: ``adds`` and ``drops``
+    are kernel entry indices, and the signature is all of them, sorted.
+    Entries are in stream order, so that is the swap's sorted position
+    signature.  Every swap is reported once, deduplicated by its
     signature, in the order a depth-first search from vertices 0, 1, ...
-    over ``rows`` first meets it; ``rows[x]`` lists the kernel edges at
-    ``x`` as ``(weight, other end, entry index)``, heaviest first and
-    earliest first on ties.  Vertices visited along a walk are tracked as
-    a bitmask.
+    over ``rows`` first meets it.  ``kentries[i]`` is ``(a, b, w, original
+    triple)``; ``rows[x]`` lists the kernel edges at ``x`` as ``(weight,
+    other end, entry index)``, heaviest first and earliest first on ties;
+    ``medge[x]`` is the entry index of ``x``'s matched edge, or -1.
+    Vertices visited along a walk are tracked as a bitmask.
 
     The search is pruned by a bound, and the pruning is exact.  Let
     ``top[x]`` be the heaviest kernel edge at ``x`` that is not matched, and
@@ -516,25 +515,20 @@ def _enumerate_swaps(
     pruned branch could have reached a record, so the list and its order
     are what the unpruned search returns.
     """
-    out: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+    out: list[_Swap] = []
     seen: set[tuple[int, ...]] = set()
     cut = thr_num // thr_mul
     n_view = len(rows)
-    top = [next((w for w, y, _ in rows[x] if y != partner[x]), 0) for x in range(n_view)]
-    mweight = [0] * n_view
-    for (a, b), idx in matched.items():
-        mweight[a] = mweight[b] = kentries[idx][2]
-    step = max([0] + [top[x] - mweight[x] for x in range(n_view) if partner[x] is not None])
+    top = [next((w for w, _, i in rows[x] if i != medge[x]), 0) for x in range(n_view)]
+    step = max([0] + [top[x] - kentries[medge[x]][2] for x in range(n_view) if medge[x] >= 0])
     # The swap being built; record() copies it.
     adds: list[int] = []
-    drops: list[tuple[int, int]] = []
+    drops: list[int] = []
     # The vertex a walk may close a cycle at: its start, if that was matched.
     close = -1
 
     def record(gain: int) -> None:
-        signature = tuple(
-            sorted([kentries[i][3] for i in adds] + [kentries[matched[k]][3] for k in drops])
-        )
+        signature = tuple(sorted(adds + drops))
         if signature in seen:
             return
         seen.add(signature)
@@ -542,11 +536,11 @@ def _enumerate_swaps(
 
     def grow(cur: int, visited: int, gain: int, room: int) -> None:
         bar = cut - gain - (room - 1) // 2 * step
-        mine = partner[cur]
+        mine = medge[cur]
         for w, nxt, idx in rows[cur]:
             if w <= bar:
                 break
-            if nxt == mine:
+            if idx == mine:
                 continue
             reach = gain + w
             if nxt == close:
@@ -557,20 +551,22 @@ def _enumerate_swaps(
                 continue
             if (visited >> nxt) & 1:
                 continue
-            mate = partner[nxt]
-            if mate is None:
+            drop = medge[nxt]
+            if drop < 0:
                 if reach > cut:
                     adds.append(idx)
                     record(reach)
                     adds.pop()
                 continue
+            a, b, dw, _ = kentries[drop]
+            mate = b if a == nxt else a
             if room < 2 or (visited >> mate) & 1:
                 continue
-            dropped = reach - mweight[nxt]
+            dropped = reach - dw
             deeper = room >= 3 and dropped + top[mate] + (room - 3) // 2 * step > cut
             if dropped > cut or deeper:
                 adds.append(idx)
-                drops.append((nxt, mate) if nxt < mate else (mate, nxt))
+                drops.append(drop)
                 if dropped > cut:
                     record(dropped)
                 if deeper:
@@ -579,14 +575,16 @@ def _enumerate_swaps(
                 drops.pop()
 
     for s in range(n_view):
-        mate = partner[s]
-        if mate is None:
+        drop = medge[s]
+        if drop < 0:
             close = -1
             grow(s, 1 << s, 0, limit)
         else:
+            a, b, dw, _ = kentries[drop]
+            mate = b if a == s else a
             close = s
-            drops.append((s, mate) if s < mate else (mate, s))
-            grow(mate, (1 << s) | (1 << mate), -mweight[s], limit - 1)
+            drops.append(drop)
+            grow(mate, (1 << s) | (1 << mate), -dw, limit - 1)
             drops.pop()
     # grow reaches itself through its closure.  Breaking that cycle frees
     # the scan's lists now; left to the cyclic collector, they

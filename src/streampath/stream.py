@@ -130,8 +130,8 @@ def _parse_header(line: str, path: str) -> tuple[int, int, bool]:
     return n, m, weighted
 
 
-def _check_edge_line(line: bytes, lineno: int, n: int, weighted: bool, path: str) -> int:
-    """Validate one edge line; return its weight."""
+def _check_edge_line(line: bytes, lineno: int, n: int, weighted: bool, path: str) -> None:
+    """Validate one edge line, naming it in the error."""
     if not line.isascii():
         raise StreamFormatError(f"{path}:{lineno}: non-ASCII byte in edge line")
     tokens = line.split()
@@ -154,45 +154,37 @@ def _check_edge_line(line: bytes, lineno: int, n: int, weighted: bool, path: str
         raise StreamFormatError(f"{path}:{lineno}: self-loop at vertex {u}")
     if w < 1:
         raise StreamFormatError(f"{path}:{lineno}: weight must be >= 1, got {w}")
-    return w
 
 
-def _block_problem(us: list[int], vs: list[int], ws: list[int] | None, n: int) -> str | None:
-    """The first check a block's endpoint and weight columns fail, or None.
+def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
+    """A block of edge lines as int columns, or the first check it fails.
 
-    Only C-level passes over the columns, so a block costs a few
-    operations per edge on top of parsing its ints.
+    The lines are joined, split and parsed with ``int`` in one go, and the
+    columns are then checked with C-level passes: the token count, the
+    endpoint range, self-loops and weights >= 1.  So a block costs a few
+    operations per edge on top of parsing its ints, and keeps no object
+    per line.  The token count is checked for the block as a whole, not
+    per line.
     """
+    want = 3 if weighted else 2
+    try:
+        nums = list(map(int, b"".join(block).split()))
+    except ValueError:
+        return "a field is not an int"
+    if len(nums) != want * len(block):
+        return f"expected {want} fields per line"
+    us = nums[0::want]
+    vs = nums[1::want]
     if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
         return f"endpoint out of range [0, {n})"
     if any(map(operator.eq, us, vs)):
         return "self-loop"
-    if ws is not None and min(ws) < 1:
+    if not weighted:
+        return us, vs, [1] * len(us)
+    ws = nums[2::3]
+    if min(ws) < 1:
         return "weight below 1"
-    return None
-
-
-def _block_max_weight(block: list[bytes], lineno: int, n: int, weighted: bool, path: str) -> int:
-    """Validate a block of edge lines starting at ``lineno``; return its largest weight.
-
-    Every line must split into exactly the expected number of ints, and
-    the block's columns must pass ``_block_problem``.  A block that fails
-    is checked again line by line to name the first bad line.
-    """
-    want = 3 if weighted else 2
-    tokens = list(map(bytes.split, block))
-    if set(map(len, tokens)) == {want}:
-        try:
-            nums = list(map(int, chain.from_iterable(tokens)))
-        except ValueError:
-            pass
-        else:
-            ws = nums[2::3] if weighted else None
-            if _block_problem(nums[0::want], nums[1::want], ws, n) is None:
-                return max(ws) if ws is not None else 1
-    return max(
-        _check_edge_line(line, i, n, weighted, path) for i, line in enumerate(block, lineno)
-    )
+    return us, vs, ws
 
 
 class FileEdgeSource(EdgeStreamSource):
@@ -202,14 +194,16 @@ class FileEdgeSource(EdgeStreamSource):
     ``u v`` (or ``u v w``), 0-indexed, no self-loops, weights >= 1, ASCII
     only.  Line order is the stream's arrival order.
 
-    Opening validates the whole file once and keeps no edges; every format
-    error names its ``path:line``.  Each pass then re-reads the file in
-    blocks of whole lines (about 64 KiB), parses a block's ints in one go
-    and yields them as one block of columns.  Before a block is yielded it
-    is checked as a whole: its token count, its endpoint range,
-    self-loops, weights >= 1, and that the pass stays within ``m`` edges
-    (and reaches exactly ``m``).  So an engine never sees an edge
-    that the validation at open would have rejected, even when the file is
+    The file is read in blocks of whole lines (about 64 KiB), and one
+    parser, ``_parse_block``, turns a block into int columns and checks
+    it: its token count, its endpoint range, self-loops and weights >= 1.
+    Opening runs it over the whole file once, also checks that every line
+    has the expected number of fields, and keeps no edges; a block that
+    fails is checked again line by line, so every format error names its
+    ``path:line``.  Each pass runs the same parser on every block before
+    yielding it, and checks that the pass stays within ``m`` edges (and
+    reaches exactly ``m``).  So an engine never sees an edge that the
+    validation at open would have rejected, even when the file is
     rewritten after it was opened; such a file fails with
     ``StreamFormatError`` instead.  File timestamps are not consulted:
     their resolution is coarse, so a check on them would depend on timing.
@@ -226,11 +220,15 @@ class FileEdgeSource(EdgeStreamSource):
             if not header.isascii():
                 raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
             self.n, self.m, self.weighted = _parse_header(header.decode("ascii"), path)
+            want = 3 if self.weighted else 2
             count = 0
             for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
-                w = _block_max_weight(block, count + 2, self.n, self.weighted, path)
-                if w > max_w:
-                    max_w = w
+                cols = _parse_block(block, self.n, self.weighted)
+                if isinstance(cols, str) or set(map(len, map(bytes.split, block))) != {want}:
+                    for lineno, line in enumerate(block, count + 2):
+                        _check_edge_line(line, lineno, self.n, self.weighted, path)
+                    raise AssertionError("a block failed its checks but none of its lines did")
+                max_w = max(max_w, max(cols[2]))
                 count += len(block)
             if count != self.m:
                 raise StreamFormatError(
@@ -240,7 +238,6 @@ class FileEdgeSource(EdgeStreamSource):
 
     def blocks(self) -> Iterator[Block]:
         n, m, path = self.n, self.m, self.path
-        want = 3 if self.weighted else 2
         count = 0
         with open(path, "rb") as fh:
             fh.readline()
@@ -249,19 +246,10 @@ class FileEdgeSource(EdgeStreamSource):
                 count += len(block)
                 if count > m:
                     raise _changed(path, first, f"more than the {m} edges it had")
-                try:
-                    nums = list(map(int, b"".join(block).split()))
-                except ValueError:
-                    raise _changed(path, first, "a field is not an int") from None
-                if len(nums) != want * len(block):
-                    raise _changed(path, first, f"expected {want} fields per line")
-                us = nums[0::want]
-                vs = nums[1::want]
-                ws = nums[2::3] if want == 3 else None
-                why = _block_problem(us, vs, ws, n)
-                if why is not None:
-                    raise _changed(path, first, why)
-                yield us, vs, [1] * len(us) if ws is None else ws
+                cols = _parse_block(block, n, self.weighted)
+                if isinstance(cols, str):
+                    raise _changed(path, first, cols)
+                yield cols
         if count != m:
             raise _changed(path, count + 2, f"ends after {count} of its {m} edges")
 

@@ -120,6 +120,20 @@ def test_usage_error_exits_one(capsys):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "kind, density",
+    [("graph", "1/0"), ("weighted", "1/0"), ("maxtsp", "1/0"), ("graph", "half"),
+     ("weighted", "3"), ("weighted", "-1/2")],
+)
+def test_gen_random_bad_density_exits_one(tmp_path, capsys, kind, density):
+    out = tmp_path / "g.txt"
+    argv = ["gen", "random", kind, "--n", "5", f"--density={density}", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "density" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_random_then_tsp12(tmp_path, capsys):
     out = str(tmp_path / "t.txt")
     assert main(["gen", "random", "tsp12", "--n", "7", "--seed", "3", "--out", out]) == 0
@@ -178,3 +192,13 @@ def test_verify_json_shape(capsys):
     assert data["ok"] is True
     assert data["suites"]["degree-census"]["trials"] == 25
     assert data["suites"]["degree-census"]["checks"]["degrees"] == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_fewer_than_one_trial(capsys, trials):
+    # zero trials would check nothing and still report every suite passed
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "two-phase", "--trials", trials])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err and "passed" not in captured.out

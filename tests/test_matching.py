@@ -381,19 +381,28 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
              for i in adj[x]]
             for x in range(n)
         ]
+        # The engine's entries carry no position: an entry's index is its
+        # position, as it is here.
+        entries = [(u, v, w, t) for u, v, w, _, t in kentries]
         for matched in matchings:
             partner: list[int | None] = [None] * n
-            for u, v in matched:
+            medge = [-1] * n
+            for (u, v), idx in matched.items():
                 partner[u], partner[v] = v, u
+                medge[u] = medge[v] = idx
             weight = sum(kentries[idx][2] for idx in matched.values())
             for k in (2, 3, 4):
                 # threshold 0, the engine's eps^2 w(M) / 4n at eps = 1/k, and
                 # a cut of 3 that prunes harder
                 for thr_num, thr_mul in ((0, 1), (weight, k * k * 4 * n), (3, 1)):
-                    search = (partner, matched, 2 * k - 1, thr_num, thr_mul)
-                    want = _reference_enumerate_swaps(n, kentries, adj, *search)
-                    got = _enumerate_swaps(kentries, rows, *search)
-                    assert got == want, (seed, sorted(matched), k, thr_num)
+                    limits = (2 * k - 1, thr_num, thr_mul)
+                    want = _reference_enumerate_swaps(n, kentries, adj, partner, matched, *limits)
+                    got = _enumerate_swaps(entries, rows, medge, *limits)
+                    # the engine names a dropped edge by its entry index
+                    assert got == [
+                        (gain, sig, adds, tuple(matched[key] for key in drops))
+                        for gain, sig, adds, drops in want
+                    ], (seed, sorted(matched), k, thr_num)
                     for _, _, adds, drops in want:
                         ends = {x for i in adds for x in kentries[i][:2]}
                         dropped = {x for key in drops for x in key}

@@ -14,6 +14,7 @@ from streampath.pathcover import (
     iterative_path_cover,
     two_phase_path_cover,
 )
+from streampath.prng import SplitMix64
 from streampath.stream import InMemoryEdgeSource, open_session
 from streampath.tsp import oracle_path_cover
 
@@ -274,3 +275,83 @@ def test_cover_outputs_pinned_with_one_pass_per_matching_run(
     assert [(e.u, e.v) for e in it.cover.edges] == it_cover
     labels = [f"round-{i}" for i in range(1, len(it_run_peaks) + 1)]
     assert it.report.as_dict() == _one_pass_per_run_report(g, budget, it_peak, labels, it_run_peaks)
+
+
+def _with_weights(g: Graph, seed: int = 1) -> Graph:
+    """``g`` with weights 1-9 drawn in stream order from a seeded generator."""
+    rng = SplitMix64(seed)
+    return Graph.from_pairs(g.n, [(e.u, e.v, rng.randint(1, 9)) for e in g.edges], weighted=True)
+
+
+# graph, eps, budget, overall and per-run word peaks; the first and second
+# weighted matchings as (u, v, w), whose concatenation is the cover.
+_PINNED_WEIGHTED_COVERS = [
+    ('sparse14', '1/2', 7168, 350, [350, 175],
+     [(6, 7, 9), (0, 9, 7), (5, 12, 8), (8, 10, 7), (2, 11, 5), (1, 13, 7), (3, 4, 9)],
+     [(1, 9, 8), (2, 5, 5), (4, 7, 9)]),
+    ('sparse14', '1/3', 10752, 350, [350, 168],
+     [(1, 11, 6), (0, 5, 7), (8, 10, 7), (9, 12, 8), (2, 6, 8), (7, 13, 9), (3, 4, 9)],
+     [(6, 7, 9), (4, 5, 8), (1, 9, 8)]),
+    ('sparse14', '1/4', 14336, 350, [350, 168],
+     [(1, 11, 6), (0, 9, 7), (5, 12, 8), (8, 10, 7), (2, 6, 8), (7, 13, 9), (3, 4, 9)],
+     [(6, 7, 9), (4, 5, 8), (1, 9, 8)]),
+    ('sparse20', '1/2', 10240, 385, [385, 278],
+     [(8, 16, 7), (1, 19, 9), (0, 13, 8), (7, 12, 8), (4, 14, 5), (3, 10, 7), (2, 17, 8),
+      (15, 18, 6), (5, 11, 9)],
+     [(12, 16, 7), (0, 9, 7), (1, 2, 9), (5, 18, 8), (3, 6, 3)]),
+    ('sparse20', '1/3', 15360, 385, [385, 281],
+     [(8, 16, 7), (7, 12, 8), (1, 6, 8), (4, 14, 5), (0, 9, 7), (13, 17, 6), (3, 10, 7),
+      (15, 18, 6), (5, 11, 9), (2, 19, 9)],
+     [(1, 19, 9), (12, 13, 7), (4, 15, 7), (5, 16, 8), (0, 3, 9)]),
+    ('sparse20', '1/4', 20480, 385, [385, 281],
+     [(8, 16, 7), (7, 12, 8), (1, 6, 8), (4, 14, 5), (0, 9, 7), (13, 17, 6), (3, 10, 7),
+      (15, 18, 6), (5, 11, 9), (2, 19, 9)],
+     [(1, 19, 9), (12, 13, 7), (4, 15, 7), (5, 16, 8), (0, 3, 9)]),
+    ('star26', '1/2', 13312, 366, [366, 272],
+     [(0, 3, 9), (11, 20, 9), (8, 21, 6), (19, 23, 4), (9, 10, 7), (7, 25, 7), (2, 14, 8),
+      (6, 24, 8), (12, 16, 9), (5, 17, 9), (1, 15, 9)],
+     [(0, 7, 8), (4, 11, 6), (12, 22, 3), (21, 24, 5), (1, 19, 7), (2, 9, 8), (5, 13, 4)]),
+    ('star26', '1/3', 19968, 378, [378, 276],
+     [(0, 3, 9), (11, 20, 9), (8, 21, 6), (19, 23, 4), (9, 10, 7), (7, 25, 7), (2, 14, 8),
+      (6, 24, 8), (12, 16, 9), (5, 17, 9), (1, 15, 9)],
+     [(0, 18, 8), (4, 11, 6), (21, 24, 5), (1, 19, 7), (2, 9, 8), (22, 25, 6), (5, 13, 4)]),
+    ('star26', '1/4', 26624, 390, [390, 276],
+     [(0, 3, 9), (11, 20, 9), (8, 21, 6), (19, 23, 4), (9, 10, 7), (7, 25, 7), (2, 14, 8),
+      (6, 24, 8), (12, 16, 9), (5, 17, 9), (1, 15, 9)],
+     [(0, 18, 8), (4, 11, 6), (21, 24, 5), (1, 19, 7), (2, 9, 8), (22, 25, 6), (5, 13, 4)]),
+    ('dense16', '1/2', 8192, 668, [668, 236],
+     [(2, 14, 9), (10, 12, 8), (1, 4, 9), (5, 15, 4), (3, 8, 9), (6, 11, 7), (0, 13, 8),
+      (7, 9, 7)],
+     [(1, 12, 9), (0, 8, 9), (11, 14, 9), (5, 9, 7)]),
+    ('dense16', '1/3', 12288, 721, [721, 236],
+     [(5, 14, 6), (10, 12, 8), (1, 4, 9), (0, 8, 9), (3, 6, 9), (2, 15, 8), (7, 9, 7),
+      (11, 13, 8)],
+     [(1, 12, 9), (3, 8, 9), (11, 14, 9), (2, 7, 8)]),
+    ('dense16', '1/4', 16384, 721, [721, 236],
+     [(14, 15, 8), (5, 10, 8), (1, 12, 9), (0, 8, 9), (3, 6, 9), (4, 9, 9), (11, 13, 8),
+      (2, 7, 8)],
+     [(10, 12, 8), (3, 8, 9), (11, 14, 9), (4, 7, 8)]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, eps, budget, peak, run_peaks, first, second",
+    _PINNED_WEIGHTED_COVERS,
+    ids=[f"{t[0]}-eps{t[1].replace('/', '_')}" for t in _PINNED_WEIGHTED_COVERS],
+)
+def test_weighted_cover_outputs_pinned_through_the_contracted_phase(
+    name, eps, budget, peak, run_peaks, first, second
+):
+    # The second matching runs on the contraction of the first.  star26
+    # puts vertex 0 over the 6k cap at every eps; dense16 binds it at 1/2.
+    g = _with_weights(_PIN_GRAPHS[name]())
+    params = ApproxParams.parse(eps)
+    src = InMemoryEdgeSource(g)
+    res = two_phase_path_cover(
+        src, params, open_session(src, k=params.k, strict=True), weighted=True
+    )
+    assert [(e.u, e.v, e.weight) for e in res.first_matching.edges] == first
+    assert [(e.u, e.v, e.weight) for e in res.second_matching.edges] == second
+    assert [(e.u, e.v, e.weight) for e in res.cover.edges] == first + second
+    labels = ["first-matching", "second-matching"]
+    assert res.report.as_dict() == _one_pass_per_run_report(g, budget, peak, labels, run_peaks)
