@@ -128,6 +128,8 @@ def gen_random_weighted_graph(
 ) -> Graph:
     if not (0 <= density <= 1):
         raise ValueError("density must be in [0, 1]")
+    if max_weight < 1:
+        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
     rng = SplitMix64(seed)
     triples = []
     for u in range(n):
@@ -143,6 +145,8 @@ def gen_random_tsp12(n: int, seed: int, density: Fraction = Fraction(1, 2)) -> T
 
 
 def gen_random_max_tsp(n: int, seed: int, max_weight: int = 20) -> MaxTspInstance:
+    if max_weight < 1:
+        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
     rng = SplitMix64(seed)
     triples = []
     for u in range(n):

@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from typing import Callable
 
 from .graph import ContractionMap, Edge, Graph, Matching
 from .stream import EdgeStreamSource, StreamSession
@@ -140,7 +139,9 @@ def streaming_max_matching(
     are then eliminated offline on the kernel.  Edge weights are ignored.
     The returned edges are original stream edges (pre-view), in arrival
     order; when a view is given their *viewed* endpoints are disjoint, the
-    original endpoints need not be.
+    original endpoints need not be.  Each kept viewed pair is held once but
+    charged 3 words as a kernel edge and 3 more while matched; only a
+    greedy match kept alone that a flip drops stays held uncharged.
     """
     n_view = view.n_viewed if view is not None else source.n
     # A list, not a range: indexing a range makes a new int per lookup, and
@@ -150,85 +151,69 @@ def streaming_max_matching(
     session.begin_run(label)
     partner: list[int | None] = [None] * n_view
     session.charge(n_view)
-    # Viewed pairs a < b are keyed by the int a * n_view + b throughout.
-    # The matching: pair key -> (stream position, original u, v, w).
-    witness: dict[int, tuple[int, int, int, int]] = {}
     cap = params.kernel_degree_cap
-    # The kernel: pair key -> index into four parallel columns holding each
-    # kernel edge's stream position and original u, v, w; and per viewed
-    # vertex the other ends of its kernel edges in arrival order.  Only
-    # ints are stored per kernel edge, so keeping one allocates no object
-    # that the cyclic garbage collector tracks.
-    kernel: dict[int, int] = {}
-    kpos: list[int] = []
+    # Kept pairs, in stream order: the kernel edges, and greedy matches that
+    # found both kernel rows full ("kept alone").  ``kept`` maps a viewed
+    # pair a < b, keyed a * n_view + b, to the index of its first copy's
+    # original u, v, w in three int columns; ``rows`` lists each viewed
+    # vertex's kernel neighbours in arrival order.  Ints only, so nothing
+    # kept is tracked by the cyclic garbage collector.
+    kept: dict[int, int] = {}
     ku: list[int] = []
     kv: list[int] = []
     kw: list[int] = []
     rows: list[list[int]] = [[] for _ in range(n_view)]
 
-    def match(key: int) -> None:
-        a, b = divmod(key, n_view)
-        idx = kernel[key]
-        partner[a] = b
-        partner[b] = a
-        witness[key] = (kpos[idx], ku[idx], kv[idx], kw[idx])
-        session.charge(3)
-
-    def unmatch(key: int) -> None:
-        a, b = divmod(key, n_view)
-        partner[a] = None
-        partner[b] = None
-        del witness[key]
-        session.release(3)
-
     # The greedy matching and the kernel only grow during the pass, so each
     # ends as it would alone, and charging a block's growth at its end
-    # leaves every word peak as per-edge charging would.
-    def visit(pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
+    # leaves every word peak as per-edge charging would.  A later copy of a
+    # kept pair is skipped: its ends are not both free, and it is in the
+    # kernel already or found rows full that stay full.
+    def visit(_pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
         words = 0
-        for pos, u, v, w in zip(count(pos0), us, vs, ws):
+        for u, v, w in zip(us, vs, ws):
             a = target[u]
             b = target[v]
             if a == b or a < 0 or b < 0:
                 continue
             key = a * n_view + b if a < b else b * n_view + a
-            if partner[a] is None and partner[b] is None:
+            if key in kept:
+                continue
+            matched = partner[a] is None and partner[b] is None
+            if matched:
                 partner[a] = b
                 partner[b] = a
-                witness[key] = (pos, u, v, w)
                 words += 3
-            if key in kernel:
-                continue
             row_a = rows[a]
             row_b = rows[b]
             if len(row_a) < cap or len(row_b) < cap:
-                kernel[key] = len(kpos)
-                kpos.append(pos)
-                ku.append(u)
-                kv.append(v)
-                kw.append(w)
                 row_a.append(b)
                 row_b.append(a)
                 words += 3
+            elif not matched:
+                continue
+            kept[key] = len(ku)
+            ku.append(u)
+            kv.append(v)
+            kw.append(w)
         if words:
             session.charge(words)
 
     session.run_pass(visit)
-    _augment_on_kernel(n_view, partner, rows, params.max_swap_edges, match, unmatch, session)
-    session.release(3 * len(kernel))
+    _augment_on_kernel(partner, rows, params.max_swap_edges, session)
+    # Each kernel edge appears in two rows.
+    session.release(3 * (sum(map(len, rows)) // 2))
     session.release(n_view)
-    edges = tuple(Edge(u, v, w) for _, u, v, w in sorted(witness.values()))
+    # Every matched pair is kept, and the columns are in stream order.
+    edges = tuple(Edge(u, v, w) for u, v, w in zip(ku, kv, kw) if partner[target[u]] == target[v])
     session.end_run()
     return Matching(edges)
 
 
 def _augment_on_kernel(
-    n_view: int,
     partner: list[int | None],
     rows: list[list[int]],
     max_len: int,
-    match: Callable[[int], None],
-    unmatch: Callable[[int], None],
     session: StreamSession,
 ) -> None:
     """Flip maximal disjoint batches of augmenting paths, shortest first.
@@ -238,26 +223,29 @@ def _augment_on_kernel(
     1, 3, ..., max_len once each leaves no augmenting path of length
     <= max_len among the retained edges.  Applying each accepted path
     immediately and skipping its vertices afterwards builds exactly such a
-    maximal set.  ``match`` and ``unmatch`` take a pair key (see
-    ``streaming_max_matching``).  A vertex with an empty kernel row cannot
-    start a path, so it is skipped.
+    maximal set.  No simple path has more than ``len(rows) - 1`` edges, so
+    the sweep stops there.  A vertex with an empty kernel row cannot start
+    a path, so it is skipped.  A flip re-partners the path's vertex pairs,
+    which drops the matched edges it ran along and grows the matching by
+    one edge of 3 words.
     """
+    n_view = len(rows)
     used = [False] * n_view
     session.charge(n_view)
-    for length in range(1, max_len + 1, 2):
+    for length in range(1, min(max_len, n_view - 1) + 1, 2):
         for s in range(n_view):
             if used[s] or partner[s] is not None or not rows[s]:
                 continue
-            hit = _alternating_path_exact(s, length, partner, rows, used)
-            if hit is None:
+            path = _alternating_path_exact(s, length, partner, rows, used)
+            if path is None:
                 continue
-            adds, drops = hit
-            for a, b in drops:
-                unmatch(a * n_view + b if a < b else b * n_view + a)
-            for a, b in adds:
-                match(a * n_view + b if a < b else b * n_view + a)
+            ends = iter(path)
+            for a, b in zip(ends, ends):
+                partner[a] = b
+                partner[b] = a
                 used[a] = True
                 used[b] = True
+            session.charge(3)
     session.release(n_view)
 
 
@@ -267,32 +255,35 @@ def _alternating_path_exact(
     partner: list[int | None],
     rows: list[list[int]],
     used: list[bool],
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+) -> list[int] | None:
     """First augmenting path of exactly ``length`` edges starting at free ``s``.
 
     Deterministic: neighbors are tried in arrival order.  Returns the
-    kernel edges to match and the matched edges to unmatch, each as
-    (u, v) vertex pairs, or None.
+    path's ``length + 1`` vertices from ``s`` to a free end, or None; its
+    pairs at positions (0, 1), (2, 3), ... are the kernel edges to match,
+    and the pairs in between are matched edges.
     """
 
-    def walk(u: int, remaining: int, visited: set[int]):
+    def walk(u: int, remaining: int, visited: set[int]) -> list[int] | None:
         for v in rows[u]:
             if v in visited or used[v] or partner[u] == v:
                 continue
             if remaining == 1:
                 if partner[v] is None:
-                    return [(u, v)], []
+                    return [u, v]
                 continue
             mate = partner[v]
             if mate is None or mate in visited or used[mate]:
                 continue
             tail = walk(mate, remaining - 2, visited | {v, mate})
             if tail is not None:
-                adds, drops = tail
-                return [(u, v)] + adds, [(v, mate)] + drops
+                return [u, v] + tail
         return None
 
-    return walk(s, length, {s})
+    path = walk(s, length, {s})
+    # Break walk's reference to itself, or only the cyclic collector frees it.
+    del walk
+    return path
 
 
 _TableEntry = tuple[int, int, int, tuple[int, int, int]]

@@ -134,6 +134,17 @@ def test_gen_random_bad_density_exits_one(tmp_path, capsys, kind, density):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["weighted", "maxtsp"])
+@pytest.mark.parametrize("max_weight", ["0", "-3"])
+def test_gen_random_bad_max_weight_exits_one(tmp_path, capsys, kind, max_weight):
+    out = tmp_path / "g.txt"
+    argv = ["gen", "random", kind, "--n", "5", f"--max-weight={max_weight}", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "max_weight" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_random_then_tsp12(tmp_path, capsys):
     out = str(tmp_path / "t.txt")
     assert main(["gen", "random", "tsp12", "--n", "7", "--seed", "3", "--out", out]) == 0

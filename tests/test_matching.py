@@ -124,6 +124,44 @@ def test_searches_start_only_at_vertices_with_kernel_edges(monkeypatch):
     assert set(calls) <= touched
 
 
+def test_tiny_epsilon_sweeps_no_length_past_the_longest_simple_path(monkeypatch):
+    # k = 10^4 allows augmenting paths of 19,999 edges, but on n vertices
+    # no simple path has more than n - 1
+    from streampath import matching
+
+    calls = []
+    search = matching._alternating_path_exact
+
+    def counted(s, *rest):
+        calls.append(s)
+        return search(s, *rest)
+
+    monkeypatch.setattr(matching, "_alternating_path_exact", counted)
+    g = Graph.from_pairs(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    m, _ = _run_unweighted(g, f"1/{10**4}")
+    assert m.size == 1
+    assert 0 < len(calls) <= g.n * g.n
+
+
+def test_greedy_match_kept_alone_is_returned_once():
+    # cap 12 at eps = 1/2: hubs 2..13 are matched to 14..25 first, then
+    # vertices 0 and 1 fill their kernel rows with hub edges, so (0, 1) is
+    # greedily matched with both rows full and kept outside the kernel;
+    # its parallel copy, which arrives later, is not kept again
+    triples = [(h, h + 12, 1) for h in range(2, 14)]
+    triples += [(0, h, 1) for h in range(2, 14)] + [(1, h, 1) for h in range(2, 14)]
+    triples += [(0, 1, 5), (1, 0, 7)]
+    g = Graph.from_pairs(26, triples, weighted=True)
+    params = ApproxParams.parse("1/2")
+    src = InMemoryEdgeSource(g)
+    sess = open_session(src, k=params.k, strict=True)
+    m = streaming_max_matching(src, params, sess)
+    assert m.size == 13
+    assert m.edges[-1] == Edge(0, 1, 5)
+    assert sess.report().runs[-1].words_peak == 199
+    assert sess.words_in_use == 3 * m.size == 39
+
+
 def test_unweighted_tier_against_oracle():
     for seed in range(120):
         g = gen_random_graph(3 + seed % 8, seed, Fraction(1, 2))

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
 
 from streampath.corpus import builtin_fixture, gen_random_graph
 from streampath.graph import Edge, Graph, validate_path_cover
-from streampath.matching import ApproxParams
+from streampath.matching import ApproxParams, streaming_max_matching
 from streampath.pathcover import (
     cover_interior_vertices,
     iterative_path_cover,
@@ -74,6 +75,31 @@ def test_two_phase_accepts_budget_override():
     # words_budget wins over the k-sized default when both are given
     res = two_phase_path_cover(src, _P13, open_session(src, k=3, words_budget=5000))
     assert res.report.words_budget == 5000
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        streaming_max_matching,
+        two_phase_path_cover,
+        lambda src, p, sess: two_phase_path_cover(src, p, sess, weighted=True),
+        iterative_path_cover,
+    ],
+    ids=["matching", "two-phase", "two-phase-weighted", "iterative"],
+)
+def test_engine_runs_leave_no_cyclic_garbage(run):
+    # garbage that only the cyclic collector frees outlives the run and,
+    # through the closures holding them, the engine's kernel rows with it
+    src = InMemoryEdgeSource(gen_random_graph(40, 3, Fraction(1, 4)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run(src, _P13, open_session(src, k=_P13.k))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- interior bookkeeping -------------------------------------------------------
