@@ -28,11 +28,12 @@ from .corpus import (
     gen_random_weighted_graph,
 )
 from .matching import ApproxParams, OracleLimitError
-from .pathcover import iterative_path_cover, two_phase_path_cover
+from .pathcover import cover_bound_holds, iterative_path_cover, two_phase_path_cover
 from .stream import (
     BudgetExceededError,
     FileEdgeSource,
     StreamFormatError,
+    StreamReport,
     load_edge_list,
     open_session,
     save_edge_list,
@@ -42,9 +43,11 @@ from .tsp import (
     Tsp12Instance,
     approx_max_tsp,
     approx_tsp12,
+    max_tsp_bound_holds,
     oracle_max_tsp,
     oracle_path_cover,
     oracle_tsp12,
+    tsp12_bound_holds,
 )
 
 _OK, _INPUT, _BUDGET, _GUARANTEE = 0, 1, 2, 3
@@ -73,12 +76,6 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
             print(line)
 
 
-def _ratio(achieved: int, optimum: int) -> str | None:
-    if optimum == 0:
-        return None
-    return str(Fraction(achieved, optimum))
-
-
 def _run_flags(sub: argparse.ArgumentParser, iterative_flag: bool = False) -> None:
     sub.add_argument("file", help="edge-list file (see README for the format)")
     sub.add_argument("--epsilon", default="1/3", help="quality knob, a fraction in (0,1)")
@@ -94,67 +91,76 @@ def _run_flags(sub: argparse.ArgumentParser, iterative_flag: bool = False) -> No
         )
 
 
+def _finish_run(
+    args,
+    params: ApproxParams,
+    stream: StreamReport,
+    report: dict,
+    lines: list[str],
+    achieved: int,
+    check: tuple[str, int, bool | None] | None,
+) -> int:
+    """Complete and print a run command's report; return its exit code.
+
+    ``report`` and ``lines`` hold what only the command knows.  ``check``
+    is None without ``--oracle``; otherwise it is the optimum's report key,
+    the optimum, and whether the claimed bound holds against ``achieved``
+    (None where no bound is claimed).  A failed bound exits 3.
+    """
+    report.update({"epsilon": str(params.epsilon), "k": params.k, "stream": stream.as_dict()})
+    lines.append(
+        f"  stream: {stream.passes_used} passes, peak {stream.words_peak}"
+        f" of {stream.words_budget} words"
+    )
+    holds = None
+    if check is not None:
+        key, optimum, holds = check
+        ratio = None if optimum == 0 else str(Fraction(achieved, optimum))
+        report["oracle"] = {key: optimum, "ratio": ratio, "bound_holds": holds}
+        line = f"  oracle: {key.replace('_', ' ')} {optimum}, ratio {ratio or 'n/a'}"
+        lines.append(line if holds is None else f"{line}, bound {'holds' if holds else 'VIOLATED'}")
+    _emit(args, report, lines)
+    return _GUARANTEE if holds is False else _OK
+
+
 def _cmd_mpc(args) -> int:
     params = ApproxParams.parse(args.epsilon)
     src = FileEdgeSource(args.file)
     sess = open_session(src, k=params.k, words_budget=args.budget, strict=args.strict)
     if args.iterative:
         res = iterative_path_cover(src, params, sess)
-        cover = res.cover
-        report = {
-            "algorithm": "iterative-path-cover",
-            "rounds": [m.size for m in res.rounds],
-        }
+        report = {"algorithm": "iterative-path-cover", "rounds": [m.size for m in res.rounds]}
         shape = f"rounds {report['rounds']}"
     else:
         res = two_phase_path_cover(src, params, sess)
-        cover = res.cover
+        first, second = res.first_matching.size, res.second_matching.size
         report = {
             "algorithm": "two-phase-path-cover",
-            "first_matching": res.first_matching.size,
-            "second_matching": res.second_matching.size,
+            "first_matching": first,
+            "second_matching": second,
         }
-        shape = f"matchings {res.first_matching.size} + {res.second_matching.size}"
-    stream = res.report
+        shape = f"matchings {first} + {second}"
+    cover = res.cover
     report.update(
         {
             "input": src.name,
             "n": src.n,
             "m": src.m,
-            "epsilon": str(params.epsilon),
-            "k": params.k,
             "cover_size": cover.size,
             "path_lengths": sorted(cover.path_lengths),
             "cover_edges": [[e.u, e.v] for e in cover.edges],
-            "stream": stream.as_dict(),
         }
     )
     lines = [
         f"{report['algorithm']} on {src.name}: n={src.n} m={src.m} epsilon={params.epsilon}",
         f"  cover: {cover.size} edges in {len(cover.paths)} paths, {shape}",
-        f"  stream: {stream.passes_used} passes, peak {stream.words_peak}"
-        f" of {stream.words_budget} words",
     ]
-    code = _OK
+    check = None
     if args.oracle:
         best = oracle_path_cover(load_edge_list(args.file)).size
-        block: dict = {"best_cover": best, "ratio": _ratio(cover.size, best)}
-        if args.iterative:
-            block["bound_holds"] = None
-            lines.append(f"  oracle: best cover {best}, ratio {block['ratio']}")
-        else:
-            p, q = params.epsilon.numerator, params.epsilon.denominator
-            holds = 3 * cover.size * q >= 2 * (q - p) * best
-            block["bound_holds"] = holds
-            lines.append(
-                f"  oracle: best cover {best}, ratio {block['ratio']},"
-                f" bound {'holds' if holds else 'VIOLATED'}"
-            )
-            if not holds:
-                code = _GUARANTEE
-        report["oracle"] = block
-    _emit(args, report, lines)
-    return code
+        holds = None if args.iterative else cover_bound_holds(cover.size, best, params.epsilon)
+        check = ("best_cover", best, holds)
+    return _finish_run(args, params, res.report, report, lines, cover.size, check)
 
 
 def _cmd_tsp12(args) -> int:
@@ -164,41 +170,26 @@ def _cmd_tsp12(args) -> int:
         raise ValueError("tsp12 expects an unweighted edge list of the cost-1 pairs")
     inst = Tsp12Instance.from_graph(g)
     res = approx_tsp12(inst, params, words_budget=args.budget, strict=args.strict)
-    stream = res.report
+    name = os.path.basename(args.file)
+    cost = res.tour.cost
     report = {
         "algorithm": "tsp12-tour",
-        "input": os.path.basename(args.file),
+        "input": name,
         "n": inst.n,
         "cost1_pairs": inst.m,
-        "epsilon": str(params.epsilon),
-        "k": params.k,
-        "tour_cost": res.tour.cost,
+        "tour_cost": cost,
         "tour_order": list(res.tour.order),
         "cover_size": res.mpc.cover.size,
-        "stream": stream.as_dict(),
     }
     lines = [
-        f"tsp12-tour on {report['input']}: n={inst.n}, {inst.m} cost-1 pairs,"
-        f" epsilon={params.epsilon}",
-        f"  tour cost {res.tour.cost} over a {res.mpc.cover.size}-edge cover",
-        f"  stream: {stream.passes_used} passes, peak {stream.words_peak}"
-        f" of {stream.words_budget} words",
+        f"tsp12-tour on {name}: n={inst.n}, {inst.m} cost-1 pairs, epsilon={params.epsilon}",
+        f"  tour cost {cost} over a {res.mpc.cover.size}-edge cover",
     ]
-    code = _OK
+    check = None
     if args.oracle:
         opt = oracle_tsp12(inst)
-        holds = Fraction(res.tour.cost) <= (
-            Fraction(4, 3) + params.epsilon + Fraction(1, inst.n)
-        ) * opt
-        report["oracle"] = {"optimum": opt, "ratio": _ratio(res.tour.cost, opt), "bound_holds": holds}
-        lines.append(
-            f"  oracle: optimum {opt}, ratio {report['oracle']['ratio']},"
-            f" bound {'holds' if holds else 'VIOLATED'}"
-        )
-        if not holds:
-            code = _GUARANTEE
-    _emit(args, report, lines)
-    return code
+        check = ("optimum", opt, tsp12_bound_holds(cost, opt, inst.n, params.epsilon))
+    return _finish_run(args, params, res.report, report, lines, cost, check)
 
 
 def _cmd_maxtsp(args) -> int:
@@ -208,44 +199,27 @@ def _cmd_maxtsp(args) -> int:
         raise ValueError("maxtsp expects a weighted edge list covering every pair once")
     inst = MaxTspInstance(g.n, g.edges)
     res = approx_max_tsp(inst, params, words_budget=args.budget, strict=args.strict)
-    stream = res.report
+    name = os.path.basename(args.file)
+    weight = res.tour.cost
     report = {
         "algorithm": "max-tsp-tour",
-        "input": os.path.basename(args.file),
+        "input": name,
         "n": inst.n,
         "m": inst.m,
-        "epsilon": str(params.epsilon),
-        "k": params.k,
-        "tour_weight": res.tour.cost,
+        "tour_weight": weight,
         "tour_order": list(res.tour.order),
         "cover_weight": res.cover.weight,
         "cover_size": res.cover.size,
-        "stream": stream.as_dict(),
     }
     lines = [
-        f"max-tsp-tour on {report['input']}: n={inst.n}, epsilon={params.epsilon}",
-        f"  tour weight {res.tour.cost} over a cover of weight {res.cover.weight}",
-        f"  stream: {stream.passes_used} passes, peak {stream.words_peak}"
-        f" of {stream.words_budget} words",
+        f"max-tsp-tour on {name}: n={inst.n}, epsilon={params.epsilon}",
+        f"  tour weight {weight} over a cover of weight {res.cover.weight}",
     ]
-    code = _OK
+    check = None
     if args.oracle:
         opt = oracle_max_tsp(inst)
-        p, q = params.epsilon.numerator, params.epsilon.denominator
-        holds = 12 * inst.n * res.tour.cost * q >= (7 * inst.n - 9) * (q - p) * opt
-        report["oracle"] = {
-            "optimum": opt,
-            "ratio": _ratio(res.tour.cost, opt),
-            "bound_holds": holds,
-        }
-        lines.append(
-            f"  oracle: optimum {opt}, ratio {report['oracle']['ratio']},"
-            f" bound {'holds' if holds else 'VIOLATED'}"
-        )
-        if not holds:
-            code = _GUARANTEE
-    _emit(args, report, lines)
-    return code
+        check = ("optimum", opt, max_tsp_bound_holds(weight, opt, inst.n, params.epsilon))
+    return _finish_run(args, params, res.report, report, lines, weight, check)
 
 
 def _cmd_gen(args) -> int:

@@ -26,7 +26,7 @@ from .graph import (
     validate_path_cover,
 )
 from .matching import ApproxParams, oracle_max_matching, oracle_max_weight_matching
-from .pathcover import iterative_path_cover, two_phase_path_cover
+from .pathcover import cover_bound_holds, iterative_path_cover, two_phase_path_cover
 from .prng import SplitMix64
 from .stream import InMemoryEdgeSource, open_session
 from .tsp import (
@@ -37,9 +37,11 @@ from .tsp import (
     contract_bound_check,
     extract_matching_from_cycle,
     extract_matching_from_path_or_cycle,
+    max_tsp_bound_holds,
     oracle_max_tsp,
     oracle_path_cover,
     oracle_tsp12,
+    tsp12_bound_holds,
     tsp12_identity_check,
 )
 
@@ -368,12 +370,12 @@ def sweep_two_phase(trials: int = 500, seed: int = 1) -> SweepOutcome:
             sess = open_session(src, k=params.k, strict=True)
             res = two_phase_path_cover(src, params, sess)
             out.record_runs(params.k, res.report)
-            p, q = eps.numerator, eps.denominator
             out.check(
                 "cover-ratio",
-                3 * res.cover.size * q >= 2 * (q - p) * rho,
+                cover_bound_holds(res.cover.size, rho, eps),
                 f"size={res.cover.size} rho={rho} eps={eps} on {g.edges}",
             )
+            p, q = eps.numerator, eps.denominator
             out.check(
                 "first-phase-half",
                 2 * res.first_matching.size * q >= (q - p) * rho,
@@ -468,7 +470,7 @@ def sweep_tsp12(trials: int = 300, seed: int = 4) -> SweepOutcome:
         n = inst.n
         out.check(
             "tour-bound",
-            3 * n * res.tour.cost <= (5 * n + 3) * opt,
+            tsp12_bound_holds(res.tour.cost, opt, n, params.epsilon),
             f"cost={res.tour.cost} opt={opt} n={n}",
         )
         out.check(
@@ -500,10 +502,9 @@ def sweep_max_tsp(trials: int = 300, seed: int = 5) -> SweepOutcome:
         res = approx_max_tsp(inst, params, strict=True)
         out.record_runs(params.k, res.report)
         opt = oracle_max_tsp(inst)
-        p, q = params.epsilon.numerator, params.epsilon.denominator
         out.check(
             "tour-bound",
-            12 * n * res.tour.cost * q >= (7 * n - 9) * (q - p) * opt,
+            max_tsp_bound_holds(res.tour.cost, opt, n, params.epsilon),
             f"w={res.tour.cost} opt={opt} n={n}",
         )
         out.check(

@@ -172,25 +172,24 @@ class Matching:
 class ContractionMap:
     """Maps original vertices onto the vertices of a contracted graph.
 
-    ``target[v]`` is the contracted id of original vertex ``v``.  Contracted
-    ids are assigned in increasing order of each class's smallest original
-    vertex, so the mapping is a pure function of the contracted vertex sets.
+    ``target[v]`` is the contracted id of original vertex ``v``, or -1 when
+    ``v`` is banned.  Contracted ids are assigned in increasing order of
+    each class's smallest original vertex, so the mapping is a pure
+    function of the contracted vertex sets.
     """
 
-    n_old: int
     n_new: int
     target: tuple[int, ...]
 
-    def map_pair(self, u: int, v: int) -> tuple[int, int] | None:
-        """Map an edge's endpoints; None when the edge becomes a self-loop."""
-        a, b = self.target[u], self.target[v]
-        if a == b:
-            return None
-        return (a, b)
 
+def components_contraction(
+    n: int, pairs: Iterable[tuple[int, int]], banned: Iterable[int] = ()
+) -> ContractionMap:
+    """Contract each connected component spanned by ``pairs`` into one vertex.
 
-def components_contraction(n: int, pairs: Iterable[tuple[int, int]]) -> ContractionMap:
-    """Contract each connected component spanned by ``pairs`` into one vertex."""
+    Each ``banned`` vertex maps to -1.  Banning renumbers nothing: a class
+    keeps its id, and counts in ``n_new``, even when members are banned.
+    """
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -218,7 +217,9 @@ def components_contraction(n: int, pairs: Iterable[tuple[int, int]]) -> Contract
             n_new += 1
         else:
             target[v] = target[r]
-    return ContractionMap(n_old=n, n_new=n_new, target=tuple(target))
+    for v in banned:
+        target[v] = -1
+    return ContractionMap(n_new=n_new, target=tuple(target))
 
 
 def matching_contraction(n: int, matching: Matching) -> ContractionMap:
@@ -233,11 +234,10 @@ def contract_edges(g: Graph, merge: Iterable[tuple[int, int]]) -> tuple[Graph, C
     the contracted graph is itself streamed.
     """
     cmap = components_contraction(g.n, merge)
-    kept = []
-    for e in g.edges:
-        mapped = cmap.map_pair(e.u, e.v)
-        if mapped is not None:
-            kept.append(Edge(mapped[0], mapped[1], e.weight))
+    target = cmap.target
+    kept = [
+        Edge(target[e.u], target[e.v], e.weight) for e in g.edges if target[e.u] != target[e.v]
+    ]
     return Graph(cmap.n_new, tuple(kept), g.weighted), cmap
 
 

@@ -95,31 +95,6 @@ class ApproxParams:
         return 6 * self.k
 
 
-@dataclass(frozen=True)
-class ContractionView:
-    """Rewrites a stream on the fly for the engines.
-
-    Edges with a banned original endpoint are dropped, remaining endpoints
-    are mapped through the contraction, and edges that become self-loops
-    are dropped.  No edge is materialized: ``target[v]``, computed once, is
-    the viewed id of original vertex ``v`` or -1 when ``v`` is banned, so
-    each arriving edge costs two lookups.
-    """
-
-    cmap: ContractionMap
-    banned: frozenset[int] = frozenset()
-    target: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        banned = self.banned
-        target = tuple(-1 if v in banned else t for v, t in enumerate(self.cmap.target))
-        object.__setattr__(self, "target", target)
-
-    @property
-    def n_viewed(self) -> int:
-        return self.cmap.n_new
-
-
 def release_matching(session: StreamSession, matching: Matching) -> None:
     """Return a matching's 3 words per edge to the session budget."""
     session.release(3 * matching.size)
@@ -129,7 +104,7 @@ def streaming_max_matching(
     source: EdgeStreamSource,
     params: ApproxParams,
     session: StreamSession,
-    view: ContractionView | None = None,
+    view: ContractionMap | None = None,
     label: str = "matching",
 ) -> Matching:
     """Unweighted engine: one pass, then kernel augmentation.
@@ -137,13 +112,15 @@ def streaming_max_matching(
     The pass builds the greedy maximal matching and, alongside it, a kernel
     of at most ``6k`` distinct viewed pairs per vertex; augmenting paths
     are then eliminated offline on the kernel.  Edge weights are ignored.
-    The returned edges are original stream edges (pre-view), in arrival
-    order; when a view is given their *viewed* endpoints are disjoint, the
-    original endpoints need not be.  Each kept viewed pair is held once but
-    charged 3 words as a kernel edge and 3 more while matched; only a
-    greedy match kept alone that a flip drops stays held uncharged.
+    The engine reads the stream through ``view.target`` when a view is
+    given: an edge with a banned end, or with both ends in one class, is
+    dropped.  The returned edges are original stream edges (pre-view), in
+    arrival order; their *viewed* endpoints are disjoint, the original
+    endpoints need not be.  Each kept viewed pair is held once but charged
+    3 words as a kernel edge and 3 more while matched; only a greedy match
+    kept alone that a flip drops stays held uncharged.
     """
-    n_view = view.n_viewed if view is not None else source.n
+    n_view = view.n_new if view is not None else source.n
     # A list, not a range: indexing a range makes a new int per lookup, and
     # the kernel would keep those copies next to the stream's own ints.
     target = view.target if view is not None else list(range(source.n))
@@ -262,28 +239,45 @@ def _alternating_path_exact(
     path's ``length + 1`` vertices from ``s`` to a free end, or None; its
     pairs at positions (0, 1), (2, 3), ... are the kernel edges to match,
     and the pairs in between are matched edges.
-    """
 
-    def walk(u: int, remaining: int, visited: set[int]) -> list[int] | None:
-        for v in rows[u]:
+    One explicit stack, so the search depth is not bounded by Python's
+    recursion limit, and one visited set, grown on descent and shrunk on
+    backtrack.
+    """
+    path = [s]
+    visited = {s}
+    # The rest of the row still to try at s and at each mate on the path.
+    frames = [iter(rows[s])]
+    u = s
+    remaining = length
+    while True:
+        for v in frames[-1]:
             if v in visited or used[v] or partner[u] == v:
                 continue
             if remaining == 1:
                 if partner[v] is None:
-                    return [u, v]
+                    path.append(v)
+                    return path
                 continue
             mate = partner[v]
             if mate is None or mate in visited or used[mate]:
                 continue
-            tail = walk(mate, remaining - 2, visited | {v, mate})
-            if tail is not None:
-                return [u, v] + tail
-        return None
-
-    path = walk(s, length, {s})
-    # Break walk's reference to itself, or only the cyclic collector frees it.
-    del walk
-    return path
+            path.append(v)
+            path.append(mate)
+            visited.add(v)
+            visited.add(mate)
+            frames.append(iter(rows[mate]))
+            u = mate
+            remaining -= 2
+            break
+        else:
+            frames.pop()
+            if not frames:
+                return None
+            visited.discard(path.pop())
+            visited.discard(path.pop())
+            u = path[-1]
+            remaining += 2
 
 
 _TableEntry = tuple[int, int, int, tuple[int, int, int]]
@@ -293,7 +287,7 @@ def streaming_max_weight_matching(
     source: EdgeStreamSource,
     params: ApproxParams,
     session: StreamSession,
-    view: ContractionView | None = None,
+    view: ContractionMap | None = None,
     label: str = "weighted-matching",
 ) -> Matching:
     """Weighted engine: one table-building pass, then offline local search.
@@ -313,7 +307,7 @@ def streaming_max_weight_matching(
     lets an arriving edge that loses be rejected with one comparison; the
     cache words are charged as tables fill and released when the pass ends.
     """
-    n_view = view.n_viewed if view is not None else source.n
+    n_view = view.n_new if view is not None else source.n
     # A list for the reason given in streaming_max_matching.
     target = view.target if view is not None else list(range(source.n))
 

@@ -23,6 +23,7 @@ which fixes the word budget and whether an overrun is fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graph import (
     Edge,
@@ -34,7 +35,6 @@ from .graph import (
 )
 from .matching import (
     ApproxParams,
-    ContractionView,
     release_matching,
     streaming_max_matching,
     streaming_max_weight_matching,
@@ -72,7 +72,7 @@ def two_phase_path_cover(
     engine = streaming_max_weight_matching if weighted else streaming_max_matching
     first = engine(source, params, session, label="first-matching")
     session.charge(source.n)  # the contraction map is retained during phase two
-    view = ContractionView(matching_contraction(source.n, first))
+    view = matching_contraction(source.n, first)
     second = engine(source, params, session, view=view, label="second-matching")
     session.release(source.n)
     try:
@@ -85,6 +85,15 @@ def two_phase_path_cover(
     release_matching(session, first)
     release_matching(session, second)
     return MpcResult(cover, first, second, session.report())
+
+
+def cover_bound_holds(size: int, best: int, epsilon: Fraction) -> bool:
+    """The two-phase guarantee: ``size >= (2/3)(1 - epsilon) * best``.
+
+    ``best`` is the size of a maximum path cover of the same graph.
+    """
+    p, q = epsilon.numerator, epsilon.denominator
+    return 3 * size * q >= 2 * (q - p) * best
 
 
 def cover_interior_vertices(n: int, edges: tuple[Edge, ...]) -> frozenset[int]:
@@ -124,14 +133,13 @@ def iterative_path_cover(
             view = None
         else:
             interior = cover_interior_vertices(source.n, tuple(union))
-            cmap = components_contraction(source.n, [e.pair for e in union])
-            view = ContractionView(cmap, banned=interior)
+            view = components_contraction(source.n, [e.pair for e in union], interior)
             session.charge(source.n + len(interior))
         got = streaming_max_matching(
             source, params, session, view=view, label=f"round-{len(rounds) + 1}"
         )
         if view is not None:
-            session.release(source.n + len(view.banned))
+            session.release(source.n + len(interior))
         if got.size == 0:
             break
         rounds.append(got)

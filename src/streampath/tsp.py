@@ -17,6 +17,7 @@ on test corpora, not to scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .graph import Edge, Graph, Matching, PathCover, Tour, contract
@@ -178,6 +179,11 @@ def approx_tsp12(
     return Tsp12Result(tour, mpc)
 
 
+def tsp12_bound_holds(cost: int, optimum: int, n: int, epsilon: Fraction) -> bool:
+    """The (1,2) guarantee: ``cost <= (4/3 + epsilon + 1/n) * optimum``."""
+    return Fraction(cost) <= (Fraction(4, 3) + epsilon + Fraction(1, n)) * optimum
+
+
 @dataclass(frozen=True)
 class MaxTspResult:
     """Heavy tour plus the cover and matchings behind it."""
@@ -252,6 +258,12 @@ def approx_max_tsp(
     order = hamiltonian_order(paths, inst.n)
     tour = Tour.from_order(order, inst.weight)
     return MaxTspResult(tour, cover, first, second, sess.report())
+
+
+def max_tsp_bound_holds(weight: int, optimum: int, n: int, epsilon: Fraction) -> bool:
+    """The heavy-tour guarantee: ``weight >= (7/12 - 3/(4n))(1 - epsilon) * optimum``."""
+    p, q = epsilon.numerator, epsilon.denominator
+    return 12 * n * weight * q >= (7 * n - 9) * (q - p) * optimum
 
 
 def _held_karp(n: int, cost: list[list[int]], maximize: bool) -> int:

@@ -6,6 +6,7 @@ import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -165,6 +166,61 @@ def test_gen_random_then_maxtsp(tmp_path, capsys):
     assert data["algorithm"] == "max-tsp-tour"
     assert data["oracle"]["bound_holds"] is True
     assert data["cover_weight"] <= data["tour_weight"]
+
+
+def test_tsp12_and_maxtsp_human_oracle_lines(tmp_path, capsys):
+    t = str(tmp_path / "t.txt")
+    m = str(tmp_path / "m.txt")
+    assert main(["gen", "random", "tsp12", "--n", "7", "--seed", "3", "--out", t]) == 0
+    assert main(["gen", "random", "maxtsp", "--n", "6", "--seed", "9", "--out", m]) == 0
+    capsys.readouterr()
+    assert main(["tsp12", t, "--oracle"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  oracle: optimum 8, ratio 1, bound holds"
+    assert main(["maxtsp", m, "--epsilon", "1/4", "--oracle"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "  oracle: optimum 87, ratio 25/29, bound holds"
+
+
+def test_oracle_on_an_edgeless_graph_has_no_ratio(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("5 0\n")
+    assert main(["mpc", str(empty), "--oracle"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "  oracle: best cover 0, ratio n/a, bound holds"
+    assert main(["mpc", str(empty), "--oracle", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["oracle"] == {"best_cover": 0, "bound_holds": True, "ratio": None}
+
+
+def _unreachable_oracles(monkeypatch):
+    """Oracles reporting optima no run can meet, so every claimed bound fails."""
+    monkeypatch.setattr("streampath.cli.oracle_path_cover", lambda g: SimpleNamespace(size=100))
+    monkeypatch.setattr("streampath.cli.oracle_tsp12", lambda inst: 1)
+    monkeypatch.setattr("streampath.cli.oracle_max_tsp", lambda inst: 10**6)
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("mpc", "graph"), ("tsp12", "tsp12"), ("maxtsp", "maxtsp")],
+)
+def test_failed_bound_exits_three(tmp_path, capsys, monkeypatch, command, kind):
+    out = str(tmp_path / "g.txt")
+    assert main(["gen", "random", kind, "--n", "6", "--seed", "2", "--out", out]) == 0
+    capsys.readouterr()
+    _unreachable_oracles(monkeypatch)
+    assert main([command, out, "--oracle", "--json"]) == 3
+    assert '"bound_holds": false' in capsys.readouterr().out
+    assert main([command, out, "--oracle"]) == 3
+    assert capsys.readouterr().out.rstrip().endswith("bound VIOLATED")
+
+
+def test_iterative_claims_no_bound_to_fail(tmp_path, capsys, monkeypatch):
+    path = _fixture_file(tmp_path)
+    capsys.readouterr()
+    _unreachable_oracles(monkeypatch)
+    assert main(["mpc", path, "--iterative", "--oracle", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["oracle"] == {"best_cover": 100, "bound_holds": None, "ratio": "1/20"}
 
 
 def test_tsp12_rejects_weighted_input(tmp_path, capsys):

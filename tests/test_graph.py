@@ -101,8 +101,9 @@ def test_components_contraction_orders_new_ids_by_min_member():
     cmap = components_contraction(6, [(4, 5), (0, 1)])
     # classes {0,1}, {2}, {3}, {4,5} -> ids 0..3 in that order
     assert cmap.target == (0, 0, 1, 2, 3, 3)
-    assert cmap.map_pair(1, 2) == (0, 1)
-    assert cmap.map_pair(4, 5) is None
+    # an edge 1-2 maps to 0-1; an edge 4-5 falls inside one class
+    assert (cmap.target[1], cmap.target[2]) == (0, 1)
+    assert cmap.target[4] == cmap.target[5]
 
 
 def test_matching_contraction_matches_components():
@@ -118,7 +119,7 @@ def test_contract_edges_keeps_parallels_drops_loops():
     assert contracted.n == 2
     # (0,2) and (1,3) both become the same pair; (0,1) and (2,3) vanish
     assert [e.pair for e in contracted.edges] == [(0, 1), (0, 1), (0, 1)]
-    assert cmap.n_old == 4 and cmap.n_new == 2
+    assert len(cmap.target) == 4 and cmap.n_new == 2
 
 
 def test_contract_via_matching_preserves_weights():

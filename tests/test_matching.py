@@ -19,7 +19,6 @@ from streampath.corpus import gen_random_graph, gen_random_weighted_graph
 from streampath.graph import Edge, Graph, Matching
 from streampath.matching import (
     ApproxParams,
-    ContractionView,
     OracleLimitError,
     _enumerate_swaps,
     oracle_max_matching,
@@ -99,6 +98,16 @@ def test_longer_augmenting_paths_are_found():
     g = Graph.from_pairs(6, pairs)
     m, _ = _run_unweighted(g, "1/3")
     assert m.size == 3
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    # pairs (1,2), (3,4), ... arrive first and are matched greedily; the one
+    # augmenting path then runs the whole 2,201-edge path from 0 to n - 1,
+    # deeper than Python's default recursion limit
+    n = 2202
+    pairs = [(v, v + 1) for v in range(1, n - 1, 2)] + [(v, v + 1) for v in range(0, n - 1, 2)]
+    m, _ = _run_unweighted(Graph.from_pairs(n, pairs), "1/1200")
+    assert m.size == n // 2
 
 
 def test_searches_start_only_at_vertices_with_kernel_edges(monkeypatch):
@@ -185,12 +194,15 @@ def test_unweighted_result_is_a_maximal_matching(seed):
 def test_contraction_view_banned_and_loops():
     from streampath.graph import components_contraction
 
-    cmap = components_contraction(4, [(0, 1)])
-    view = ContractionView(cmap, banned=frozenset({3}))
-    assert view.n_viewed == 3
+    view = components_contraction(4, [(0, 1)], banned=frozenset({3}))
+    assert view.n_new == 3
     # 0 and 1 merge (an edge between them is a loop); banned 3 maps to -1
     assert view.target == (0, 0, 1, -1)
-    assert ContractionView(cmap).target == cmap.target
+    assert components_contraction(4, [(0, 1)]).target == (0, 0, 1, 2)
+    # banning renumbers nothing: class {0, 3} keeps id 0 with its minimum banned
+    view = components_contraction(5, [(0, 3)], banned={0})
+    assert view.target == (-1, 1, 2, 0, 3)
+    assert view.n_new == 4
 
 
 def test_engine_respects_view():
@@ -198,8 +210,7 @@ def test_engine_respects_view():
     from streampath.graph import components_contraction
 
     g = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-    cmap = components_contraction(4, [])
-    view = ContractionView(cmap, banned=frozenset({0, 3}))
+    view = components_contraction(4, [], banned=frozenset({0, 3}))
     params = ApproxParams.parse("1/3")
     src = InMemoryEdgeSource(g)
     sess = open_session(src, k=params.k)

@@ -11,6 +11,7 @@ from streampath.corpus import builtin_fixture, gen_random_graph
 from streampath.graph import Edge, Graph, validate_path_cover
 from streampath.matching import ApproxParams, streaming_max_matching
 from streampath.pathcover import (
+    cover_bound_holds,
     cover_interior_vertices,
     iterative_path_cover,
     two_phase_path_cover,
@@ -36,6 +37,15 @@ def test_tight_fixture_reproduces_the_two_thirds_run():
     assert res.cover.size == 4
     assert oracle_path_cover(fx.graph).size == 6
     assert str(Fraction(res.cover.size, 6)) == "2/3"
+
+
+def test_cover_bound_at_its_edge():
+    # size >= (2/3)(1 - eps) * best; best 6 at eps 1/2 needs 2 edges
+    eps = Fraction(1, 2)
+    for size in (1, 2):
+        assert cover_bound_holds(size, 6, eps) == (size >= Fraction(2, 3) * (1 - eps) * 6)
+    assert cover_bound_holds(2, 6, eps)
+    assert not cover_bound_holds(1, 6, eps)
 
 
 def test_two_phase_on_a_single_edge():

@@ -18,9 +18,11 @@ from streampath.tsp import (
     extract_matching_from_cycle,
     extract_matching_from_path_or_cycle,
     hamiltonian_order,
+    max_tsp_bound_holds,
     oracle_max_tsp,
     oracle_path_cover,
     oracle_tsp12,
+    tsp12_bound_holds,
     tsp12_identity_check,
 )
 
@@ -115,7 +117,27 @@ def test_identity_on_random_instances():
         assert tsp12_identity_check(inst).holds
 
 
+def test_tsp12_bound_at_its_edge():
+    # cost <= (4/3 + eps + 1/n) * opt; n 9, opt 9 and eps 1/3 allow cost 16
+    eps = Fraction(1, 3)
+    allowed = (Fraction(4, 3) + eps + Fraction(1, 9)) * 9
+    for cost in (16, 17):
+        assert tsp12_bound_holds(cost, 9, 9, eps) == (cost <= allowed)
+    assert tsp12_bound_holds(16, 9, 9, eps)
+    assert not tsp12_bound_holds(17, 9, 9, eps)
+
+
 # --- heavy tour pipeline --------------------------------------------------------------
+
+
+def test_max_tsp_bound_at_its_edge():
+    # weight >= (7/12 - 3/(4n))(1 - eps) * opt; n 9, opt 8 and eps 1/4 need weight 3
+    eps = Fraction(1, 4)
+    need = (Fraction(7, 12) - Fraction(3, 4 * 9)) * (1 - eps) * 8
+    for weight in (2, 3):
+        assert max_tsp_bound_holds(weight, 8, 9, eps) == (weight >= need)
+    assert max_tsp_bound_holds(3, 8, 9, eps)
+    assert not max_tsp_bound_holds(2, 8, 9, eps)
 
 
 def test_max_tsp_tour_is_valid_and_bounded():
