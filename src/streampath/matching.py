@@ -11,9 +11,10 @@ offline on those rows.
   batches (Hopcroft-Karp style, so one sweep per length suffices).
 * ``streaming_max_weight_matching`` keeps per-vertex tables of the
   heaviest incident edges, then runs a local search over alternating
-  path/cycle swaps of at most 2k - 1 edges, accepting a swap only when
-  its gain beats a damping threshold, and finishes with a plain
-  maximality sweep.
+  path/cycle swaps of at most 2k - 1 edges whose gain beats a damping
+  threshold: each scan applies the vertex-disjoint swaps a greedy takes
+  in order of decreasing gain, found best-first without listing the
+  others, and a plain maximality sweep finishes.
 
 Guarantee tiers, stated precisely because the kernel cap matters:
 
@@ -299,8 +300,12 @@ def streaming_max_weight_matching(
     applies alternating path/cycle swaps of at most ``2k - 1`` edges whose
     gain exceeds ``eps^2 * w(M) / (4 n)``; the damping term is what keeps
     the loop finite, and it is small enough that the k/(k+1) local-search
-    bound only erodes to (k/(k+1)) / (1 + eps/4) >= 1 - eps.  A final
-    zero-threshold sweep makes the matching maximal within the kernel.
+    bound only erodes to (k/(k+1)) / (1 + eps/4) >= 1 - eps.  Each scan
+    applies the swaps ``_pick_swaps`` returns: of all improving swaps by
+    decreasing gain, then by signature, each that shares no vertex with
+    one taken before it.  A scan that finds none ends the search, and a
+    final zero-threshold sweep makes the matching maximal within the
+    kernel.
 
     The table pass charges 2 words per table entry, and 1 word per vertex
     whose table is full for the cached weakest entry of that table, which
@@ -427,20 +432,14 @@ def streaming_max_weight_matching(
         if scans > scan_cap:
             raise AssertionError("weighted local search failed to converge")
         thr_num = eps_sq.numerator * weight_now
-        swaps = _enumerate_swaps(kentries, rows, medge, params.max_swap_edges, thr_num, thr_mul)
-        if not swaps:
+        picks = _pick_swaps(kentries, rows, medge, params.max_swap_edges, thr_num, thr_mul)
+        if not picks:
             break
-        swaps.sort(key=lambda c: (-c[0], c[1]))
-        touched: set[int] = set()
-        for _, _, adds, drops in swaps:
-            verts = {x for idx in adds + drops for x in kentries[idx][:2]}
-            if verts & touched:
-                continue
+        for _, _, adds, drops in picks:
             for idx in drops:
                 unmatch(idx)
             for idx in adds:
                 match(idx)
-            touched |= verts
 
     # Heaviest first; the sort is stable, so earliest first on ties.
     for idx in sorted(range(len(kentries)), key=lambda i: -kentries[i][2]):
@@ -458,7 +457,7 @@ def streaming_max_weight_matching(
 _Swap = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _enumerate_swaps(
+def _pick_swaps(
     kentries: list[tuple[int, int, int, tuple[int, int, int]]],
     rows: list[list[tuple[int, int, int]]],
     medge: list[int],
@@ -466,64 +465,96 @@ def _enumerate_swaps(
     thr_num: int,
     thr_mul: int,
 ) -> list[_Swap]:
-    """All improving alternating path/cycle swaps of at most ``limit`` edges.
+    """The vertex-disjoint improving swaps one scan applies, in order.
 
     A swap adds kernel edges and drops matched edges so that the result is
     again a matching: walks start either at a free vertex or by dropping a
     matched edge, strictly alternate add/drop, may stop at a free vertex or
     right after a drop, and may close into an even cycle at a start whose
-    matched edge was dropped.  "Improving" means ``gain * thr_mul >
-    thr_num``, i.e. ``gain > thr_num // thr_mul`` for an integer gain.
-    A swap is ``(gain, signature, adds, drops)``: ``adds`` and ``drops``
-    are kernel entry indices, and the signature is all of them, sorted.
-    Entries are in stream order, so that is the swap's sorted position
-    signature.  Every swap is reported once, deduplicated by its
-    signature, in the order a depth-first search from vertices 0, 1, ...
-    over ``rows`` first meets it.  ``kentries[i]`` is ``(a, b, w, original
-    triple)``; ``rows[x]`` lists the kernel edges at ``x`` as ``(weight,
-    other end, entry index)``, heaviest first and earliest first on ties;
-    ``medge[x]`` is the entry index of ``x``'s matched edge, or -1.
-    Vertices visited along a walk are tracked as a bitmask.
+    matched edge was dropped; it has at most ``limit`` edges.  "Improving"
+    means ``gain * thr_mul > thr_num``, i.e. ``gain > thr_num // thr_mul``
+    for an integer gain.  A swap is ``(gain, signature, adds, drops)``:
+    ``adds`` and ``drops`` are kernel entry indices, in the order of the
+    first walk a depth-first search from vertices 0, 1, ... over ``rows``
+    meets the swap by, and the signature is all of them, sorted.  Entries
+    are in stream order, so that is the swap's sorted position signature.
+    ``kentries[i]`` is ``(a, b, w, original triple)``; ``rows[x]`` lists
+    the kernel edges at ``x`` as ``(weight, other end, entry index)``,
+    heaviest first and earliest first on ties; ``medge[x]`` is the entry
+    index of ``x``'s matched edge, or -1.  Vertex sets are bitmasks.
 
-    The search is pruned by a bound, and the pruning is exact.  Let
+    The result is the greedy pick over all improving swaps sorted by
+    ``(-gain, signature)``: a swap is taken unless it shares a vertex with
+    an earlier pick.  It is built without listing them all, by repeated
+    best-first searches.  Each search keeps only the swaps at the highest
+    gain it meets, raising its cut to that gain minus 1 as it goes; the
+    greedy then takes that level in signature order and bans the vertices
+    of every pick.  Later searches neither start in nor enter a banned
+    vertex.  That is exact because whether the greedy takes a swap depends
+    only on the swaps ranked above it: after a level, every swap of it
+    touches a banned vertex, and a swap below it is skipped exactly when
+    it does.  A search starts from a floor just under the best swap met
+    before that touches no banned vertex, and the picks end with a search
+    that finds nothing above its cut.
+
+    Each search is pruned by a bound, and the pruning is exact.  Let
     ``top[x]`` be the heaviest kernel edge at ``x`` that is not matched, and
     ``step`` the largest ``top[x] - w(x's matched edge)`` over matched
     ``x``, or 0 if that is larger.  A walk at ``cur`` with gain ``g`` and
     ``room`` edges left that adds an edge of weight ``w`` next can record
     no gain above ``g + w + ((room - 1) // 2) * step``: after that add,
     each further add first drops the matched edge at its tail ``x`` and
-    then adds an unmatched edge at ``x`` (a net of at most ``step``, for two
-    units of room), and a final drop only subtracts, because weights are at
-    least 1.  Rows are heaviest first, so once an edge fails the
+    then adds an unmatched edge at ``x`` (a net of at most ``step``, for
+    two units of room), and a final drop only subtracts, because weights
+    are at least 1.  Rows are heaviest first, so once an edge fails the
     bound every later edge at ``cur`` fails it too and the loop stops; a
-    walk is extended through ``mate`` only if ``top[mate]`` passes it.  No
-    pruned branch could have reached a record, so the list and its order
-    are what the unpruned search returns.
+    walk is extended through ``mate`` only if ``top[mate]`` passes it.
+    Since every add but a walk's first follows a drop, and a walk drops
+    each matched edge with no banned end at most once, a walk starts with
+    at most ``2 * pairs + 1`` edges of room over ``pairs`` such edges, one
+    fewer pair when its start drop used one.  That cap removes no walk
+    and tightens the bound when ``limit`` is long for the matching.  No
+    pruned branch could have reached a swap at or above the search's
+    best, and the depth-first order is the unpruned one, so each level
+    and each swap's first walk are what the unpruned search finds.
     """
-    out: list[_Swap] = []
-    seen: set[tuple[int, ...]] = set()
-    cut = thr_num // thr_mul
     n_view = len(rows)
+    cut0 = thr_num // thr_mul
     top = [next((w for w, _, i in rows[x] if i != medge[x]), 0) for x in range(n_view)]
     step = max([0] + [top[x] - kentries[medge[x]][2] for x in range(n_view) if medge[x] >= 0])
+    # Matched edges with no banned end, which cap a walk's room.
+    pairs = sum(1 for x in range(n_view) if medge[x] >= 0) // 2
+    picks: list[_Swap] = []
+    banned = 0
+    # Gains and vertex masks of swaps met below a search's best level.
+    met: list[tuple[int, int]] = []
+    # The current search: its cut, its best gain, and the swaps at that
+    # gain by signature, with their adds, drops and vertex mask.
+    cut = best = cut0
+    level: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
     # The swap being built; record() copies it.
     adds: list[int] = []
     drops: list[int] = []
     # The vertex a walk may close a cycle at: its start, if that was matched.
     close = -1
 
-    def record(gain: int) -> None:
+    def record(gain: int, walk: int) -> None:
+        nonlocal cut, best, level
+        if gain > best:
+            met.extend((best, mask) for _, _, mask in level.values())
+            level = {}
+            best = gain
+            cut = gain - 1
         signature = tuple(sorted(adds + drops))
-        if signature in seen:
-            return
-        seen.add(signature)
-        out.append((gain, signature, tuple(adds), tuple(drops)))
+        if signature not in level:
+            # A walk's visited mask holds the banned vertices too.
+            level[signature] = (tuple(adds), tuple(drops), walk ^ banned)
 
     def grow(cur: int, visited: int, gain: int, room: int) -> None:
-        bar = cut - gain - (room - 1) // 2 * step
+        base = gain + (room - 1) // 2 * step
         mine = medge[cur]
         for w, nxt, idx in rows[cur]:
-            if w <= bar:
+            if w + base <= cut:
                 break
             if idx == mine:
                 continue
@@ -531,7 +562,7 @@ def _enumerate_swaps(
             if nxt == close:
                 if reach > cut:
                     adds.append(idx)
-                    record(reach)
+                    record(reach, visited)
                     adds.pop()
                 continue
             if (visited >> nxt) & 1:
@@ -540,7 +571,7 @@ def _enumerate_swaps(
             if drop < 0:
                 if reach > cut:
                     adds.append(idx)
-                    record(reach)
+                    record(reach, visited | (1 << nxt))
                     adds.pop()
                 continue
             a, b, dw, _ = kentries[drop]
@@ -548,34 +579,51 @@ def _enumerate_swaps(
             if room < 2 or (visited >> mate) & 1:
                 continue
             dropped = reach - dw
+            # A record here lifts the cut to at most dropped - 1, which
+            # top[mate] >= 0 still clears, so deeper stays as computed.
             deeper = room >= 3 and dropped + top[mate] + (room - 3) // 2 * step > cut
             if dropped > cut or deeper:
                 adds.append(idx)
                 drops.append(drop)
+                walk = visited | (1 << nxt) | (1 << mate)
                 if dropped > cut:
-                    record(dropped)
+                    record(dropped, walk)
                 if deeper:
-                    grow(mate, visited | (1 << nxt) | (1 << mate), dropped, room - 2)
+                    grow(mate, walk, dropped, room - 2)
                 adds.pop()
                 drops.pop()
 
-    for s in range(n_view):
-        drop = medge[s]
-        if drop < 0:
-            close = -1
-            grow(s, 1 << s, 0, limit)
-        else:
-            a, b, dw, _ = kentries[drop]
-            mate = b if a == s else a
-            close = s
-            drops.append(drop)
-            grow(mate, (1 << s) | (1 << mate), -dw, limit - 1)
-            drops.pop()
+    while True:
+        for s in range(n_view):
+            if (banned >> s) & 1:
+                continue
+            drop = medge[s]
+            if drop < 0:
+                close = -1
+                grow(s, banned | (1 << s), 0, min(limit, 2 * pairs + 1))
+            else:
+                a, b, dw, _ = kentries[drop]
+                mate = b if a == s else a
+                close = s
+                drops.append(drop)
+                grow(mate, banned | (1 << s) | (1 << mate), -dw, min(limit, 2 * pairs) - 1)
+                drops.pop()
+        if not level:
+            break
+        for signature in sorted(level):
+            swap_adds, swap_drops, mask = level[signature]
+            if not mask & banned:
+                banned |= mask
+                pairs -= len(swap_drops)
+                picks.append((best, signature, swap_adds, swap_drops))
+        met = [(gain, mask) for gain, mask in met if not mask & banned]
+        cut = best = max((gain for gain, _ in met), default=cut0 + 1) - 1
+        level = {}
     # grow reaches itself through its closure.  Breaking that cycle frees
     # the scan's lists now; left to the cyclic collector, they
     # pile up across scans and raise the process's peak memory.
     del grow
-    return out
+    return picks
 
 
 def oracle_max_matching(g: Graph) -> Matching:

@@ -10,6 +10,7 @@ instead.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from streampath.graph import Edge, Graph, Matching
 from streampath.matching import (
     ApproxParams,
     OracleLimitError,
-    _enumerate_swaps,
+    _pick_swaps,
     oracle_max_matching,
     oracle_max_weight_matching,
     release_matching,
@@ -393,16 +394,34 @@ def _reference_enumerate_swaps(
     return out
 
 
-def _swap_kernel(n: int, seed: int):
+def _greedy_pick(
+    swaps: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]],
+    kentries: list[tuple[int, int, int, int, tuple[int, int, int]]],
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """The swaps a scan applies: best gain first, then smallest signature,
+    skipping any swap that shares a vertex with an earlier pick."""
+    picks = []
+    touched: set[int] = set()
+    for swap in sorted(swaps, key=lambda c: (-c[0], c[1])):
+        _, _, adds, drops = swap
+        verts = {x for i in adds for x in kentries[i][:2]} | {x for key in drops for x in key}
+        if verts.isdisjoint(touched):
+            picks.append(swap)
+            touched |= verts
+    return picks
+
+
+def _swap_kernel(n: int, seed: int, weights: tuple[int, int] = (1, 9)):
     """A seeded kernel in the weighted engine's layout, with an empty, a
-    partial and a perfect (one vertex left over when n is odd) matching."""
+    partial and a perfect (one vertex left over when n is odd) matching;
+    kernel weights are drawn from the inclusive range ``weights``."""
     rng = SplitMix64(seed)
     order = list(range(n))
     rng.shuffle(order)
     perfect = sorted((min(x, y), max(x, y)) for x, y in zip(order[0::2], order[1::2]))
     chosen = set(perfect)
     triples = [
-        (u, v, rng.randint(1, 9))
+        (u, v, rng.randint(*weights))
         for u in range(n)
         for v in range(u + 1, n)
         if (u, v) in chosen or rng.coin()
@@ -421,10 +440,13 @@ def _swap_kernel(n: int, seed: int):
 
 
 def test_pruned_swap_search_matches_the_unpruned_reference():
-    free_ends = cycles = 0
-    for seed in range(27):
+    free_ends = cycles = tied_picks = 0
+    # Random weights, then one weight everywhere: there many swaps tie at
+    # the top gain, so levels of several picks and the signature
+    # tie-break are exercised.
+    for weights, seed in product(((1, 9), (5, 5)), range(27)):
         n = 6 + seed % 9
-        kentries, adj, matchings = _swap_kernel(n, seed)
+        kentries, adj, matchings = _swap_kernel(n, seed, weights)
         rows = [
             [(kentries[i][2], kentries[i][1] if kentries[i][0] == x else kentries[i][0], i)
              for i in adj[x]]
@@ -445,19 +467,21 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
                 # a cut of 3 that prunes harder
                 for thr_num, thr_mul in ((0, 1), (weight, k * k * 4 * n), (3, 1)):
                     limits = (2 * k - 1, thr_num, thr_mul)
-                    want = _reference_enumerate_swaps(n, kentries, adj, partner, matched, *limits)
-                    got = _enumerate_swaps(entries, rows, medge, *limits)
+                    every = _reference_enumerate_swaps(n, kentries, adj, partner, matched, *limits)
+                    want = _greedy_pick(every, kentries)
+                    got = _pick_swaps(entries, rows, medge, *limits)
                     # the engine names a dropped edge by its entry index
                     assert got == [
                         (gain, sig, adds, tuple(matched[key] for key in drops))
                         for gain, sig, adds, drops in want
-                    ], (seed, sorted(matched), k, thr_num)
-                    for _, _, adds, drops in want:
+                    ], (weights, seed, sorted(matched), k, thr_num)
+                    tied_picks += sum(a[0] == b[0] for a, b in zip(want, want[1:]))
+                    for _, _, adds, drops in every:
                         ends = {x for i in adds for x in kentries[i][:2]}
                         dropped = {x for key in drops for x in key}
                         free_ends += len(adds) > len(drops)
                         cycles += bool(drops) and ends == dropped
-    assert free_ends and cycles
+    assert free_ends and cycles and tied_picks
 
 
 # --- oracles ------------------------------------------------------------------------

@@ -214,8 +214,26 @@ _PINNED_TOURS = [
 ]
 
 
+# The heavy tours where the swap search once listed tens of thousands of
+# swaps per scan to apply a few.
+_PINNED_DEEP_SEARCHES = [
+    (60, 1, "1/4",
+     [30, 0, 3, 36, 15, 1, 59, 49, 2, 8, 14, 9, 4, 16, 11, 42, 5, 47, 50, 41, 23, 6, 19,
+      51, 7, 26, 40, 10, 12, 31, 13, 21, 17, 37, 57, 27, 32, 18, 22, 34, 24, 53, 20, 38,
+      46, 25, 44, 55, 45, 52, 28, 56, 29, 54, 39, 35, 43, 33, 48, 58],
+     1040, _max_tsp_report(60, 1770, 76800, 5238, 5238, 2727)),
+    (60, 1, "1/5",
+     [3, 0, 30, 44, 10, 36, 1, 48, 8, 2, 45, 52, 4, 26, 40, 28, 47, 5, 32, 55, 23, 6, 19,
+      51, 7, 12, 31, 13, 14, 9, 43, 33, 21, 16, 11, 42, 15, 20, 53, 24, 25, 58, 17, 37, 18,
+      22, 56, 34, 38, 57, 27, 46, 41, 50, 29, 54, 39, 35, 49, 59],
+     1043, _max_tsp_report(60, 1770, 96000, 6504, 6504, 3195)),
+]
+
+
 @pytest.mark.parametrize(
-    "n, seed, eps, order, weight, report", _PINNED_TOURS, ids=[f"n{t[0]}" for t in _PINNED_TOURS]
+    "n, seed, eps, order, weight, report",
+    _PINNED_TOURS + _PINNED_DEEP_SEARCHES,
+    ids=[f"n{t[0]}" for t in _PINNED_TOURS] + ["n60-eps1_4", "n60-eps1_5"],
 )
 def test_max_tsp_outputs_pinned_when_the_cap_binds(n, seed, eps, order, weight, report):
     res = approx_max_tsp(gen_random_max_tsp(n, seed), ApproxParams.parse(eps))
