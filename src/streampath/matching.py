@@ -7,8 +7,9 @@ offline on those rows.
 
 * ``streaming_max_matching`` builds the greedy maximal matching in the
   same pass, then eliminates augmenting paths of length <= 2k - 1 inside
-  the kernel, in increasing length order, flipping maximal vertex-disjoint
-  batches (Hopcroft-Karp style, so one sweep per length suffices).
+  the kernel, in increasing length order, flipping each path when found.
+  One sweep per length suffices with no vertex barred: after a shortest
+  augmenting path is flipped, any that meets it is longer (Hopcroft-Karp).
 * ``streaming_max_weight_matching`` keeps per-vertex tables of the
   heaviest incident edges, then runs a local search over alternating
   path/cycle swaps of at most 2k - 1 edges whose gain beats a damping
@@ -194,37 +195,33 @@ def _augment_on_kernel(
     max_len: int,
     session: StreamSession,
 ) -> None:
-    """Flip maximal disjoint batches of augmenting paths, shortest first.
+    """Flip augmenting paths as they are found, shortest lengths first.
 
-    After flipping a maximal vertex-disjoint set of shortest augmenting
-    paths the next-shortest gets strictly longer, so sweeping the lengths
-    1, 3, ..., max_len once each leaves no augmenting path of length
-    <= max_len among the retained edges.  Applying each accepted path
-    immediately and skipping its vertices afterwards builds exactly such a
-    maximal set.  No simple path has more than ``len(rows) - 1`` edges, so
-    the sweep stops there.  A vertex with an empty kernel row cannot start
-    a path, so it is skipped.  A flip re-partners the path's vertex pairs,
-    which drops the matched edges it ran along and grows the matching by
-    one edge of 3 words.
+    Each length 1, 3, ..., max_len tries every free vertex once.  By the
+    lemma of Hopcroft and Karp (1973), flipping a shortest augmenting path
+    P makes no path shorter, and any that then meets P has >= |P| + 2
+    edges.  So a length-L path left after flips avoids all of them and was
+    there before, and one sweep per length, with no vertex barred, leaves
+    no augmenting path of length <= max_len among the retained edges.  A
+    greedy match kept outside the kernel leaves the graph when a flip
+    drops it, which only removes paths.  No simple path has more than
+    ``len(rows) - 1`` edges, so the sweep stops there; an empty row cannot
+    start a path.  A flip re-partners the path's vertex pairs, which drops
+    the matched edges it ran along and adds one edge of 3 words.
     """
     n_view = len(rows)
-    used = [False] * n_view
-    session.charge(n_view)
     for length in range(1, min(max_len, n_view - 1) + 1, 2):
         for s in range(n_view):
-            if used[s] or partner[s] is not None or not rows[s]:
+            if partner[s] is not None or not rows[s]:
                 continue
-            path = _alternating_path_exact(s, length, partner, rows, used)
+            path = _alternating_path_exact(s, length, partner, rows)
             if path is None:
                 continue
             ends = iter(path)
             for a, b in zip(ends, ends):
                 partner[a] = b
                 partner[b] = a
-                used[a] = True
-                used[b] = True
             session.charge(3)
-    session.release(n_view)
 
 
 def _alternating_path_exact(
@@ -232,14 +229,14 @@ def _alternating_path_exact(
     length: int,
     partner: list[int | None],
     rows: list[list[int]],
-    used: list[bool],
 ) -> list[int] | None:
     """First augmenting path of exactly ``length`` edges starting at free ``s``.
 
     Deterministic: neighbors are tried in arrival order.  Returns the
     path's ``length + 1`` vertices from ``s`` to a free end, or None; its
     pairs at positions (0, 1), (2, 3), ... are the kernel edges to match,
-    and the pairs in between are matched edges.
+    and the pairs in between are matched edges.  No vertex is barred: a
+    path this short meets none flipped before (see ``_augment_on_kernel``).
 
     One explicit stack, so the search depth is not bounded by Python's
     recursion limit, and one visited set, grown on descent and shrunk on
@@ -253,7 +250,7 @@ def _alternating_path_exact(
     remaining = length
     while True:
         for v in frames[-1]:
-            if v in visited or used[v] or partner[u] == v:
+            if v in visited or partner[u] == v:
                 continue
             if remaining == 1:
                 if partner[v] is None:
@@ -261,7 +258,7 @@ def _alternating_path_exact(
                     return path
                 continue
             mate = partner[v]
-            if mate is None or mate in visited or used[mate]:
+            if mate is None or mate in visited:
                 continue
             path.append(v)
             path.append(mate)
@@ -512,7 +509,7 @@ def _pick_swaps(
     Since every add but a walk's first follows a drop, and a walk drops
     each matched edge with no banned end at most once, a walk starts with
     at most ``2 * pairs + 1`` edges of room over ``pairs`` such edges, one
-    fewer pair when its start drop used one.  That cap removes no walk
+    fewer pair when its start drop took one.  That cap removes no walk
     and tightens the bound when ``limit`` is long for the matching.  No
     pruned branch could have reached a swap at or above the search's
     best, and the depth-first order is the unpruned one, so each level
@@ -714,7 +711,7 @@ def _matching_branching(items: list[tuple[int, int, Edge]]) -> list[tuple[int, i
     best_val = -1
     best_set: list[tuple[int, int, Edge]] = []
     chosen: list[tuple[int, int, Edge]] = []
-    used: set[int] = set()
+    taken: set[int] = set()
 
     def rec(i: int, val: int) -> None:
         nonlocal best_val, best_set
@@ -726,14 +723,14 @@ def _matching_branching(items: list[tuple[int, int, Edge]]) -> list[tuple[int, i
         if val + suffix[i] <= best_val:
             return
         v0, _, e0 = items[i]
-        if e0.u not in used and e0.v not in used:
-            used.add(e0.u)
-            used.add(e0.v)
+        if e0.u not in taken and e0.v not in taken:
+            taken.add(e0.u)
+            taken.add(e0.v)
             chosen.append(items[i])
             rec(i + 1, val + v0)
             chosen.pop()
-            used.discard(e0.u)
-            used.discard(e0.v)
+            taken.discard(e0.u)
+            taken.discard(e0.v)
         rec(i + 1, val)
 
     rec(0, 0)

@@ -142,13 +142,12 @@ def _check_edge_line(line: bytes, lineno: int, n: int, weighted: bool, path: str
         raise StreamFormatError(
             f"{path}:{lineno}: expected {want} fields on an edge line, got {len(tokens)}"
         )
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError:
-        raise StreamFormatError(f"{path}:{lineno}: edge fields must be ints") from None
+    if not all(map(bytes.isdigit, tokens)):
+        raise StreamFormatError(f"{path}:{lineno}: edge fields must be plain decimal digits")
+    values = list(map(int, tokens))
     u, v = values[0], values[1]
     w = values[2] if weighted else 1
-    if not (0 <= u < n and 0 <= v < n):
+    if max(u, v) >= n:
         raise StreamFormatError(f"{path}:{lineno}: endpoint out of range [0, {n})")
     if u == v:
         raise StreamFormatError(f"{path}:{lineno}: self-loop at vertex {u}")
@@ -159,23 +158,26 @@ def _check_edge_line(line: bytes, lineno: int, n: int, weighted: bool, path: str
 def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
     """A block of edge lines as int columns, or the first check it fails.
 
-    The lines are joined, split and parsed with ``int`` in one go, and the
-    columns are then checked with C-level passes: the token count, the
-    endpoint range, self-loops and weights >= 1.  So a block costs a few
-    operations per edge on top of parsing its ints, and keeps no object
-    per line.  The token count is checked for the block as a whole, not
-    per line.
+    The lines are joined, scanned for the signs and ``_`` that ``int``
+    would accept, split and parsed with ``int`` in one go, and the columns
+    are then checked with C-level passes: the token count, the endpoint
+    range, self-loops and weights >= 1.  So a block costs a few operations
+    per edge on top of parsing its ints, and keeps no object per line.
+    The token count is checked for the block as a whole, not per line.
     """
     want = 3 if weighted else 2
+    joined = b"".join(block)
+    if b"-" in joined or b"+" in joined or b"_" in joined:
+        return "a field is not plain decimal digits"
     try:
-        nums = list(map(int, b"".join(block).split()))
+        nums = list(map(int, joined.split()))
     except ValueError:
         return "a field is not an int"
     if len(nums) != want * len(block):
         return f"expected {want} fields per line"
     us = nums[0::want]
     vs = nums[1::want]
-    if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
+    if max(max(us), max(vs)) >= n:
         return f"endpoint out of range [0, {n})"
     if any(map(operator.eq, us, vs)):
         return "self-loop"
@@ -196,7 +198,8 @@ class FileEdgeSource(EdgeStreamSource):
 
     The file is read in blocks of whole lines (about 64 KiB), and one
     parser, ``_parse_block``, turns a block into int columns and checks
-    it: its token count, its endpoint range, self-loops and weights >= 1.
+    it: fields of plain decimal digits (no sign, no ``_``), its token
+    count, its endpoint range, self-loops and weights >= 1.
     Opening runs it over the whole file once, also checks that every line
     has the expected number of fields, and keeps no edges; a block that
     fails is checked again line by line, so every format error names its

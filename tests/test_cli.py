@@ -90,6 +90,19 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,lineno",
+    [("12 2\n0 1_0\n+1 2\n", 2), ("12 2\n0 1\n+1 2\n", 3), ("3 1 weighted\n0 1 -2\n", 2)],
+    ids=["underscore", "plus", "minus"],
+)
+def test_edge_fields_that_int_would_accept_exit_one(tmp_path, capsys, text, lineno):
+    # int() reads "1_0" as 10 and "+1" as 1; an edge file allows digits only
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["mpc", str(bad)]) == 1
+    assert f"bad.txt:{lineno}: edge fields must be plain decimal digits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["mpc", "tsp12"])
 def test_hostile_header_exits_one(tmp_path, capsys, command):
     # n is far past what an index can hold, so the vertex tables overflow

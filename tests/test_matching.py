@@ -168,17 +168,90 @@ def test_greedy_match_kept_alone_is_returned_once():
     m = streaming_max_matching(src, params, sess)
     assert m.size == 13
     assert m.edges[-1] == Edge(0, 1, 5)
-    assert sess.report().runs[-1].words_peak == 199
+    assert sess.report().runs[-1].words_peak == 173
     assert sess.words_in_use == 3 * m.size == 39
 
 
+def test_later_lengths_may_run_through_vertices_flipped_earlier():
+    # the length-3 flip 0-6=4-1 re-partners 4 and 1, and the length-5 path
+    # 5-4=1-2=3-7 then runs through both; a search that bars the vertices
+    # of earlier flips stops at 3 edges, below k/(k+1) of the optimum 4
+    pairs = [(4, 6), (6, 7), (0, 6), (1, 4), (4, 5), (2, 3), (1, 2), (3, 6), (3, 7), (2, 6)]
+    g = Graph.from_pairs(8, pairs)
+    assert oracle_max_matching(g).size == 4
+    for eps in ("1/3", "1/4", "1/5"):
+        m, report = _run_unweighted(g, eps)
+        assert [(e.u, e.v) for e in m.edges] == [(0, 6), (4, 5), (1, 2), (3, 7)], eps
+        assert report.runs[-1].words_peak == 50
+
+
+def _sparse_simple_graph(seed: int) -> Graph:
+    """A simple G(n, m) with n in 8..16 and m in n - 1..2n, in drawn order."""
+    rng = SplitMix64(seed)
+    n = rng.randint(8, 16)
+    m = rng.randint(n - 1, 2 * n)
+    seen: set[tuple[int, int]] = set()
+    pairs = []
+    while len(pairs) < m:
+        u, v = rng.below(n), rng.below(n)
+        if u != v and (min(u, v), max(u, v)) not in seen:
+            seen.add((min(u, v), max(u, v)))
+            pairs.append((u, v))
+    return Graph.from_pairs(n, pairs)
+
+
+def _has_short_augmenting_path(g: Graph, m: Matching, max_len: int) -> bool:
+    """Brute force: some augmenting path of at most ``max_len`` edges in ``g``."""
+    partner: list[int | None] = [None] * g.n
+    for e in m.edges:
+        partner[e.u], partner[e.v] = e.v, e.u
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for e in g.edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+
+    def reaches_free(u: int, on: set[int], room: int) -> bool:
+        for v in adj[u]:
+            if v in on or partner[u] == v:
+                continue
+            mate = partner[v]
+            if mate is None:
+                return True
+            if room >= 3 and mate not in on and reaches_free(mate, on | {v, mate}, room - 2):
+                return True
+        return False
+
+    return any(partner[s] is None and reaches_free(s, {s}, max_len) for s in range(g.n))
+
+
+def test_no_short_augmenting_path_is_left_when_the_kernel_is_the_graph():
+    # no oracle: with every degree within the 6k cap the kernel is the whole
+    # graph, and the engine promises no augmenting path of <= 2k - 1 edges
+    checked = 0
+    for seed in range(500):
+        g = _sparse_simple_graph(seed)
+        max_degree = max(g.degrees())
+        for eps in ("1/2", "1/3", "1/4", "1/5"):
+            params = ApproxParams.parse(eps)
+            if max_degree > params.kernel_degree_cap:
+                continue
+            m, _ = _run_unweighted(g, eps)
+            assert m.pair_set <= {e.pair for e in g.edges}
+            assert not _has_short_augmenting_path(g, m, params.max_swap_edges), (seed, eps)
+            checked += 1
+    assert checked > 1900
+
+
 def test_unweighted_tier_against_oracle():
-    for seed in range(120):
-        g = gen_random_graph(3 + seed % 8, seed, Fraction(1, 2))
+    graphs = [gen_random_graph(3 + seed % 8, seed, Fraction(1, 2)) for seed in range(120)]
+    # sparse graphs with at most 16 active vertices, where degrees stay
+    # within the cap and augmenting paths run long
+    graphs += [_sparse_simple_graph(seed) for seed in range(1000, 1060)]
+    for i, g in enumerate(graphs):
         mu = oracle_max_matching(g).size
         for eps, k in (("1/2", 2), ("1/3", 3), ("1/4", 4)):
             m, _ = _run_unweighted(g, eps)
-            assert (k + 1) * m.size >= k * mu, (seed, eps, m.size, mu)
+            assert (k + 1) * m.size >= k * mu, (i, eps, m.size, mu)
             assert m.size <= mu
 
 

@@ -193,88 +193,88 @@ _PIN_GRAPHS = {
 _PINNED_COVERS = [
     ("sparse14", "1/2", 1792,
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
-     199, [199, 115],
+     185, [185, 108],
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
       (6, 10), (4, 7)],
-     199, [199, 115, 79, 70, 67]),
+     185, [185, 108, 75, 68, 66]),
     ("sparse14", "1/3", 2688,
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
-     199, [199, 115],
+     185, [185, 108],
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
       (6, 10), (4, 7)],
-     199, [199, 115, 79, 70, 67]),
+     185, [185, 108, 75, 68, 66]),
     ("sparse14", "1/4", 3584,
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
-     199, [199, 115],
+     185, [185, 108],
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
       (6, 10), (4, 7)],
-     199, [199, 115, 79, 70, 67]),
+     185, [185, 108, 75, 68, 66]),
     ("sparse20", "1/2", 2560,
      [(4, 8), (1, 19), (12, 14), (0, 13), (2, 7), (3, 15), (11, 17), (5, 6), (10, 16), (8, 16),
       (12, 13), (6, 19), (3, 17), (7, 18)],
-     232, [232, 186],
+     212, [212, 175],
      [(4, 8), (1, 19), (12, 14), (0, 13), (2, 7), (3, 15), (11, 17), (5, 6), (10, 16), (8, 16),
       (12, 13), (6, 19), (3, 17), (7, 18), (2, 10), (0, 9), (5, 11), (4, 14), (1, 18)],
-     232, [232, 186, 119, 103, 100, 97]),
+     212, [212, 175, 113, 100, 98, 96]),
     ("sparse20", "1/3", 3840,
      [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
       (8, 16), (12, 13), (0, 7), (6, 19), (3, 17)],
-     235, [235, 187],
+     215, [215, 177],
      [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
       (8, 16), (12, 13), (0, 7), (6, 19), (3, 17), (2, 10), (1, 18), (4, 15), (5, 11)],
-     235, [235, 187, 109, 100, 100, 97]),
+     215, [215, 177, 104, 97, 98, 96]),
     ("sparse20", "1/4", 5120,
      [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
       (8, 16), (12, 13), (0, 7), (6, 19), (3, 17)],
-     235, [235, 187],
+     215, [215, 177],
      [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
       (8, 16), (12, 13), (0, 7), (6, 19), (3, 17), (2, 10), (1, 18), (4, 15), (5, 11)],
-     235, [235, 187, 109, 100, 100, 97]),
+     215, [215, 177, 104, 97, 98, 96]),
     ("star26", "1/2", 3328,
      [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
       (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13)],
-     256, [256, 192],
+     230, [230, 178],
      [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
       (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13), (1, 9),
       (22, 25), (6, 23)],
-     256, [256, 192, 142, 118]),
+     230, [230, 178, 135, 114]),
     ("star26", "1/3", 4992,
      [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
       (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13)],
-     256, [256, 192],
+     230, [230, 178],
      [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
       (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13), (1, 9),
       (22, 25), (6, 23)],
-     256, [256, 192, 142, 118]),
+     230, [230, 178, 135, 114]),
     ("star26", "1/4", 6656,
      [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
       (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17)],
-     259, [259, 196],
+     233, [233, 183],
      [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
       (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17), (4, 11),
       (7, 14), (9, 10), (12, 16)],
-     259, [259, 196, 136, 124, 121]),
+     233, [233, 183, 129, 120, 118]),
     ("dense16", "1/2", 2048,
      [(5, 14), (1, 9), (8, 13), (0, 12), (4, 11), (3, 7), (6, 10), (2, 15), (2, 14), (6, 13),
       (4, 12), (1, 3)],
-     344, [344, 152],
+     328, [328, 144],
      [(5, 14), (1, 9), (8, 13), (0, 12), (4, 11), (3, 7), (6, 10), (2, 15), (2, 14), (6, 13),
       (4, 12), (1, 3), (5, 11), (7, 8), (9, 15)],
-     344, [344, 152, 92, 80, 77]),
+     328, [328, 144, 88, 78, 76]),
     ("dense16", "1/3", 3072,
      [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
       (7, 8), (10, 12)],
-     365, [365, 152],
+     349, [349, 144],
      [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
       (7, 8), (10, 12), (6, 13), (4, 11), (0, 3)],
-     365, [365, 152, 92, 80, 77]),
+     349, [349, 144, 88, 78, 76]),
     ("dense16", "1/4", 4096,
      [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
       (7, 8), (10, 12)],
-     365, [365, 152],
+     349, [349, 144],
      [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
       (7, 8), (10, 12), (6, 13), (4, 11), (0, 3)],
-     365, [365, 152, 92, 80, 77]),
+     349, [349, 144, 88, 78, 76]),
 
 ]
 

@@ -87,6 +87,9 @@ def test_file_source_streams_in_file_order(tmp_path):
         ("3 1\n\n0 1\n", "blank"),
         ("-1 0\n", "non-negative"),
         ("3 1\n0 1\u00e9\n", "non-ASCII"),
+        ("3 1\n0 +1\n", "plain decimal digits"),
+        ("3 1\n0 -1\n", "plain decimal digits"),
+        ("12 1\n0 1_0\n", "plain decimal digits"),
         ("3 1\u00a0\n0 1\n", "non-ASCII"),
     ],
 )
@@ -128,9 +131,11 @@ _ORIGINAL = "4 3\n0 1\n1 2\n2 3\n"
         ("4 3\n0 1\n2 2\n2 3\n", "self-loop"),
         ("4 3\n0 1\n1 x\n2 3\n", "not an int"),
         ("4 3\n0 1\n1 \u00e9\n2 3\n", "not an int"),
+        ("4 3\n0 1\n1 0_2\n2 3\n", "not plain decimal digits"),
+        ("4 3\n0 1\n+1 2\n2 3\n", "not plain decimal digits"),
     ],
     ids=["truncated", "cut-mid-line", "appended", "out-of-range", "self-loop",
-         "non-integer", "non-ascii"],
+         "non-integer", "non-ascii", "underscore", "plus"],
 )
 def test_file_changed_after_open_fails_with_format_error(tmp_path, rewrite, fragment):
     path = _write(tmp_path, _ORIGINAL)
