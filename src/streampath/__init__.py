@@ -10,16 +10,13 @@ rather than trusted.
 from .graph import (
     ContractionMap,
     CoverCheck,
-    DegreeCensus,
     Edge,
     Graph,
     Matching,
     PathCover,
     Tour,
     components_contraction,
-    contract,
     contract_edges,
-    degree_census,
     matching_contraction,
     validate_path_cover,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "ContractBound",
     "ContractionMap",
     "CoverCheck",
-    "DegreeCensus",
     "Edge",
     "EdgeStreamSource",
     "FileEdgeSource",
@@ -106,12 +102,10 @@ __all__ = [
     "approx_max_tsp",
     "approx_tsp12",
     "components_contraction",
-    "contract",
     "contract_bound_check",
     "contract_edges",
     "cover_interior_vertices",
     "default_words_budget",
-    "degree_census",
     "extract_matching_from_cycle",
     "extract_matching_from_path_or_cycle",
     "hamiltonian_order",

@@ -48,7 +48,7 @@ class Edge:
 class Graph:
     """An edge-sequence multigraph.
 
-    ``edges`` keeps arrival order; iterating a Graph replays the stream.
+    ``edges`` keeps arrival order, so replaying it replays the stream.
     """
 
     n: int
@@ -98,38 +98,6 @@ class Graph:
             deg[e.v] += 1
         return deg
 
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
-
-
-@dataclass(frozen=True)
-class DegreeCensus:
-    """Degree histogram of a graph: which degrees occur and how often."""
-
-    histogram: tuple[tuple[int, int], ...]
-
-    @property
-    def degrees_present(self) -> frozenset[int]:
-        return frozenset(d for d, _ in self.histogram)
-
-    def count(self, degree: int) -> int:
-        for d, c in self.histogram:
-            if d == degree:
-                return c
-        return 0
-
-    def within(self, allowed: Iterable[int]) -> bool:
-        """True if every occurring degree is in ``allowed``."""
-        allowed_set = set(allowed)
-        return all(d in allowed_set for d in self.degrees_present)
-
-
-def degree_census(g: Graph) -> DegreeCensus:
-    counts: dict[int, int] = {}
-    for d in g.degrees():
-        counts[d] = counts.get(d, 0) + 1
-    return DegreeCensus(tuple(sorted(counts.items())))
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -163,9 +131,6 @@ class Matching:
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -241,11 +206,6 @@ def contract_edges(g: Graph, merge: Iterable[tuple[int, int]]) -> tuple[Graph, C
     return Graph(cmap.n_new, tuple(kept), g.weighted), cmap
 
 
-def contract(g: Graph, matching: Matching) -> tuple[Graph, ContractionMap]:
-    """Contract every matching edge of ``g``."""
-    return contract_edges(g, [e.pair for e in matching])
-
-
 @dataclass(frozen=True)
 class CoverCheck:
     """Outcome of validating an edge set as a path cover."""
@@ -305,9 +265,10 @@ def validate_path_cover(n: int, edges: Sequence[Edge]) -> CoverCheck:
     if leftover:
         return CoverCheck(False, f"cycle through vertex {leftover[0]}", ())
 
+    # Each walk began at the first degree-1 vertex met in increasing order,
+    # which is its lower-id endpoint, so every path is already oriented.
     paths.sort(key=min)
-    oriented = tuple(p if p[0] < p[-1] else p[::-1] for p in paths)
-    return CoverCheck(True, None, oriented)
+    return CoverCheck(True, None, tuple(paths))
 
 
 @dataclass(frozen=True)

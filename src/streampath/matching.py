@@ -634,12 +634,11 @@ def oracle_max_weight_matching(g: Graph) -> Matching:
 
 
 def _exact_matching(g: Graph, weighted: bool) -> Matching:
-    """Exhaustive maximum matching via subset DP or edge branching.
+    """Exhaustive maximum matching by DP over vertex subsets.
 
-    Handles up to 16 non-isolated vertices (DP over vertex subsets) or,
-    past that, up to 24 distinct edges (branching).  Deterministic witness:
-    among optima, the one found first by lowest-vertex DP backtracking or
-    by include-first branching in stream order.
+    Handles up to 16 non-isolated vertices; parallel copies count once, at
+    their heaviest.  Deterministic witness: among optima, the one found
+    first by lowest-vertex DP backtracking.
     """
     best: dict[tuple[int, int], tuple[int, int, Edge]] = {}
     for pos, e in enumerate(g.edges):
@@ -649,15 +648,11 @@ def _exact_matching(g: Graph, weighted: bool) -> Matching:
             best[e.pair] = (val, pos, e)
     items = sorted(best.values(), key=lambda t: t[1])
     active = sorted({v for _, _, e in items for v in (e.u, e.v)})
-    if len(active) <= 16:
-        chosen = _matching_subset_dp(items, active)
-    elif len(items) <= 24:
-        chosen = _matching_branching(items)
-    else:
+    if len(active) > 16:
         raise OracleLimitError(
-            "exact matching handles <= 16 non-isolated vertices or <= 24 distinct "
-            f"edges; got {len(active)} vertices and {len(items)} edges"
+            f"exact matching handles <= 16 non-isolated vertices, got {len(active)}"
         )
+    chosen = _matching_subset_dp(items, active)
     return Matching(tuple(e for _, _, e in sorted(chosen, key=lambda t: t[1])))
 
 
@@ -702,36 +697,3 @@ def _matching_subset_dp(
             mask ^= (1 << i) | (1 << j)
     return chosen
 
-
-def _matching_branching(items: list[tuple[int, int, Edge]]) -> list[tuple[int, int, Edge]]:
-    m = len(items)
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + items[i][0]
-    best_val = -1
-    best_set: list[tuple[int, int, Edge]] = []
-    chosen: list[tuple[int, int, Edge]] = []
-    taken: set[int] = set()
-
-    def rec(i: int, val: int) -> None:
-        nonlocal best_val, best_set
-        if i == m:
-            if val > best_val:
-                best_val = val
-                best_set = list(chosen)
-            return
-        if val + suffix[i] <= best_val:
-            return
-        v0, _, e0 = items[i]
-        if e0.u not in taken and e0.v not in taken:
-            taken.add(e0.u)
-            taken.add(e0.v)
-            chosen.append(items[i])
-            rec(i + 1, val + v0)
-            chosen.pop()
-            taken.discard(e0.u)
-            taken.discard(e0.v)
-        rec(i + 1, val)
-
-    rec(0, 0)
-    return best_set

@@ -121,13 +121,13 @@ def _parse_header(line: str, path: str) -> tuple[int, int, bool]:
         raise StreamFormatError(
             f"{path}:1: header must be 'n m' or 'n m weighted', got {line.strip()!r}"
         )
-    try:
-        n, m = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise StreamFormatError(f"{path}:1: vertex and edge counts must be ints") from None
-    if n < 0 or m < 0:
-        raise StreamFormatError(f"{path}:1: vertex and edge counts must be non-negative")
-    return n, m, weighted
+    # The caller has checked the line is ASCII, so isdigit() admits 0-9 only,
+    # where int() would also read "1_0" and "+1".
+    if not (tokens[0].isdigit() and tokens[1].isdigit()):
+        raise StreamFormatError(
+            f"{path}:1: vertex and edge counts must be ints, non-negative, in plain decimal digits"
+        )
+    return int(tokens[0]), int(tokens[1]), weighted
 
 
 def _check_edge_line(line: bytes, lineno: int, n: int, weighted: bool, path: str) -> None:

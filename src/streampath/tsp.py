@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .graph import Edge, Graph, Matching, PathCover, Tour, contract
+from .graph import Edge, Graph, Matching, PathCover, Tour, contract_edges, validate_path_cover
 from .matching import ApproxParams, OracleLimitError, oracle_max_weight_matching
 from .pathcover import MpcResult, two_phase_path_cover
 from .stream import InMemoryEdgeSource, StreamReport, open_session
@@ -76,13 +77,9 @@ class Tsp12Instance:
         key = (u, v) if u < v else (v, u)
         return 1 if key in self._pair_set else 2
 
-    @property
+    @cached_property
     def _pair_set(self) -> frozenset[tuple[int, int]]:
-        cached = getattr(self, "_pairs_cache", None)
-        if cached is None:
-            cached = frozenset(e.pair for e in self.edges)
-            object.__setattr__(self, "_pairs_cache", cached)
-        return cached
+        return frozenset(e.pair for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -116,12 +113,11 @@ class MaxTspInstance:
     def weight(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError("no self-loop weight")
-        key = (u, v) if u < v else (v, u)
-        table = getattr(self, "_weight_cache", None)
-        if table is None:
-            table = {e.pair: e.weight for e in self.edges}
-            object.__setattr__(self, "_weight_cache", table)
-        return table[key]
+        return self._weights[(u, v) if u < v else (v, u)]
+
+    @cached_property
+    def _weights(self) -> dict[tuple[int, int], int]:
+        return {e.pair: e.weight for e in self.edges}
 
 
 def hamiltonian_order(paths: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
@@ -212,7 +208,8 @@ def approx_max_tsp(
     cap ever spoils maximality, one extra greedy patch pass over the
     stream restores it, charging its set of free vertices and the edges
     it adds until it ends.  The leftover vertex, if any, is attached at
-    the cover endpoint with the smallest id.
+    the cover endpoint with the smallest id: the start of the path with the
+    smallest first vertex, since each path runs from its lower-id endpoint.
     """
     src = InMemoryEdgeSource(inst.graph(), name="max-tsp")
     sess = open_session(src, k=params.k, words_budget=words_budget, strict=strict)
@@ -246,14 +243,7 @@ def approx_max_tsp(
     if free:
         if not paths:
             raise AssertionError("empty cover on a complete instance")
-        v = free[0]
-        ends = [(p[0], i, 0) for i, p in enumerate(paths)]
-        ends += [(p[-1], i, -1) for i, p in enumerate(paths)]
-        _, at, side = min(ends)
-        if side == 0:
-            paths[at].insert(0, v)
-        else:
-            paths[at].append(v)
+        min(paths, key=lambda p: p[0]).insert(0, free[0])
 
     order = hamiltonian_order(paths, inst.n)
     tour = Tour.from_order(order, inst.weight)
@@ -276,7 +266,6 @@ def _held_karp(n: int, cost: list[list[int]], maximize: bool) -> int:
         raise ValueError("need at least 3 vertices for a tour")
     if n > 15:
         raise OracleLimitError(f"exact tours handle n <= 15, got {n}")
-    worse = -1 if maximize else None
 
     def better(a: int | None, b: int) -> bool:
         if a is None:
@@ -492,12 +481,16 @@ def extract_matching_from_path_or_cycle(edges: Sequence[Edge]) -> Matching:
     for e in edges:
         deg[e.u] = deg.get(e.u, 0) + 1
         deg[e.v] = deg.get(e.v, 0) + 1
-    odd = [v for v, d in deg.items() if d == 1]
-    if not odd:
+    if 1 not in deg.values():
         return extract_matching_from_cycle(edges)
-    if len(odd) != 2 or any(d > 2 for d in deg.values()):
+    check = validate_path_cover(max(deg) + 1, edges)
+    if not check.ok or len(check.paths) != 1:
         raise ValueError("edges form neither a simple path nor a simple cycle")
-    path = _walk_open(edges, min(odd))
+    # The walk starts at the lower-id end; pairs are distinct, so each step
+    # names one edge.
+    at = {pair: i for i, pair in enumerate(pairs)}
+    walk = check.paths[0]
+    path = [at[(a, b) if a < b else (b, a)] for a, b in zip(walk, walk[1:])]
     return _heavier_parity_class(edges, path)
 
 
@@ -524,24 +517,6 @@ def _walk_closed(edges: Sequence[Edge]) -> list[int]:
         cur, last_idx = nxt, idx
     if cur != start or len(set(order)) != len(edges):
         raise ValueError("edges do not form one single cycle")
-    return order
-
-
-def _walk_open(edges: Sequence[Edge], start: int) -> list[int]:
-    """Edge indices of a simple path in traversal order from ``start``."""
-    adj = _adjacency(edges)
-    order: list[int] = []
-    cur = start
-    last_idx = -1
-    while True:
-        step = [(x, i) for x, i in adj[cur] if i != last_idx]
-        if not step:
-            break
-        nxt, idx = step[0]
-        order.append(idx)
-        cur, last_idx = nxt, idx
-    if len(order) != len(edges):
-        raise ValueError("edges do not form one single path")
     return order
 
 
@@ -582,7 +557,7 @@ class ContractBound:
 
 def contract_bound_check(inst: MaxTspInstance, matching: Matching) -> ContractBound:
     """Evaluate the contraction inequality exactly via the oracles."""
-    contracted, _ = contract(inst.graph(), matching)
+    contracted, _ = contract_edges(inst.graph(), [e.pair for e in matching])
     mu_w = oracle_max_weight_matching(contracted).weight
     return ContractBound(
         n=inst.n,

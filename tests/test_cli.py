@@ -10,7 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from streampath import cli
 from streampath.cli import main
+from streampath.stream import load_edge_list
 
 
 def _fixture_file(tmp_path, name="tight-two-thirds"):
@@ -90,17 +92,27 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+_EDGE_DIGITS = "edge fields must be plain decimal digits"
+
+
 @pytest.mark.parametrize(
-    "text,lineno",
-    [("12 2\n0 1_0\n+1 2\n", 2), ("12 2\n0 1\n+1 2\n", 3), ("3 1 weighted\n0 1 -2\n", 2)],
-    ids=["underscore", "plus", "minus"],
+    "text,where",
+    [
+        ("12 2\n0 1_0\n+1 2\n", f"2: {_EDGE_DIGITS}"),
+        ("12 2\n0 1\n+1 2\n", f"3: {_EDGE_DIGITS}"),
+        ("3 1 weighted\n0 1 -2\n", f"2: {_EDGE_DIGITS}"),
+        ("1_0 +1\n0 1\n", "1: vertex and edge counts must be ints"),
+    ],
+    ids=["underscore", "plus", "minus", "header"],
 )
-def test_edge_fields_that_int_would_accept_exit_one(tmp_path, capsys, text, lineno):
-    # int() reads "1_0" as 10 and "+1" as 1; an edge file allows digits only
+def test_edge_fields_that_int_would_accept_exit_one(tmp_path, capsys, text, where):
+    # int() reads "1_0" as 10 and "+1" as 1; a file allows digits only
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     assert main(["mpc", str(bad)]) == 1
-    assert f"bad.txt:{lineno}: edge fields must be plain decimal digits" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"bad.txt:{where}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["mpc", "tsp12"])
@@ -282,3 +294,51 @@ def test_verify_rejects_fewer_than_one_trial(capsys, trials):
     assert err.value.code == 1
     captured = capsys.readouterr()
     assert "--trials" in captured.err and "passed" not in captured.out
+
+
+def _degrees_in_124(tmp_path):
+    g = load_edge_list(str(tmp_path / "out.txt"))
+    assert g.m > 0 and set(g.degrees()) <= {1, 2, 4}
+
+
+@pytest.mark.parametrize(
+    "command, env, code, fragment, sweep_calls, then",
+    [
+        ("maxtsp {graph}", {}, 1, "maxtsp expects a weighted edge list", [], None),
+        ("gen random graph --n 5 --out {out}", {"STREAMPATH_SEED": "abc"},
+         1, "STREAMPATH_SEED must be an int, got 'abc'", [], None),
+        ("gen random degree124 --n 12 --seed 3 --out {out}", {},
+         0, "kind=degree124 n=12", [], _degrees_in_124),
+        ("verify --suite two-phase --trials 3 --seed 9", {},
+         0, "suite two-phase: 3 trials", [{"trials": 3, "seed": 9}], None),
+        ("verify --trials x", {}, 1, "argument --trials: expected an int, got 'x'", [], None),
+    ],
+    ids=["maxtsp-unweighted", "seed-env-not-int", "gen-degree124", "verify-seed",
+         "verify-trials-x"],
+)
+def test_cli_paths(tmp_path, capsys, monkeypatch, command, env, code, fragment, sweep_calls, then):
+    graph = str(tmp_path / "g.txt")
+    assert main(["gen", "random", "graph", "--n", "6", "--seed", "1", "--out", graph]) == 0
+    capsys.readouterr()
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    calls = []
+    real = cli.SWEEPS["two-phase"]
+
+    def recorded(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setitem(cli.SWEEPS, "two-phase", recorded)
+    argv = command.format(graph=graph, out=tmp_path / "out.txt").split()
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        got = exc.code
+    assert got == code
+    captured = capsys.readouterr()
+    assert fragment in (captured.out if code == 0 else captured.err)
+    assert "Traceback" not in captured.err
+    assert calls == sweep_calls
+    if then is not None:
+        then(tmp_path)

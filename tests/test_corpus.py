@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from streampath.corpus import (
     gen_random_tsp12,
     gen_random_weighted_graph,
 )
-from streampath.graph import Matching, contract_edges, degree_census, validate_path_cover
+from streampath.graph import Matching, contract_edges, validate_path_cover
 from streampath.matching import oracle_max_matching
 from streampath.tsp import oracle_path_cover
 
@@ -80,8 +81,8 @@ def test_random_max_tsp_is_complete_and_shuffled():
 def test_degree124_generator_census():
     for seed in range(25):
         g = gen_degree124_graph(4 + seed % 9, seed)
-        census = degree_census(g)
-        assert census.within({1, 2, 4}), census.histogram
+        census = Counter(g.degrees())
+        assert set(census) <= {1, 2, 4}, census
 
 
 def test_random_matching_is_valid_in_its_graph():
@@ -115,12 +116,12 @@ def test_alignment_gives_contraction_degrees_in_0124():
         got, _ = contract_edges(
             g.__class__(n=g.n, edges=aligned.edges), matching.pair_set
         )
-        census = degree_census(got)
-        assert census.within({0, 1, 2, 4}), census.histogram
+        census = Counter(got.degrees())
+        assert set(census) <= {0, 1, 2, 4}, census
         assert got.m == aligned.size - sum(
             1 for e in aligned.edges if e.pair in matching.pair_set
         )
-        assert census.count(4) == matching.size - sum(
+        assert census[4] == matching.size - sum(
             1 for e in aligned.edges if e.pair in matching.pair_set
         )
     assert hits > 0, "corpus never exercised an off-cover matching edge"

@@ -14,9 +14,7 @@ from streampath.graph import (
     PathCover,
     Tour,
     components_contraction,
-    contract,
     contract_edges,
-    degree_census,
     matching_contraction,
     validate_path_cover,
 )
@@ -65,14 +63,6 @@ def test_graph_rejects_out_of_range_vertices():
 def test_graph_degrees_counts_parallel_copies():
     g = _g(3, [(0, 1), (0, 1), (1, 2)])
     assert g.degrees() == [2, 3, 1]
-
-
-def test_degree_census_histogram():
-    c = degree_census(_g(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert c.count(2) == 4
-    assert c.degrees_present == frozenset({2})
-    assert c.within({1, 2, 4})
-    assert not c.within({1, 4})
 
 
 def test_empty_graph_max_weight_defaults_to_one():
@@ -124,7 +114,7 @@ def test_contract_edges_keeps_parallels_drops_loops():
 
 def test_contract_via_matching_preserves_weights():
     g = Graph.from_pairs(4, [(0, 1, 9), (1, 2, 4), (2, 3, 9), (0, 3, 2)], weighted=True)
-    contracted, _ = contract(g, Matching((Edge(0, 1, 9),)))
+    contracted, _ = contract_edges(g, [e.pair for e in Matching((Edge(0, 1, 9),))])
     assert contracted.weighted
     assert sorted(e.weight for e in contracted.edges) == [2, 4, 9]
 

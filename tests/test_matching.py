@@ -374,6 +374,26 @@ def test_weighted_full_table_upgrade_tie_and_eviction():
     }
 
 
+
+def test_final_maximality_sweep_adds_an_edge_too_light_for_the_search():
+    # The local search ends with 4 and 7 both free: taking their weight-1
+    # kernel edge gains far less than eps^2 w(M) / (4 n), about 4,300 here.
+    # Only the closing maximality sweep adds it.
+    triples = [(2, 6, 669342), (2, 3, 761219), (4, 7, 1), (0, 2, 761538),
+               (3, 7, 2), (3, 4, 3), (0, 5, 481086), (5, 7, 3)]
+    params = ApproxParams.parse("1/3")
+    src = InMemoryEdgeSource(Graph.from_pairs(8, triples, weighted=True))
+    sess = open_session(src, k=params.k, strict=True)
+    m = streaming_max_weight_matching(src, params, sess)
+    release_matching(sess, m)
+    assert sess.words_in_use == 0
+    assert [(e.u, e.v, e.weight) for e in m.edges] == [
+        (2, 3, 761219), (4, 7, 1), (0, 5, 481086)
+    ]
+    assert m.weight == 1242306
+    assert sess.report().runs[-1].words_peak == 56
+
+
 # --- the pruned swap search ------------------------------------------------------
 
 

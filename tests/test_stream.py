@@ -86,6 +86,8 @@ def test_file_source_streams_in_file_order(tmp_path):
         ("3 1 weighted\n0 1 0\n", "weight"),
         ("3 1\n\n0 1\n", "blank"),
         ("-1 0\n", "non-negative"),
+        ("1_0 +1\n0 1\n", "plain decimal digits"),
+        ("3 +1\n0 1\n", "plain decimal digits"),
         ("3 1\n0 1\u00e9\n", "non-ASCII"),
         ("3 1\n0 +1\n", "plain decimal digits"),
         ("3 1\n0 -1\n", "plain decimal digits"),
