@@ -27,12 +27,11 @@ from .corpus import (
     gen_random_tsp12,
     gen_random_weighted_graph,
 )
-from .matching import ApproxParams, OracleLimitError
+from .matching import ApproxParams
 from .pathcover import cover_bound_holds, iterative_path_cover, two_phase_path_cover
 from .stream import (
     BudgetExceededError,
     FileEdgeSource,
-    StreamFormatError,
     StreamReport,
     load_edge_list,
     open_session,
@@ -126,6 +125,9 @@ def _finish_run(
 def _cmd_mpc(args) -> int:
     params = ApproxParams.parse(args.epsilon)
     src = FileEdgeSource(args.file)
+    # The oracle runs first, so a graph past its limit fails before the
+    # streaming run and not after it.
+    best = oracle_path_cover(load_edge_list(args.file)).size if args.oracle else None
     sess = open_session(src, k=params.k, words_budget=args.budget, strict=args.strict)
     if args.iterative:
         res = iterative_path_cover(src, params, sess)
@@ -156,8 +158,7 @@ def _cmd_mpc(args) -> int:
         f"  cover: {cover.size} edges in {len(cover.paths)} paths, {shape}",
     ]
     check = None
-    if args.oracle:
-        best = oracle_path_cover(load_edge_list(args.file)).size
+    if best is not None:
         holds = None if args.iterative else cover_bound_holds(cover.size, best, params.epsilon)
         check = ("best_cover", best, holds)
     return _finish_run(args, params, res.report, report, lines, cover.size, check)
@@ -169,6 +170,7 @@ def _cmd_tsp12(args) -> int:
     if g.weighted:
         raise ValueError("tsp12 expects an unweighted edge list of the cost-1 pairs")
     inst = Tsp12Instance.from_graph(g)
+    opt = oracle_tsp12(inst) if args.oracle else None
     res = approx_tsp12(inst, params, words_budget=args.budget, strict=args.strict)
     name = os.path.basename(args.file)
     cost = res.tour.cost
@@ -186,8 +188,7 @@ def _cmd_tsp12(args) -> int:
         f"  tour cost {cost} over a {res.mpc.cover.size}-edge cover",
     ]
     check = None
-    if args.oracle:
-        opt = oracle_tsp12(inst)
+    if opt is not None:
         check = ("optimum", opt, tsp12_bound_holds(cost, opt, inst.n, params.epsilon))
     return _finish_run(args, params, res.report, report, lines, cost, check)
 
@@ -198,6 +199,7 @@ def _cmd_maxtsp(args) -> int:
     if not g.weighted:
         raise ValueError("maxtsp expects a weighted edge list covering every pair once")
     inst = MaxTspInstance(g.n, g.edges)
+    opt = oracle_max_tsp(inst) if args.oracle else None
     res = approx_max_tsp(inst, params, words_budget=args.budget, strict=args.strict)
     name = os.path.basename(args.file)
     weight = res.tour.cost
@@ -216,8 +218,7 @@ def _cmd_maxtsp(args) -> int:
         f"  tour weight {weight} over a cover of weight {res.cover.weight}",
     ]
     check = None
-    if args.oracle:
-        opt = oracle_max_tsp(inst)
+    if opt is not None:
         check = ("optimum", opt, max_tsp_bound_holds(weight, opt, inst.n, params.epsilon))
     return _finish_run(args, params, res.report, report, lines, weight, check)
 
@@ -341,10 +342,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"streampath: budget exceeded: {exc}", file=sys.stderr)
         return _BUDGET
-    except (StreamFormatError, OracleLimitError, OSError) as exc:
-        print(f"streampath: {exc}", file=sys.stderr)
-        return _INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # StreamFormatError and OracleLimitError are ValueErrors.
         print(f"streampath: {exc}", file=sys.stderr)
         return _INPUT
     except (OverflowError, MemoryError) as exc:

@@ -6,7 +6,7 @@ of incident kernel edges per vertex, and all further improvement happens
 offline on those rows.
 
 * ``streaming_max_matching`` builds the greedy maximal matching in the
-  same pass, then eliminates augmenting paths of length <= 2k - 1 inside
+  same pass, then eliminates augmenting paths of length 3 to 2k - 1 inside
   the kernel, in increasing length order, flipping each path when found.
   One sweep per length suffices with no vertex barred: after a shortest
   augmenting path is flipped, any that meets it is longer (Hopcroft-Karp).
@@ -19,9 +19,9 @@ offline on those rows.
 
 Guarantee tiers, stated precisely because the kernel cap matters:
 
-* Whenever the kernel retains every distinct endpoint pair (true iff no
-  vertex hits the cap of 6k kept edges; in particular whenever the
-  deduplicated degree is at most 6k), the unweighted engine returns at
+* Whenever the kernel retains every distinct endpoint pair (in particular
+  whenever the deduplicated degree is at most the cap of 6k; each engine's
+  docstring gives its exact keep rule), the unweighted engine returns at
   least k/(k+1) >= 1 - epsilon of the maximum matching, and the weighted
   engine at least (k/(k+1)) / (1 + epsilon/4) >= 1 - epsilon of the
   maximum weight matching.
@@ -112,8 +112,11 @@ def streaming_max_matching(
     """Unweighted engine: one pass, then kernel augmentation.
 
     The pass builds the greedy maximal matching and, alongside it, a kernel
-    of at most ``6k`` distinct viewed pairs per vertex; augmenting paths
-    are then eliminated offline on the kernel.  Edge weights are ignored.
+    of distinct viewed pairs: a pair is kept if either end's row holds
+    fewer than ``6k``, so a row may pass ``6k`` but the kernel holds at
+    most ``6k * n_view``, and every pair is kept unless one arrives with
+    both rows full.  Augmenting paths are then eliminated offline on the
+    kernel.  Edge weights are ignored.
     The engine reads the stream through ``view.target`` when a view is
     given: an edge with a banned end, or with both ends in one class, is
     dropped.  The returned edges are original stream edges (pre-view), in
@@ -132,12 +135,12 @@ def streaming_max_matching(
     session.charge(n_view)
     cap = params.kernel_degree_cap
     # Kept pairs, in stream order: the kernel edges, and greedy matches that
-    # found both kernel rows full ("kept alone").  ``kept`` maps a viewed
-    # pair a < b, keyed a * n_view + b, to the index of its first copy's
-    # original u, v, w in three int columns; ``rows`` lists each viewed
+    # found both kernel rows full ("kept alone").  ``kept`` holds each kept
+    # viewed pair a < b as the int a * n_view + b, and three int columns
+    # hold its first copy's original u, v, w; ``rows`` lists each viewed
     # vertex's kernel neighbours in arrival order.  Ints only, so nothing
     # kept is tracked by the cyclic garbage collector.
-    kept: dict[int, int] = {}
+    kept: set[int] = set()
     ku: list[int] = []
     kv: list[int] = []
     kw: list[int] = []
@@ -171,7 +174,7 @@ def streaming_max_matching(
                 words += 3
             elif not matched:
                 continue
-            kept[key] = len(ku)
+            kept.add(key)
             ku.append(u)
             kv.append(v)
             kw.append(w)
@@ -197,24 +200,27 @@ def _augment_on_kernel(
 ) -> None:
     """Flip augmenting paths as they are found, shortest lengths first.
 
-    Each length 1, 3, ..., max_len tries every free vertex once.  By the
-    lemma of Hopcroft and Karp (1973), flipping a shortest augmenting path
-    P makes no path shorter, and any that then meets P has >= |P| + 2
-    edges.  So a length-L path left after flips avoids all of them and was
-    there before, and one sweep per length, with no vertex barred, leaves
-    no augmenting path of length <= max_len among the retained edges.  A
-    greedy match kept outside the kernel leaves the graph when a flip
-    drops it, which only removes paths.  No simple path has more than
-    ``len(rows) - 1`` edges, so the sweep stops there; an empty row cannot
-    start a path.  A flip re-partners the path's vertex pairs, which drops
-    the matched edges it ran along and adds one edge of 3 words.
+    Each length 3, 5, ..., max_len tries every free vertex once; length 1
+    would find nothing, as the pass matched each pair arriving with both
+    ends free and unset no partner.  By the lemma of Hopcroft and Karp
+    (1973), flipping a shortest augmenting path P makes no path shorter,
+    and any that then meets P has >= |P| + 2 edges.  So a length-L path
+    left after flips avoids all of them and was there before, and one
+    sweep per length, with no vertex barred, leaves no augmenting path of
+    length <= max_len among the retained edges, nor one shorter than L
+    while length L is swept.  A greedy match kept outside the kernel
+    leaves the graph when a flip drops it, which only removes paths.  No
+    simple path has more than ``len(rows) - 1`` edges, so the sweep stops
+    there; an empty row cannot start a path.  A flip re-partners the
+    path's vertex pairs, which drops the matched edges it ran along and
+    adds one edge of 3 words.
     """
     n_view = len(rows)
-    for length in range(1, min(max_len, n_view - 1) + 1, 2):
+    for length in range(3, min(max_len, n_view - 1) + 1, 2):
         for s in range(n_view):
             if partner[s] is not None or not rows[s]:
                 continue
-            path = _alternating_path_exact(s, length, partner, rows)
+            path = _augmenting_path(s, length, partner, rows)
             if path is None:
                 continue
             ends = iter(path)
@@ -224,19 +230,20 @@ def _augment_on_kernel(
             session.charge(3)
 
 
-def _alternating_path_exact(
+def _augmenting_path(
     s: int,
     length: int,
     partner: list[int | None],
     rows: list[list[int]],
 ) -> list[int] | None:
-    """First augmenting path of exactly ``length`` edges starting at free ``s``.
+    """First augmenting path of at most ``length`` edges starting at free ``s``.
 
     Deterministic: neighbors are tried in arrival order.  Returns the
-    path's ``length + 1`` vertices from ``s`` to a free end, or None; its
-    pairs at positions (0, 1), (2, 3), ... are the kernel edges to match,
-    and the pairs in between are matched edges.  No vertex is barred: a
-    path this short meets none flipped before (see ``_augment_on_kernel``).
+    path's vertices from ``s`` to a free end, or None; its pairs at
+    positions (0, 1), (2, 3), ... are the kernel edges to match, and the
+    pairs in between are matched edges.  No vertex is barred, and the path
+    has exactly ``length`` edges, as none shorter is left when the sweep
+    calls this; see ``_augment_on_kernel``.
 
     One explicit stack, so the search depth is not bounded by Python's
     recursion limit, and one visited set, grown on descent and shrunk on
@@ -252,13 +259,11 @@ def _alternating_path_exact(
         for v in frames[-1]:
             if v in visited or partner[u] == v:
                 continue
-            if remaining == 1:
-                if partner[v] is None:
-                    path.append(v)
-                    return path
-                continue
             mate = partner[v]
-            if mate is None or mate in visited:
+            if mate is None:
+                path.append(v)
+                return path
+            if remaining == 1 or mate in visited:
                 continue
             path.append(v)
             path.append(mate)
@@ -290,10 +295,12 @@ def streaming_max_weight_matching(
 ) -> Matching:
     """Weighted engine: one table-building pass, then offline local search.
 
-    The pass keeps, per viewed vertex, the heaviest ``6k`` incident edges
-    with per-pair maximum semantics (best copy among parallels, earliest
-    on weight ties), so the kernel is a deterministic function of the
-    per-pair maxima whenever the cap never binds.  The local search then
+    The pass keeps, per viewed vertex, a table of pairs, each as its best
+    copy (heaviest, earliest on ties).  A full table's weakest entry never
+    weakens, so a pair enters a table late only through a copy heavier
+    than all its earlier ones: each table ends as its vertex's ``6k`` best
+    pairs by best copy, cap binding or not, and two tables holding a pair
+    hold the same copy.  The kernel is their union.  The local search then
     applies alternating path/cycle swaps of at most ``2k - 1`` edges whose
     gain exceeds ``eps^2 * w(M) / (4 n)``; the damping term is what keeps
     the loop finite, and it is small enough that the k/(k+1) local-search
@@ -362,15 +369,13 @@ def streaming_max_weight_matching(
     session.release(len(weakest))
     weakest.clear()
 
-    # Union of the per-vertex tables, one entry per pair, best copy wins.
+    # One entry per pair, from either table: both hold its best copy.
     # Viewed pairs a < b are keyed by the int a * n_view + b.
-    union: dict[int, _TableEntry] = {}
-    for u in range(n_view):
-        for v, entry in tables[u].items():
-            key = u * n_view + v if u < v else v * n_view + u
-            cur = union.get(key)
-            if cur is None or entry[:2] > cur[:2]:
-                union[key] = entry
+    union = {
+        u * n_view + v if u < v else v * n_view + u: entry
+        for u in range(n_view)
+        for v, entry in tables[u].items()
+    }
     # Kernel entries (a, b, w, original triple) with a < b, in stream order,
     # so an entry's index orders it as its stream position does; from here
     # on a kernel edge is named only by its index.
@@ -490,9 +495,8 @@ def _pick_swaps(
     vertex.  That is exact because whether the greedy takes a swap depends
     only on the swaps ranked above it: after a level, every swap of it
     touches a banned vertex, and a swap below it is skipped exactly when
-    it does.  A search starts from a floor just under the best swap met
-    before that touches no banned vertex, and the picks end with a search
-    that finds nothing above its cut.
+    it does.  Every search starts from the threshold's cut, and the picks
+    end with a search that finds nothing above it.
 
     Each search is pruned by a bound, and the pruning is exact.  Let
     ``top[x]`` be the heaviest kernel edge at ``x`` that is not matched, and
@@ -523,12 +527,6 @@ def _pick_swaps(
     pairs = sum(1 for x in range(n_view) if medge[x] >= 0) // 2
     picks: list[_Swap] = []
     banned = 0
-    # Gains and vertex masks of swaps met below a search's best level.
-    met: list[tuple[int, int]] = []
-    # The current search: its cut, its best gain, and the swaps at that
-    # gain by signature, with their adds, drops and vertex mask.
-    cut = best = cut0
-    level: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
     # The swap being built; record() copies it.
     adds: list[int] = []
     drops: list[int] = []
@@ -538,7 +536,6 @@ def _pick_swaps(
     def record(gain: int, walk: int) -> None:
         nonlocal cut, best, level
         if gain > best:
-            met.extend((best, mask) for _, _, mask in level.values())
             level = {}
             best = gain
             cut = gain - 1
@@ -591,6 +588,10 @@ def _pick_swaps(
                 drops.pop()
 
     while True:
+        # This search: its cut, its best gain, and the swaps at that gain by
+        # signature, with their adds, drops and vertex mask.
+        cut = best = cut0
+        level: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         for s in range(n_view):
             if (banned >> s) & 1:
                 continue
@@ -613,9 +614,6 @@ def _pick_swaps(
                 banned |= mask
                 pairs -= len(swap_drops)
                 picks.append((best, signature, swap_adds, swap_drops))
-        met = [(gain, mask) for gain, mask in met if not mask & banned]
-        cut = best = max((gain for gain, _ in met), default=cut0 + 1) - 1
-        level = {}
     # grow reaches itself through its closure.  Breaking that cycle frees
     # the scan's lists now; left to the cyclic collector, they
     # pile up across scans and raise the process's peak memory.

@@ -217,6 +217,27 @@ def test_oracle_on_an_edgeless_graph_has_no_ratio(tmp_path, capsys):
     assert data["oracle"] == {"best_cover": 0, "bound_holds": True, "ratio": None}
 
 
+@pytest.mark.parametrize(
+    "command, kind, solver",
+    [("tsp12", "tsp12", "approx_tsp12"), ("maxtsp", "maxtsp", "approx_max_tsp")],
+)
+def test_oracle_past_its_limit_fails_before_the_streaming_run(
+    tmp_path, capsys, monkeypatch, command, kind, solver
+):
+    out = str(tmp_path / "big.txt")
+    assert main(["gen", "random", kind, "--n", "16", "--seed", "1", "--out", out]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the streaming run started before the oracle")
+
+    monkeypatch.setattr(f"streampath.cli.{solver}", never)
+    assert main([command, out, "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exact tours handle n <= 15, got 16" in captured.err
+
+
 def _unreachable_oracles(monkeypatch):
     """Oracles reporting optima no run can meet, so every claimed bound fails."""
     monkeypatch.setattr("streampath.cli.oracle_path_cover", lambda g: SimpleNamespace(size=100))

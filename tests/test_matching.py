@@ -117,13 +117,13 @@ def test_searches_start_only_at_vertices_with_kernel_edges(monkeypatch):
     from streampath import matching
 
     calls = []
-    search = matching._alternating_path_exact
+    search = matching._augmenting_path
 
     def counted(s, *rest):
         calls.append(s)
         return search(s, *rest)
 
-    monkeypatch.setattr(matching, "_alternating_path_exact", counted)
+    monkeypatch.setattr(matching, "_augmenting_path", counted)
     n = 20_000
     g = Graph.from_pairs(n, [(1, 2), (0, 1), (2, 3), (7, 8), (n - 2, n - 1)])
     touched = {v for e in g.edges for v in e.pair}
@@ -140,13 +140,13 @@ def test_tiny_epsilon_sweeps_no_length_past_the_longest_simple_path(monkeypatch)
     from streampath import matching
 
     calls = []
-    search = matching._alternating_path_exact
+    search = matching._augmenting_path
 
     def counted(s, *rest):
         calls.append(s)
         return search(s, *rest)
 
-    monkeypatch.setattr(matching, "_alternating_path_exact", counted)
+    monkeypatch.setattr(matching, "_augmenting_path", counted)
     g = Graph.from_pairs(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     m, _ = _run_unweighted(g, f"1/{10**4}")
     assert m.size == 1
@@ -170,6 +170,17 @@ def test_greedy_match_kept_alone_is_returned_once():
     assert m.edges[-1] == Edge(0, 1, 5)
     assert sess.report().runs[-1].words_peak == 173
     assert sess.words_in_use == 3 * m.size == 39
+
+
+def test_kernel_keeps_a_pair_while_either_row_has_room():
+    # cap 12 at eps = 1/2: the centre's row passes 12, since each leaf's
+    # row still has room, so all 20 pairs are kept.  Peak words: 21 for
+    # partners, 3 for the one greedy match, 3 for each of the 20 kernel
+    # edges; rows that stopped at 12 would give 21 + 3 + 36 = 60.
+    g = Graph.from_pairs(21, [(0, leaf) for leaf in range(1, 21)])
+    m, report = _run_unweighted(g, "1/2")
+    assert m.size == 1
+    assert report.runs[-1].words_peak == 84
 
 
 def test_later_lengths_may_run_through_vertices_flipped_earlier():
@@ -373,6 +384,61 @@ def test_weighted_full_table_upgrade_tie_and_eviction():
         "runs": [{"label": "weighted-matching", "passes": 1, "words_peak": 582}],
     }
 
+
+def _best_copy_kernel(g: Graph, cap: int) -> list[tuple[int, int, int, tuple[int, int, int]]]:
+    """Offline kernel: each vertex's ``cap`` best pairs by best copy, united.
+
+    A pair's best copy is its heaviest, the earliest among equal weights;
+    entries are ``(a, b, w, original triple)`` with a < b, in stream order
+    of those copies.
+    """
+    best: dict[tuple[int, int], tuple[int, int]] = {}
+    for pos, e in enumerate(g.edges):
+        cur = best.get(e.pair)
+        if cur is None or e.weight > cur[0]:
+            best[e.pair] = (e.weight, pos)
+    ranked: list[list[tuple[int, int, tuple[int, int]]]] = [[] for _ in range(g.n)]
+    for pair, (w, pos) in best.items():
+        for x in pair:
+            ranked[x].append((w, -pos, pair))
+    kept = {pair for row in ranked for _, _, pair in sorted(row, reverse=True)[:cap]}
+    copies = [g.edges[best[pair][1]] for pair in sorted(kept, key=lambda p: best[p][1])]
+    return [(*e.pair, e.weight, (e.u, e.v, e.weight)) for e in copies]
+
+
+def test_weighted_kernel_is_each_vertexs_best_pairs_by_best_copy(monkeypatch):
+    # Multigraphs with parallel copies and weights 1..3, so ties are common,
+    # at eps = 1/2, so the cap of 12 binds: the kernel the local search
+    # starts from is the union of each vertex's 12 best pairs by best copy.
+    from streampath import matching
+
+    seen: list[list] = []
+    search = matching._pick_swaps
+
+    def captured(kentries, *rest):
+        if not seen:
+            seen.append(list(kentries))
+        return search(kentries, *rest)
+
+    monkeypatch.setattr(matching, "_pick_swaps", captured)
+    cap = ApproxParams.parse("1/2").kernel_degree_cap
+    over_cap = 0
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        n = rng.randint(8, 30)
+        m = rng.randint(n, 8 * n)
+        triples = []
+        while len(triples) < m:
+            u, v = rng.below(n), rng.below(n)
+            if u != v:
+                triples.append((u, v, rng.randint(1, 3)))
+        g = Graph.from_pairs(n, triples, weighted=True)
+        seen.clear()
+        _run_weighted(g, "1/2")
+        assert seen[0] == _best_copy_kernel(g, cap), seed
+        degrees = [len({e.pair for e in g.edges if x in e.pair}) for x in range(n)]
+        over_cap += sum(d > cap for d in degrees)
+    assert over_cap > 300
 
 
 def test_final_maximality_sweep_adds_an_edge_too_light_for_the_search():

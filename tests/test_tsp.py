@@ -9,6 +9,7 @@ import pytest
 from streampath.corpus import gen_random_max_tsp, gen_random_tsp12
 from streampath.graph import Edge, Graph, Matching
 from streampath.matching import ApproxParams, OracleLimitError
+from streampath.prng import SplitMix64
 from streampath.tsp import (
     MaxTspInstance,
     Tsp12Instance,
@@ -179,6 +180,29 @@ def test_max_tsp_patch_pass_charges_only_what_it_keeps():
     assert res.second_matching.edges[-1].pair == (0, 1)
     assert res.cover.covered == frozenset(range(n))
     assert res.tour.cost == 14204
+
+
+def test_max_tsp_patch_pass_on_a_seeded_instance():
+    # a seeded complete graph on 25 vertices, nine pairs in ten of weight 1
+    # and the rest 50..100, shuffled: at eps = 1/2 both phases leave two
+    # vertices free, and the patch pass joins them with a weight-1 edge
+    rng = SplitMix64(116)
+    n = 25
+    edges = [
+        Edge(u, v, 1 if rng.below(10) < 9 else rng.randint(50, 100))
+        for u in range(n)
+        for v in range(u + 1, n)
+    ]
+    rng.shuffle(edges)
+    res = approx_max_tsp(MaxTspInstance(n, tuple(edges)), ApproxParams.parse("1/2"), strict=True)
+    runs = [(r.label, r.passes, r.words_peak) for r in res.report.runs]
+    assert runs == [
+        ("first-matching", 1, 1089), ("second-matching", 1, 658), ("leftover-patch", 1, 5)
+    ]
+    assert res.report.passes_used == 3
+    assert (res.first_matching.size, res.second_matching.size) == (11, 7)
+    assert res.second_matching.edges[-1] == Edge(1, 11, 1)
+    assert (res.cover.size, res.cover.weight, res.tour.cost) == (18, 880, 887)
 
 
 def _max_tsp_report(n, m, budget, peak, first_peak, second_peak):
