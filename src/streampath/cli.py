@@ -27,6 +27,7 @@ from .corpus import (
     gen_random_tsp12,
     gen_random_weighted_graph,
 )
+from .graph import Graph
 from .matching import ApproxParams
 from .pathcover import cover_bound_holds, iterative_path_cover, two_phase_path_cover
 from .stream import (
@@ -125,9 +126,11 @@ def _finish_run(
 def _cmd_mpc(args) -> int:
     params = ApproxParams.parse(args.epsilon)
     src = FileEdgeSource(args.file)
-    # The oracle runs first, so a graph past its limit fails before the
-    # streaming run and not after it.
-    best = oracle_path_cover(load_edge_list(args.file)).size if args.oracle else None
+    # The oracle runs first, on the graph read from the open source, so a
+    # graph past its limit fails before the streaming run and not after it.
+    best = None
+    if args.oracle:
+        best = oracle_path_cover(Graph.from_pairs(src.n, src.edges(), src.weighted)).size
     sess = open_session(src, k=params.k, words_budget=args.budget, strict=args.strict)
     if args.iterative:
         res = iterative_path_cover(src, params, sess)

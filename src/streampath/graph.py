@@ -121,14 +121,6 @@ class Matching:
     def weight(self) -> int:
         return sum(e.weight for e in self.edges)
 
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in (e.u, e.v))
-
-    @property
-    def pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(e.pair for e in self.edges)
-
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
 

@@ -16,9 +16,9 @@ is to certify the model's asymptotics, not CPython's allocator.
 A pass hands the engines blocks of plain int columns ``(us, vs, ws)``,
 one visit per block, so the per-edge work is the engine's own loop; an
 engine builds ``Edge`` objects only for the edges it returns.  Every line
-of an edge-list file is validated once, when the file is opened.  Each
-pass re-reads the file in blocks and checks every block as a whole
-before yielding it, so a file that changed since it was opened fails
+of an edge-list file is validated when the file is opened.  Each pass
+re-reads the file in blocks and checks every line of a block by the same
+rules before yielding it, so a file that changed since it was opened fails
 with ``StreamFormatError`` instead of feeding the engines bad edges.
 """
 
@@ -130,63 +130,59 @@ def _parse_header(line: str, path: str) -> tuple[int, int, bool]:
     return int(tokens[0]), int(tokens[1]), weighted
 
 
-def _check_edge_line(line: bytes, lineno: int, n: int, weighted: bool, path: str) -> None:
-    """Validate one edge line, naming it in the error."""
-    if not line.isascii():
-        raise StreamFormatError(f"{path}:{lineno}: non-ASCII byte in edge line")
-    tokens = line.split()
-    if not tokens:
-        raise StreamFormatError(f"{path}:{lineno}: blank line inside edge list")
-    want = 3 if weighted else 2
-    if len(tokens) != want:
-        raise StreamFormatError(
-            f"{path}:{lineno}: expected {want} fields on an edge line, got {len(tokens)}"
-        )
-    if not all(map(bytes.isdigit, tokens)):
-        raise StreamFormatError(f"{path}:{lineno}: edge fields must be plain decimal digits")
-    values = list(map(int, tokens))
-    u, v = values[0], values[1]
-    w = values[2] if weighted else 1
-    if max(u, v) >= n:
-        raise StreamFormatError(f"{path}:{lineno}: endpoint out of range [0, {n})")
-    if u == v:
-        raise StreamFormatError(f"{path}:{lineno}: self-loop at vertex {u}")
-    if w < 1:
-        raise StreamFormatError(f"{path}:{lineno}: weight must be >= 1, got {w}")
-
-
 def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
-    """A block of edge lines as int columns, or the first check it fails.
+    """A block of edge lines as int columns, or the first rule it breaks.
 
-    The lines are joined, scanned for the signs and ``_`` that ``int``
-    would accept, split and parsed with ``int`` in one go, and the columns
-    are then checked with C-level passes: the token count, the endpoint
-    range, self-loops and weights >= 1.  So a block costs a few operations
-    per edge on top of parsing its ints, and keeps no object per line.
-    The token count is checked for the block as a whole, not per line.
+    The one home of the edge-line rules, in this order: ASCII only, the
+    field count of every line (a blank line has none), plain decimal
+    digits (no sign, no ``_``), endpoints in range, no self-loops,
+    weights >= 1.  Each newline becomes a token ``\\xff``, a byte no ASCII
+    line holds, so one ``split`` checks every line's field count: the
+    separators must fill every ``(want + 1)``-th slot.  The ints are
+    parsed in one go and checked with C-level passes, keeping no object
+    per line.  The message holds the line's own values when the block is
+    one line, as ``_first_bad_line`` runs it.
     """
     want = 3 if weighted else 2
-    joined = b"".join(block)
-    if b"-" in joined or b"+" in joined or b"_" in joined:
-        return "a field is not plain decimal digits"
+    lines = len(block)
+    text = b"".join(block)
+    if not text.isascii():
+        return "non-ASCII byte in edge line"
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    tokens = text.replace(b"\n", b" \xff ").split()
+    if len(tokens) != (want + 1) * lines or tokens[want :: want + 1].count(b"\xff") != lines:
+        if len(tokens) == 1:
+            return "blank line inside edge list"
+        return f"expected {want} fields on an edge line, got {len(tokens) - 1}"
+    del tokens[want :: want + 1]
+    if b"-" in text or b"+" in text or b"_" in text:
+        return "edge fields must be plain decimal digits"
     try:
-        nums = list(map(int, joined.split()))
+        nums = list(map(int, tokens))
     except ValueError:
-        return "a field is not an int"
-    if len(nums) != want * len(block):
-        return f"expected {want} fields per line"
+        return "edge fields must be plain decimal digits"
     us = nums[0::want]
     vs = nums[1::want]
     if max(max(us), max(vs)) >= n:
         return f"endpoint out of range [0, {n})"
     if any(map(operator.eq, us, vs)):
-        return "self-loop"
+        return f"self-loop at vertex {us[0]}"
     if not weighted:
         return us, vs, [1] * len(us)
     ws = nums[2::3]
     if min(ws) < 1:
-        return "weight below 1"
+        return f"weight must be >= 1, got {min(ws)}"
     return us, vs, ws
+
+
+def _first_bad_line(block: list[bytes], first: int, n: int, weighted: bool) -> tuple[int, str]:
+    """Number (counting from ``first``) and message of a failed block's first bad line."""
+    for lineno, line in enumerate(block, first):
+        why = _parse_block([line], n, weighted)
+        if isinstance(why, str):
+            return lineno, why
+    raise AssertionError("a block failed its checks but none of its lines did")
 
 
 class FileEdgeSource(EdgeStreamSource):
@@ -198,18 +194,17 @@ class FileEdgeSource(EdgeStreamSource):
 
     The file is read in blocks of whole lines (about 64 KiB), and one
     parser, ``_parse_block``, turns a block into int columns and checks
-    it: fields of plain decimal digits (no sign, no ``_``), its token
-    count, its endpoint range, self-loops and weights >= 1.
-    Opening runs it over the whole file once, also checks that every line
-    has the expected number of fields, and keeps no edges; a block that
-    fails is checked again line by line, so every format error names its
-    ``path:line``.  Each pass runs the same parser on every block before
-    yielding it, and checks that the pass stays within ``m`` edges (and
-    reaches exactly ``m``).  So an engine never sees an edge that the
-    validation at open would have rejected, even when the file is
-    rewritten after it was opened; such a file fails with
-    ``StreamFormatError`` instead.  File timestamps are not consulted:
-    their resolution is coarse, so a check on them would depend on timing.
+    every edge-line rule on it, the field count of each line included.
+    Opening runs it over the whole file once and keeps no edges.  Each
+    pass runs it on every block before yielding it, and checks that the
+    pass stays within ``m`` edges (and reaches exactly ``m``).  A block
+    that fails is parsed again line by line, so every format error names
+    its ``path:line``; in a pass the error reads "file changed since it
+    was opened" and then what open would have said.  So an engine never
+    sees an edge that the validation at open would have rejected, even
+    when the file is rewritten after it was opened.  File timestamps are
+    not consulted: their resolution is coarse, so a check on them would
+    depend on timing.
     """
 
     def __init__(self, path: str) -> None:
@@ -223,14 +218,12 @@ class FileEdgeSource(EdgeStreamSource):
             if not header.isascii():
                 raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
             self.n, self.m, self.weighted = _parse_header(header.decode("ascii"), path)
-            want = 3 if self.weighted else 2
             count = 0
             for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
                 cols = _parse_block(block, self.n, self.weighted)
-                if isinstance(cols, str) or set(map(len, map(bytes.split, block))) != {want}:
-                    for lineno, line in enumerate(block, count + 2):
-                        _check_edge_line(line, lineno, self.n, self.weighted, path)
-                    raise AssertionError("a block failed its checks but none of its lines did")
+                if isinstance(cols, str):
+                    lineno, why = _first_bad_line(block, count + 2, self.n, self.weighted)
+                    raise StreamFormatError(f"{path}:{lineno}: {why}")
                 max_w = max(max_w, max(cols[2]))
                 count += len(block)
             if count != self.m:
@@ -245,13 +238,12 @@ class FileEdgeSource(EdgeStreamSource):
         with open(path, "rb") as fh:
             fh.readline()
             for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
-                first = count + 2
-                count += len(block)
-                if count > m:
-                    raise _changed(path, first, f"more than the {m} edges it had")
                 cols = _parse_block(block, n, self.weighted)
                 if isinstance(cols, str):
-                    raise _changed(path, first, cols)
+                    raise _changed(path, *_first_bad_line(block, count + 2, n, self.weighted))
+                count += len(block)
+                if count > m:
+                    raise _changed(path, m + 2, f"more than the {m} edges it had")
                 yield cols
         if count != m:
             raise _changed(path, count + 2, f"ends after {count} of its {m} edges")

@@ -32,10 +32,24 @@ from streampath.cli import main as cli_main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
+# Edge lists that each break one edge-line rule, on one line only.
+_BAD_EDGE_LINE = {
+    "blank-line.txt": "4 3\n0 1\n\n2 3\n",
+    "three-fields.txt": "4 2\n0 1\n1 2 3\n",
+    "weighted-two-fields.txt": "4 2 weighted\n0 1 5\n1 2\n",
+    "non-ascii.txt": "4 2\n0 1\n1 2\u00e9\n",
+    "out-of-range.txt": "4 2\n0 1\n1 4\n",
+    "weight-zero.txt": "4 2 weighted\n0 1 5\n1 2 0\n",
+    "plus-sign.txt": "4 2\n0 1\n+1 2\n",
+    "underscore.txt": "12 2\n0 1\n1 1_0\n",
+    "trailing-letter.txt": "4 2\n0 1\n0 1x\n",
+}
+
 # Files the generators cannot produce: hostile or malformed input.
 _WRITTEN = {
     "header-underscore.txt": "1_0 +1\n0 1\n",
     "self-loop.txt": "2 1\n0 0\n",
+    **_BAD_EDGE_LINE,
 }
 
 _GEN = [
@@ -79,6 +93,7 @@ def cases() -> list[str]:
         "mpc header-underscore.txt",
         "mpc --epsilon 3/2 g12.txt",
     ]
+    runs += [f"mpc {name}" for name in _BAD_EDGE_LINE]
     for name in ("t9", "t40"):
         for eps in _EPSILONS:
             runs.append(f"tsp12 {name}.txt --epsilon {eps}")
@@ -121,7 +136,7 @@ def record() -> dict[str, dict]:
         os.chdir(tmp)
         try:
             for name, text in _WRITTEN.items():
-                Path(name).write_text(text)
+                Path(name).write_text(text, encoding="utf-8")
             return {line: _run(line.split()) for line in cases()}
         finally:
             os.chdir(home)

@@ -62,6 +62,21 @@ def test_readme_example_transcript_is_current(tmp_path, capsys, monkeypatch):
     assert replay == block.splitlines()
 
 
+def test_mpc_oracle_opens_the_file_once(tmp_path, capsys, monkeypatch):
+    path = _fixture_file(tmp_path)
+    opened = []
+    init = cli.FileEdgeSource.__init__
+
+    def counting_init(self, file):
+        opened.append(file)
+        init(self, file)
+
+    monkeypatch.setattr(cli.FileEdgeSource, "__init__", counting_init)
+    assert main(["mpc", path, "--oracle"]) == 0
+    assert "bound holds" in capsys.readouterr().out
+    assert opened == [path]
+
+
 def test_mpc_iterative_flag(tmp_path, capsys):
     path = _fixture_file(tmp_path, "iterative-three-quarters")
     capsys.readouterr()  # drop the gen line

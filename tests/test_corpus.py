@@ -104,25 +104,26 @@ def test_alignment_gives_contraction_degrees_in_0124():
         g = gen_random_graph(4 + seed % 4, 900 + seed, Fraction(1, 2))
         cover = oracle_path_cover(g)
         matching = oracle_max_matching(g)
+        pair_set = frozenset(e.pair for e in matching)
         aligned = align_cover_with_matching(cover, matching)
         assert aligned.size == cover.size, "alignment must preserve maximality"
         chk = validate_path_cover(g.n, aligned.edges)
         assert chk.ok, chk.reason
-        off_cover = matching.pair_set - {e.pair for e in aligned.edges}
+        off_cover = pair_set - {e.pair for e in aligned.edges}
         if off_cover:
             hits += 1
-        contracted, _ = contract_edges(g, matching.pair_set)
+        contracted, _ = contract_edges(g, pair_set)
         del contracted  # alignment is judged through the aligned cover itself
         got, _ = contract_edges(
-            g.__class__(n=g.n, edges=aligned.edges), matching.pair_set
+            g.__class__(n=g.n, edges=aligned.edges), pair_set
         )
         census = Counter(got.degrees())
         assert set(census) <= {0, 1, 2, 4}, census
         assert got.m == aligned.size - sum(
-            1 for e in aligned.edges if e.pair in matching.pair_set
+            1 for e in aligned.edges if e.pair in pair_set
         )
         assert census[4] == matching.size - sum(
-            1 for e in aligned.edges if e.pair in matching.pair_set
+            1 for e in aligned.edges if e.pair in pair_set
         )
     assert hits > 0, "corpus never exercised an off-cover matching edge"
 

@@ -75,8 +75,8 @@ def test_empty_graph_max_weight_defaults_to_one():
 def test_matching_accessors():
     m = Matching((Edge(0, 1), Edge(2, 3)))
     assert m.size == 2
-    assert m.covered == frozenset({0, 1, 2, 3})
-    assert m.pair_set == frozenset({(0, 1), (2, 3)})
+    assert frozenset(v for e in m for v in (e.u, e.v)) == frozenset({0, 1, 2, 3})
+    assert frozenset(e.pair for e in m) == frozenset({(0, 1), (2, 3)})
 
 
 def test_matching_rejects_shared_endpoint():

@@ -247,7 +247,7 @@ def test_no_short_augmenting_path_is_left_when_the_kernel_is_the_graph():
             if max_degree > params.kernel_degree_cap:
                 continue
             m, _ = _run_unweighted(g, eps)
-            assert m.pair_set <= {e.pair for e in g.edges}
+            assert frozenset(e.pair for e in m) <= {e.pair for e in g.edges}
             assert not _has_short_augmenting_path(g, m, params.max_swap_edges), (seed, eps)
             checked += 1
     assert checked > 1900
@@ -271,7 +271,7 @@ def test_unweighted_tier_against_oracle():
 def test_unweighted_result_is_a_maximal_matching(seed):
     g = gen_random_graph(9, seed, Fraction(1, 2))
     m, _ = _run_unweighted(g, "1/3")
-    covered = m.covered
+    covered = frozenset(v for e in m for v in (e.u, e.v))
     for e in g.edges:
         assert e.u in covered or e.v in covered, "an edge could still be added"
 
@@ -337,7 +337,7 @@ def test_weighted_tier_against_oracle():
 def test_weighted_result_is_maximal(seed):
     g = gen_random_weighted_graph(8, seed, Fraction(1, 2), 5)
     m = _run_weighted(g, "1/3")
-    covered = m.covered
+    covered = frozenset(v for e in m for v in (e.u, e.v))
     for e in g.edges:
         assert e.u in covered or e.v in covered
 

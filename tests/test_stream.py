@@ -127,17 +127,20 @@ _ORIGINAL = "4 3\n0 1\n1 2\n2 3\n"
     "rewrite,fragment",
     [
         ("4 3\n0 1\n1 2\n", "ends after 2 of its 3 edges"),
-        ("4 3\n0 1\n1 2\n2", "fields per line"),
+        ("4 3\n0 1\n1 2\n2", "expected 2 fields on an edge line, got 1"),
         ("4 3\n0 1\n1 2\n2 3\n0 2\n", "more than the 3 edges"),
         ("4 3\n0 1\n1 9\n2 3\n", "out of range"),
         ("4 3\n0 1\n2 2\n2 3\n", "self-loop"),
-        ("4 3\n0 1\n1 x\n2 3\n", "not an int"),
-        ("4 3\n0 1\n1 \u00e9\n2 3\n", "not an int"),
-        ("4 3\n0 1\n1 0_2\n2 3\n", "not plain decimal digits"),
-        ("4 3\n0 1\n+1 2\n2 3\n", "not plain decimal digits"),
+        ("4 3\n0 1\n1 x\n2 3\n", "edge fields must be plain decimal digits"),
+        ("4 3\n0 1\n1 \u00e9\n2 3\n", "non-ASCII byte in edge line"),
+        ("4 3\n0 1\n1 0_2\n2 3\n", "edge fields must be plain decimal digits"),
+        ("4 3\n0 1\n+1 2\n2 3\n", "edge fields must be plain decimal digits"),
+        ("4 3\n0 1 2\n1\n2 3\n", "expected 2 fields on an edge line, got 3"),
+        ("4 3\n0 1 2\n\n3 0 1\n", "expected 2 fields on an edge line, got 3"),
     ],
     ids=["truncated", "cut-mid-line", "appended", "out-of-range", "self-loop",
-         "non-integer", "non-ascii", "underscore", "plus"],
+         "non-integer", "non-ascii", "underscore", "plus", "shifted-fields",
+         "blank-line"],
 )
 def test_file_changed_after_open_fails_with_format_error(tmp_path, rewrite, fragment):
     path = _write(tmp_path, _ORIGINAL)
@@ -153,14 +156,34 @@ def test_file_changed_after_open_fails_with_format_error(tmp_path, rewrite, frag
     assert seen == ([(0, 0, 1, 1), (1, 1, 2, 1)] if "ends after" in fragment else [])
     with pytest.raises(StreamFormatError, match="changed since it was opened"):
         two_phase_path_cover(src, ApproxParams.parse("1/3"), open_session(src, k=3))
+    # a bad line fails the pass with the line and message that open names
+    with pytest.raises(StreamFormatError) as at_open:
+        FileEdgeSource(path)
+    if "promises" not in str(at_open.value):
+        where, why = str(at_open.value).split(": ", 1)
+        assert str(err.value) == f"{where}: file changed since it was opened: {why}"
 
 
 def test_weight_rewritten_below_one_fails(tmp_path):
     path = _write(tmp_path, "3 2 weighted\n0 1 4\n1 2 5\n")
     src = FileEdgeSource(path)
     _write(tmp_path, "3 2 weighted\n0 1 4\n1 2 0\n")
-    with pytest.raises(StreamFormatError, match="weight below 1"):
+    with pytest.raises(StreamFormatError, match="weight must be >= 1, got 0"):
         list(src.edges())
+
+
+def test_weighted_fields_shifted_across_lines_fail(tmp_path):
+    path = _write(tmp_path, "4 2 weighted\n0 1 5\n2 3 7\n")
+    src = FileEdgeSource(path)
+    # the same six tokens, moved across the line break
+    _write(tmp_path, "4 2 weighted\n0 1 5 2\n3 7\n")
+    seen = []
+    with pytest.raises(StreamFormatError) as err:
+        open_session(src, k=2).run_pass(_collect(seen))
+    assert str(err.value) == (
+        f"{path}:2: file changed since it was opened: expected 3 fields on an edge line, got 4"
+    )
+    assert seen == []
 
 
 def _multi_block_file(tmp_path, weighted):
@@ -208,6 +231,29 @@ def test_blocks_are_the_stream_in_contiguous_columns(tmp_path, weighted):
         assert [pos0 for pos0, _ in starts] == [0] + ends[:-1]
         assert ends[-1] == src.m
         assert [c for _, c in starts] == [len(us) for us, _, _ in blocks]
+
+
+def test_bad_line_in_a_later_block_is_named_at_open_and_in_a_pass(tmp_path):
+    path, g, want = _multi_block_file(tmp_path, False)
+    src = FileEdgeSource(path)
+    with open(path) as fh:
+        lines = fh.readlines()
+    x = want[15_000][0]
+    lines[15_001] = f"{x} {x}\n"  # edge 15000 is on line 15002
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    with pytest.raises(StreamFormatError) as at_open:
+        FileEdgeSource(path)
+    assert str(at_open.value) == f"{path}:15002: self-loop at vertex {x}"
+    seen = []
+    with pytest.raises(StreamFormatError) as err:
+        open_session(src, k=2).run_pass(_collect(seen))
+    assert str(err.value) == (
+        f"{path}:15002: file changed since it was opened: self-loop at vertex {x}"
+    )
+    # the blocks before the bad one streamed as they were
+    assert 0 < len(seen) <= 15_000
+    assert [(u, v, w) for _, u, v, w in seen] == want[: len(seen)]
 
 
 def test_strict_overrun_fires_inside_the_pass_that_crosses_the_budget(tmp_path, monkeypatch):
