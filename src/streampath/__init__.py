@@ -25,7 +25,6 @@ from .matching import (
     OracleLimitError,
     oracle_max_matching,
     oracle_max_weight_matching,
-    release_matching,
     streaming_max_matching,
     streaming_max_weight_matching,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "oracle_max_tsp",
     "oracle_path_cover",
     "oracle_tsp12",
-    "release_matching",
     "save_edge_list",
     "streaming_max_matching",
     "streaming_max_weight_matching",

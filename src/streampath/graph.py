@@ -316,7 +316,3 @@ class Tour:
         n = len(order)
         cost = sum(weight_of(order[i], order[(i + 1) % n]) for i in range(n))
         return cls(tuple(order), cost)
-
-    @property
-    def n(self) -> int:
-        return len(self.order)

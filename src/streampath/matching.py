@@ -39,9 +39,9 @@ endpoints of every optimum edge with enough earlier junk edges and a
 capped kernel drops the optimum entirely.  Degree caps trade that corner
 case for a hard O(n k) memory bound, which is the model being simulated.
 
-Matched edges are charged (3 words each) to the session and stay charged
-after the engine returns, because the caller retains the matching between
-passes; drop the charge with ``release_matching`` when it is let go.
+Matched edges are charged (3 words each) while an engine holds them and
+released just before its run ends: a run ends holding what it began with,
+which ``StreamSession.end_run`` checks; callers charge what they keep.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class ApproxParams:
         return 6 * self.k
 
 
-def release_matching(session: StreamSession, matching: Matching) -> None:
-    """Return a matching's 3 words per edge to the session budget."""
-    session.release(3 * matching.size)
-
-
 def streaming_max_matching(
     source: EdgeStreamSource,
     params: ApproxParams,
@@ -123,7 +118,8 @@ def streaming_max_matching(
     arrival order; their *viewed* endpoints are disjoint, the original
     endpoints need not be.  Each kept viewed pair is held once but charged
     3 words as a kernel edge and 3 more while matched; only a greedy match
-    kept alone that a flip drops stays held uncharged.
+    kept alone that a flip drops stays held uncharged.  The run ends
+    holding what it began with; callers charge what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list, not a range: indexing a range makes a new int per lookup, and
@@ -183,11 +179,10 @@ def streaming_max_matching(
 
     session.run_pass(visit)
     _augment_on_kernel(partner, rows, params.max_swap_edges, session)
-    # Each kernel edge appears in two rows.
-    session.release(3 * (sum(map(len, rows)) // 2))
-    session.release(n_view)
     # Every matched pair is kept, and the columns are in stream order.
     edges = tuple(Edge(u, v, w) for u, v, w in zip(ku, kv, kw) if partner[target[u]] == target[v])
+    # Each kernel edge appears in two rows.
+    session.release(3 * (sum(map(len, rows)) // 2 + len(edges)) + n_view)
     session.end_run()
     return Matching(edges)
 
@@ -315,6 +310,7 @@ def streaming_max_weight_matching(
     whose table is full for the cached weakest entry of that table, which
     lets an arriving edge that loses be rejected with one comparison; the
     cache words are charged as tables fill and released when the pass ends.
+    The run ends holding what it began with; callers charge what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list for the reason given in streaming_max_matching.
@@ -449,9 +445,8 @@ def streaming_max_weight_matching(
         if medge[u] < 0 and medge[v] < 0:
             match(idx)
 
-    session.release(3 * len(kentries))
-    session.release(n_view)
     edges = tuple(Edge(*t) for idx, (u, _, _, t) in enumerate(kentries) if medge[u] == idx)
+    session.release(3 * (len(kentries) + len(edges)) + n_view)
     session.end_run()
     return Matching(edges)
 

@@ -35,7 +35,6 @@ from .graph import (
 )
 from .matching import (
     ApproxParams,
-    release_matching,
     streaming_max_matching,
     streaming_max_weight_matching,
 )
@@ -66,15 +65,16 @@ def two_phase_path_cover(
     The second matching is a matching of the contraction, so each of its
     edges joins two first-phase pairs (or unmatched vertices) end to end
     and no vertex joins two of its edges: the union stays acyclic with
-    paths of at most 3 edges, whichever engine ran.  Both matchings are
-    released from ``session`` before the result is returned.
+    paths of at most 3 edges, whichever engine ran.  Each run ends holding
+    what it began with, so the driver charges what phase two carries, the
+    first matching and the contraction map, and releases it after.
     """
     engine = streaming_max_weight_matching if weighted else streaming_max_matching
     first = engine(source, params, session, label="first-matching")
-    session.charge(source.n)  # the contraction map is retained during phase two
+    session.charge(3 * first.size + source.n)
     view = matching_contraction(source.n, first)
     second = engine(source, params, session, view=view, label="second-matching")
-    session.release(source.n)
+    session.release(3 * first.size + source.n)
     try:
         cover = PathCover(source.n, first.edges + second.edges)
     except ValueError as err:
@@ -82,8 +82,6 @@ def two_phase_path_cover(
     lengths = cover.path_lengths
     if any(length not in (1, 2, 3) for length in lengths):
         raise AssertionError(f"two-phase union has a path of length {max(lengths)}")
-    release_matching(session, first)
-    release_matching(session, second)
     return MpcResult(cover, first, second, session.report())
 
 
@@ -125,6 +123,8 @@ def iterative_path_cover(
     vertices are banned, so a new edge can only join two different paths
     (or untouched vertices) at endpoints; the union therefore stays a
     valid path cover after every round.  Stops when a round adds nothing.
+    Each run ends holding what it began with, so the driver charges each
+    round's matching when it keeps it and releases them all at the end.
     """
     rounds: list[Matching] = []
     union: list[Edge] = []
@@ -142,11 +142,11 @@ def iterative_path_cover(
             session.release(source.n + len(interior))
         if got.size == 0:
             break
+        session.charge(3 * got.size)
         rounds.append(got)
         union.extend(got.edges)
         if len(rounds) > source.n:
             raise AssertionError("more matching rounds than vertices")
     cover = PathCover(source.n, tuple(union))
-    for got in rounds:
-        release_matching(session, got)
+    session.release(3 * len(union))
     return IterativeCoverResult(cover, tuple(rounds), session.report())

@@ -127,7 +127,10 @@ def _parse_header(line: str, path: str) -> tuple[int, int, bool]:
         raise StreamFormatError(
             f"{path}:1: vertex and edge counts must be ints, non-negative, in plain decimal digits"
         )
-    return int(tokens[0]), int(tokens[1]), weighted
+    try:
+        return int(tokens[0]), int(tokens[1]), weighted
+    except ValueError:  # more digits than int() reads
+        raise StreamFormatError(f"{path}:1: vertex or edge count too long") from None
 
 
 def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
@@ -135,13 +138,13 @@ def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
 
     The one home of the edge-line rules, in this order: ASCII only, the
     field count of every line (a blank line has none), plain decimal
-    digits (no sign, no ``_``), endpoints in range, no self-loops,
-    weights >= 1.  Each newline becomes a token ``\\xff``, a byte no ASCII
-    line holds, so one ``split`` checks every line's field count: the
-    separators must fill every ``(want + 1)``-th slot.  The ints are
-    parsed in one go and checked with C-level passes, keeping no object
-    per line.  The message holds the line's own values when the block is
-    one line, as ``_first_bad_line`` runs it.
+    digits (no sign, no ``_``) and no more than ``int()`` reads, endpoints
+    in range, no self-loops, weights >= 1.  Each newline becomes a token
+    ``\\xff``, a byte no ASCII line holds, so one ``split`` checks every
+    line's field count: the separators must fill every ``(want + 1)``-th
+    slot.  The ints are parsed in one go and checked with C-level passes,
+    keeping no object per line.  The message holds the line's own values
+    when the block is one line, as ``_first_bad_line`` runs it.
     """
     want = 3 if weighted else 2
     lines = len(block)
@@ -161,6 +164,8 @@ def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
     try:
         nums = list(map(int, tokens))
     except ValueError:
+        if all(map(bytes.isdigit, tokens)):  # more digits than int() reads
+            return "edge field too long"
         return "edge fields must be plain decimal digits"
     us = nums[0::want]
     vs = nums[1::want]
@@ -330,7 +335,8 @@ class StreamSession:
     once per block, so its overrun fires at the end of the block that
     crosses the budget, inside that pass.  ``begin_run``/``end_run``
     bracket one engine invocation so multi-run pipelines can attribute
-    resources per phase.
+    resources per phase.  A run ends holding what it began with, or
+    ``end_run`` raises; callers charge what they carry between runs.
     """
 
     def __init__(self, source: EdgeStreamSource, words_budget: int, strict: bool = False) -> None:
@@ -345,7 +351,7 @@ class StreamSession:
         self.budget_exceeded = False
         self._runs: list[RunRecord] = []
         self._run_label: str | None = None
-        self._run_pass_start = 0
+        self._run_start = (0, 0)  # passes used and words in use at begin_run
         self._run_peak = 0
 
     def charge(self, words: int) -> None:
@@ -397,15 +403,19 @@ class StreamSession:
         if self._run_label is not None:
             raise RuntimeError(f"run {self._run_label!r} is still open")
         self._run_label = label
-        self._run_pass_start = self.passes_used
+        self._run_start = (self.passes_used, self.words_in_use)
         self._run_peak = self.words_in_use
 
     def end_run(self) -> RunRecord:
         if self._run_label is None:
             raise RuntimeError("no run is open")
+        passes0, words0 = self._run_start
+        held = self.words_in_use - words0
+        if held:
+            raise RuntimeError(f"run {self._run_label!r} ends with its word ledger at {held:+d}")
         record = RunRecord(
             label=self._run_label,
-            passes=self.passes_used - self._run_pass_start,
+            passes=self.passes_used - passes0,
             words_peak=self._run_peak,
         )
         self._runs.append(record)

@@ -43,11 +43,14 @@ _BAD_EDGE_LINE = {
     "plus-sign.txt": "4 2\n0 1\n+1 2\n",
     "underscore.txt": "12 2\n0 1\n1 1_0\n",
     "trailing-letter.txt": "4 2\n0 1\n0 1x\n",
+    "endpoint-too-long.txt": "4 2\n0 1\n1 " + "2" * 5000 + "\n",
+    "weight-too-long.txt": "4 2 weighted\n0 1 5\n1 2 " + "7" * 5000 + "\n",
 }
 
 # Files the generators cannot produce: hostile or malformed input.
 _WRITTEN = {
     "header-underscore.txt": "1_0 +1\n0 1\n",
+    "header-too-long.txt": "1" * 5000 + " 1\n0 1\n",
     "self-loop.txt": "2 1\n0 0\n",
     **_BAD_EDGE_LINE,
 }
@@ -91,6 +94,7 @@ def cases() -> list[str]:
         "mpc missing.txt",
         "mpc self-loop.txt",
         "mpc header-underscore.txt",
+        "mpc header-too-long.txt",
         "mpc --epsilon 3/2 g12.txt",
     ]
     runs += [f"mpc {name}" for name in _BAD_EDGE_LINE]

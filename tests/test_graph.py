@@ -194,4 +194,3 @@ def test_tour_from_order_sums_legs():
     weights = {(0, 1): 1, (1, 2): 2, (0, 2): 1}
     t = Tour.from_order((0, 1, 2), lambda u, v: weights[tuple(sorted((u, v)))])
     assert t.cost == 4
-    assert t.n == 3

@@ -24,7 +24,6 @@ from streampath.matching import (
     _pick_swaps,
     oracle_max_matching,
     oracle_max_weight_matching,
-    release_matching,
     streaming_max_matching,
     streaming_max_weight_matching,
 )
@@ -37,8 +36,6 @@ def _run_unweighted(g: Graph, eps: str) -> tuple[Matching, object]:
     src = InMemoryEdgeSource(g)
     sess = open_session(src, k=params.k, strict=True)
     m = streaming_max_matching(src, params, sess)
-    release_matching(sess, m)
-    assert sess.words_in_use == 0, "engine leaked charged words"
     return m, sess.report()
 
 
@@ -46,10 +43,7 @@ def _run_weighted(g: Graph, eps: str) -> Matching:
     params = ApproxParams.parse(eps)
     src = InMemoryEdgeSource(g)
     sess = open_session(src, k=params.k, strict=True)
-    m = streaming_max_weight_matching(src, params, sess)
-    release_matching(sess, m)
-    assert sess.words_in_use == 0, "engine leaked charged words"
-    return m
+    return streaming_max_weight_matching(src, params, sess)
 
 
 # --- ApproxParams ----------------------------------------------------------------
@@ -153,6 +147,21 @@ def test_tiny_epsilon_sweeps_no_length_past_the_longest_simple_path(monkeypatch)
     assert 0 < len(calls) <= g.n * g.n
 
 
+@pytest.mark.parametrize("engine", [streaming_max_matching, streaming_max_weight_matching])
+def test_engine_run_ends_holding_what_it_began_with(engine):
+    g = gen_random_weighted_graph(12, 3)
+    params = ApproxParams.parse("1/3")
+    src = InMemoryEdgeSource(g)
+    sess = open_session(src, k=params.k, strict=True)
+    m = engine(src, params, sess)
+    assert m.size > 0 and sess.report().runs[-1].words_peak > 0
+    assert sess.words_in_use == 0
+    # A caller that keeps the matching charges it; the next run leaves that be.
+    sess.charge(3 * m.size)
+    engine(src, params, sess, label="again")
+    assert sess.words_in_use == 3 * m.size
+
+
 def test_greedy_match_kept_alone_is_returned_once():
     # cap 12 at eps = 1/2: hubs 2..13 are matched to 14..25 first, then
     # vertices 0 and 1 fill their kernel rows with hub edges, so (0, 1) is
@@ -169,7 +178,7 @@ def test_greedy_match_kept_alone_is_returned_once():
     assert m.size == 13
     assert m.edges[-1] == Edge(0, 1, 5)
     assert sess.report().runs[-1].words_peak == 173
-    assert sess.words_in_use == 3 * m.size == 39
+    assert sess.words_in_use == 0
 
 
 def test_kernel_keeps_a_pair_while_either_row_has_room():
@@ -370,7 +379,6 @@ def test_weighted_full_table_upgrade_tie_and_eviction():
     src = InMemoryEdgeSource(g)
     sess = open_session(src, k=params.k, strict=True)
     m = streaming_max_weight_matching(src, params, sess)
-    release_matching(sess, m)
     assert sess.words_in_use == 0
     assert [(e.u, e.v, e.weight) for e in m.edges] == (
         [(x, y, 100) for x, y in zip(h, p)]
@@ -451,7 +459,6 @@ def test_final_maximality_sweep_adds_an_edge_too_light_for_the_search():
     src = InMemoryEdgeSource(Graph.from_pairs(8, triples, weighted=True))
     sess = open_session(src, k=params.k, strict=True)
     m = streaming_max_weight_matching(src, params, sess)
-    release_matching(sess, m)
     assert sess.words_in_use == 0
     assert [(e.u, e.v, e.weight) for e in m.edges] == [
         (2, 3, 761219), (4, 7, 1), (0, 5, 481086)

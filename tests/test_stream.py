@@ -103,6 +103,39 @@ def test_malformed_files_are_rejected_with_location(tmp_path, text, fragment):
     assert path.split("/")[-1] in str(err.value)
 
 
+_LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        (f"{_LONG} 1\n0 1\n", "1: vertex or edge count"),
+        (f"3 1\n{_LONG} 1\n", "2: edge field"),
+        (f"3 2 weighted\n0 1 4\n1 2 {_LONG}\n", "3: edge field"),
+    ],
+    ids=["header", "endpoint", "weight"],
+)
+def test_fields_past_the_int_digit_limit_are_too_long(tmp_path, text, where):
+    path = _write(tmp_path, text)
+    with pytest.raises(StreamFormatError) as err:
+        FileEdgeSource(path)
+    assert str(err.value) == f"{path}:{where} too long"
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [f"3 2 weighted\n0 1 4\n{_LONG} 2 5\n", f"3 2 weighted\n0 1 4\n1 2 {_LONG}\n"],
+    ids=["endpoint", "weight"],
+)
+def test_field_rewritten_past_the_int_digit_limit_fails_the_pass(tmp_path, rewrite):
+    path = _write(tmp_path, "3 2 weighted\n0 1 4\n1 2 5\n")
+    src = FileEdgeSource(path)
+    _write(tmp_path, rewrite)
+    with pytest.raises(StreamFormatError) as err:
+        list(src.edges())
+    assert str(err.value) == f"{path}:3: file changed since it was opened: edge field too long"
+
+
 def test_open_does_not_retain_edges(tmp_path):
     # validation happens up front, but the source re-reads lazily:
     # rewriting the file between passes changes what edges() yields.
@@ -380,16 +413,33 @@ def test_runs_attribute_passes_and_peaks():
     sess.begin_run("alpha")
     sess.run_pass(lambda pos, u, v, w: None)
     sess.charge(40)
-    sess.end_run()
     sess.release(40)
+    sess.end_run()
     sess.begin_run("beta")
     sess.charge(7)
+    sess.release(7)
     rec = sess.end_run()
     assert rec.label == "beta" and rec.words_peak == 7 and rec.passes == 0
     rep = sess.report()
     assert [r.label for r in rep.runs] == ["alpha", "beta"]
     assert rep.runs[0].passes == 1
     assert rep.runs[0].words_peak == 40
+
+
+@pytest.mark.parametrize(
+    "change,held",
+    [(lambda sess: sess.charge(5), "+5"), (lambda sess: sess.release(4), "-4")],
+    ids=["more", "fewer"],
+)
+def test_run_that_ends_unbalanced_raises_with_its_label(change, held):
+    sess = _session()
+    sess.charge(10)  # carried into the run by its caller
+    sess.begin_run("gamma")
+    change(sess)
+    with pytest.raises(RuntimeError) as err:
+        sess.end_run()
+    assert str(err.value) == f"run 'gamma' ends with its word ledger at {held}"
+    assert sess.report().runs == ()
 
 
 def test_runs_do_not_nest():
