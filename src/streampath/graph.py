@@ -219,43 +219,71 @@ def validate_path_cover(n: int, edges: Sequence[Edge]) -> CoverCheck:
     (a path cover may leave vertices uncovered by edges; they are trivial
     zero-length paths) and are not listed.
     """
-    adj: dict[int, list[int]] = {}
-    seen_pairs: set[tuple[int, int]] = set()
+    deg = [0] * n
+    # Vertex x's first two neighbours, in slots 2x and 2x + 1.
+    nbrs = [0] * (2 * n)
+    # Each pair a < b as the int a * n + b.
+    seen_pairs: set[int] = set()
     for e in edges:
-        if e.u >= n or e.v >= n:
-            return CoverCheck(False, f"edge ({e.u}, {e.v}) out of range for n={n}", ())
-        if e.pair in seen_pairs:
-            return CoverCheck(False, f"parallel edges between {e.pair[0]} and {e.pair[1]}", ())
-        seen_pairs.add(e.pair)
-        adj.setdefault(e.u, []).append(e.v)
-        adj.setdefault(e.v, []).append(e.u)
+        u, v = e.u, e.v
+        if u >= n or v >= n:
+            return CoverCheck(False, f"edge ({u}, {v}) out of range for n={n}", ())
+        key = u * n + v if u < v else v * n + u
+        if key in seen_pairs:
+            a, b = e.pair
+            return CoverCheck(False, f"parallel edges between {a} and {b}", ())
+        seen_pairs.add(key)
+        du, dv = deg[u], deg[v]
+        if du < 2:
+            nbrs[2 * u + du] = v
+        if dv < 2:
+            nbrs[2 * v + dv] = u
+        deg[u] = du + 1
+        deg[v] = dv + 1
 
-    for v, nbrs in adj.items():
-        if len(nbrs) > 2:
-            return CoverCheck(False, f"vertex {v} has degree {len(nbrs)}", ())
+    # Only the edges' ends are scanned, so a sparse cover of a large n costs
+    # O(m) steps past the two allocations above.  The first over-degree
+    # vertex is reported in order of first appearance.
+    ends: list[int] = []
+    for e in edges:
+        u, v = e.u, e.v
+        du, dv = deg[u], deg[v]
+        if du > 2:
+            return CoverCheck(False, f"vertex {u} has degree {du}", ())
+        if dv > 2:
+            return CoverCheck(False, f"vertex {v} has degree {dv}", ())
+        if du == 1:
+            ends.append(u)
+        if dv == 1:
+            ends.append(v)
 
     # Every component is now a path or a cycle; walk from degree-1 vertices
-    # and anything left unvisited with edges is part of a cycle.
-    visited: set[int] = set()
+    # in increasing order, zeroing the degree of each vertex walked.  Edges
+    # the walks miss lie on cycles, whose vertices keep their degrees.
     paths: list[tuple[int, ...]] = []
-    for start in sorted(adj):
-        if start in visited or len(adj[start]) != 1:
+    walked = 0
+    for start in sorted(ends):
+        if deg[start] != 1:  # the far end of a path already walked
             continue
+        deg[start] = 0
         walk = [start]
-        visited.add(start)
-        prev, cur = start, adj[start][0]
+        prev, cur = start, nbrs[2 * start]
         while True:
             walk.append(cur)
-            visited.add(cur)
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
+            d = deg[cur]
+            deg[cur] = 0
+            if d == 1:
                 break
-            prev, cur = cur, nxt[0]
+            nxt = nbrs[2 * cur]
+            if nxt == prev:
+                nxt = nbrs[2 * cur + 1]
+            prev, cur = cur, nxt
         paths.append(tuple(walk))
+        walked += len(walk) - 1
 
-    leftover = sorted(set(adj) - visited)
-    if leftover:
-        return CoverCheck(False, f"cycle through vertex {leftover[0]}", ())
+    if walked < len(edges):
+        on_cycle = min(x for e in edges for x in (e.u, e.v) if deg[x])
+        return CoverCheck(False, f"cycle through vertex {on_cycle}", ())
 
     # Each walk began at the first degree-1 vertex met in increasing order,
     # which is its lower-id endpoint, so every path is already oriented.

@@ -10,6 +10,9 @@ offline on those rows.
   the kernel, in increasing length order, flipping each path when found.
   One sweep per length suffices with no vertex barred: after a shortest
   augmenting path is flipped, any that meets it is longer (Hopcroft-Karp).
+  The pass keeps no set of pairs, as the rows tell a repeated pair, and
+  holds the kept pairs' original ends as values in arrays, so what it
+  keeps is the rows, the partners and those columns.
 * ``streaming_max_weight_matching`` keeps per-vertex tables of the
   heaviest incident edges, then runs a local search over alternating
   path/cycle swaps of at most 2k - 1 edges whose gain beats a damping
@@ -46,9 +49,11 @@ which ``StreamSession.end_run`` checks; callers charge what they keep.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import compress, count, starmap
 
 from .graph import ContractionMap, Edge, Graph, Matching
 from .stream import EdgeStreamSource, StreamSession
@@ -116,10 +121,13 @@ def streaming_max_matching(
     given: an edge with a banned end, or with both ends in one class, is
     dropped.  The returned edges are original stream edges (pre-view), in
     arrival order; their *viewed* endpoints are disjoint, the original
-    endpoints need not be.  Each kept viewed pair is held once but charged
-    3 words as a kernel edge and 3 more while matched; only a greedy match
-    kept alone that a flip drops stays held uncharged.  The run ends
-    holding what it began with; callers charge what they keep.
+    endpoints need not be.  The pass keeps no set of pairs: a later copy
+    of a kept pair is recognised from the rows, and each kept pair's
+    first copy is held as values in columns of original ends and weights.
+    Each kept pair is charged 3 words as a kernel edge and 3 more while
+    matched; only a greedy match kept alone that a flip drops stays held
+    uncharged.  The run ends holding what it began with; callers charge
+    what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list, not a range: indexing a range makes a new int per lookup, and
@@ -131,31 +139,30 @@ def streaming_max_matching(
     session.charge(n_view)
     cap = params.kernel_degree_cap
     # Kept pairs, in stream order: the kernel edges, and greedy matches that
-    # found both kernel rows full ("kept alone").  ``kept`` holds each kept
-    # viewed pair a < b as the int a * n_view + b, and three int columns
-    # hold its first copy's original u, v, w; ``rows`` lists each viewed
-    # vertex's kernel neighbours in arrival order.  Ints only, so nothing
-    # kept is tracked by the cyclic garbage collector.
-    kept: set[int] = set()
-    ku: list[int] = []
-    kv: list[int] = []
+    # found both kernel rows full ("kept alone").  Their first copies'
+    # original ends are held by value in two arrays, and their weights,
+    # which may have any number of digits, in a list; ``rows`` lists each
+    # viewed vertex's kernel neighbours in arrival order, as ``target``'s
+    # own ints.  An original end indexes ``target``, which is already in
+    # memory, so it fits a signed 64-bit slot.
+    ku = array("q")
+    kv = array("q")
     kw: list[int] = []
     rows: list[list[int]] = [[] for _ in range(n_view)]
 
     # The greedy matching and the kernel only grow during the pass, so each
     # ends as it would alone, and charging a block's growth at its end
     # leaves every word peak as per-edge charging would.  A later copy of a
-    # kept pair is skipped: its ends are not both free, and it is in the
-    # kernel already or found rows full that stay full.
+    # kept pair is skipped.  Its ends are not both free, so it is not
+    # matched.  If both rows are full it is dropped, as a pair kept alone
+    # always is, since rows never shrink; otherwise it is in both rows, and
+    # the shorter one, which holds fewer than ``6k``, is scanned for it.
     def visit(_pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
         words = 0
         for u, v, w in zip(us, vs, ws):
             a = target[u]
             b = target[v]
             if a == b or a < 0 or b < 0:
-                continue
-            key = a * n_view + b if a < b else b * n_view + a
-            if key in kept:
                 continue
             matched = partner[a] is None and partner[b] is None
             if matched:
@@ -164,13 +171,16 @@ def streaming_max_matching(
                 words += 3
             row_a = rows[a]
             row_b = rows[b]
-            if len(row_a) < cap or len(row_b) < cap:
+            len_a = len(row_a)
+            len_b = len(row_b)
+            if len_a < cap or len_b < cap:
+                if not matched and (b in row_a if len_a <= len_b else a in row_b):
+                    continue
                 row_a.append(b)
                 row_b.append(a)
                 words += 3
             elif not matched:
                 continue
-            kept.add(key)
             ku.append(u)
             kv.append(v)
             kw.append(w)
@@ -179,8 +189,11 @@ def streaming_max_matching(
 
     session.run_pass(visit)
     _augment_on_kernel(partner, rows, params.max_swap_edges, session)
-    # Every matched pair is kept, and the columns are in stream order.
-    edges = tuple(Edge(u, v, w) for u, v, w in zip(ku, kv, kw) if partner[target[u]] == target[v])
+    # Every matched pair is kept, and the columns are in stream order; the
+    # kept pairs whose viewed ends are partners are selected in C.
+    at = target.__getitem__
+    chosen = map(operator.eq, map(partner.__getitem__, map(at, ku)), map(at, kv))
+    edges = tuple(starmap(Edge, compress(zip(ku, kv, kw), chosen)))
     # Each kernel edge appears in two rows.
     session.release(3 * (sum(map(len, rows)) // 2 + len(edges)) + n_view)
     session.end_run()

@@ -207,9 +207,10 @@ def approx_max_tsp(
     engine maximality leave at most one uncovered vertex; if the degree
     cap ever spoils maximality, one extra greedy patch pass over the
     stream restores it, charging its set of free vertices and the edges
-    it adds until it ends.  The leftover vertex, if any, is attached at
-    the cover endpoint with the smallest id: the start of the path with the
-    smallest first vertex, since each path runs from its lower-id endpoint.
+    it adds until it ends; the cover it carries is charged around it.
+    The leftover vertex, if any, is attached at the cover endpoint with
+    the smallest id: the start of the path with the smallest first
+    vertex, since each path runs from its lower-id endpoint.
     """
     src = InMemoryEdgeSource(inst.graph(), name="max-tsp")
     sess = open_session(src, k=params.k, words_budget=words_budget, strict=strict)
@@ -228,11 +229,14 @@ def approx_max_tsp(
                     patch.append(Edge(u, v, w))
                     sess.charge(3)
 
+        # The pass carries the two-phase cover, 3 words an edge.
+        sess.charge(3 * cover.size)
         sess.begin_run("leftover-patch")
         sess.charge(len(free))
         sess.run_pass(patch_visit)
         sess.release(len(free) + 3 * len(patch))
         sess.end_run()
+        sess.release(3 * cover.size)
         second = Matching(second.edges + tuple(patch))
         cover = PathCover(inst.n, first.edges + second.edges)
         free = sorted(set(range(inst.n)) - cover.covered)

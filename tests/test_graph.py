@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streampath.graph import (
     ContractionMap,
+    CoverCheck,
     Edge,
     Graph,
     Matching,
@@ -18,6 +21,7 @@ from streampath.graph import (
     matching_contraction,
     validate_path_cover,
 )
+from streampath.prng import SplitMix64
 
 
 def _g(n, pairs, weighted=False):
@@ -165,6 +169,100 @@ def test_validate_path_cover_rejects_cycles():
 def test_validate_path_cover_rejects_parallel_pair():
     chk = validate_path_cover(2, [Edge(0, 1), Edge(0, 1)])
     assert not chk.ok
+
+
+def _reference_validate_path_cover(n, edges):
+    """``validate_path_cover`` on an adjacency dict: the reference."""
+    adj = {}
+    seen_pairs = set()
+    for e in edges:
+        if e.u >= n or e.v >= n:
+            return CoverCheck(False, f"edge ({e.u}, {e.v}) out of range for n={n}", ())
+        if e.pair in seen_pairs:
+            return CoverCheck(False, f"parallel edges between {e.pair[0]} and {e.pair[1]}", ())
+        seen_pairs.add(e.pair)
+        adj.setdefault(e.u, []).append(e.v)
+        adj.setdefault(e.v, []).append(e.u)
+    for v, nbrs in adj.items():
+        if len(nbrs) > 2:
+            return CoverCheck(False, f"vertex {v} has degree {len(nbrs)}", ())
+    visited = set()
+    paths = []
+    for start in sorted(adj):
+        if start in visited or len(adj[start]) != 1:
+            continue
+        walk = [start]
+        visited.add(start)
+        prev, cur = start, adj[start][0]
+        while True:
+            walk.append(cur)
+            visited.add(cur)
+            nxt = [x for x in adj[cur] if x != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+        paths.append(tuple(walk))
+    leftover = sorted(set(adj) - visited)
+    if leftover:
+        return CoverCheck(False, f"cycle through vertex {leftover[0]}", ())
+    paths.sort(key=min)
+    return CoverCheck(True, None, tuple(paths))
+
+
+def _near_cover(rng: SplitMix64) -> tuple[int, list[Edge]]:
+    """A shuffled path cover on a few vertices, perhaps with a few extra edges.
+
+    An extra edge may make a parallel pair, an over-degree vertex or a
+    cycle, and one in eight may reach one past the last vertex.
+    """
+    n = rng.randint(2, 9)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = []
+    for a, b in zip(order, order[1:]):
+        if rng.below(3):
+            edges.append(Edge(a, b) if rng.coin() else Edge(b, a))
+    for _ in range(rng.below(3)):
+        top = n if rng.below(8) else n + 1
+        u = rng.below(top)
+        v = rng.below(top)
+        if u != v:
+            edges.insert(rng.below(len(edges) + 1), Edge(u, v))
+    rng.shuffle(edges)
+    return n, edges
+
+
+def test_validate_path_cover_matches_the_reference_on_seeded_edge_sets():
+    rng = SplitMix64(2024)
+    kinds = Counter()
+    for _ in range(4000):
+        n, edges = _near_cover(rng)
+        got = validate_path_cover(n, edges)
+        assert got == _reference_validate_path_cover(n, edges), (n, edges)
+        kinds[got.reason.split()[0] if got.reason else "ok"] += 1
+    # every outcome: range, parallel, degree, cycle, and valid covers
+    assert set(kinds) == {"ok", "edge", "parallel", "vertex", "cycle"}, kinds
+    assert min(kinds.values()) >= 50, kinds
+
+
+@pytest.mark.parametrize(
+    "n, pairs, reason",
+    [
+        # edge order decides between a parallel pair and a range error
+        (4, [(0, 1), (1, 0), (2, 4)], "parallel edges between 0 and 1"),
+        (4, [(2, 4), (0, 1), (1, 0)], "edge (2, 4) out of range for n=4"),
+        # the first over-degree vertex to appear, not the smallest
+        (9, [(5, 6), (5, 7), (0, 1), (0, 2), (0, 3), (5, 8), (0, 4)], "vertex 5 has degree 3"),
+        # a range error anywhere beats a degree found only at the end
+        (4, [(0, 1), (0, 2), (0, 3), (3, 4)], "edge (3, 4) out of range for n=4"),
+        # the smallest vertex on any cycle, past a path that starts lower
+        (9, [(6, 7), (7, 8), (8, 6), (0, 1), (3, 4), (4, 5), (5, 3)], "cycle through vertex 3"),
+    ],
+)
+def test_validate_path_cover_reason_precedence(n, pairs, reason):
+    edges = [Edge(u, v) for u, v in pairs]
+    assert validate_path_cover(n, edges) == CoverCheck(False, reason, ())
+    assert _reference_validate_path_cover(n, edges) == CoverCheck(False, reason, ())
 
 
 def test_path_cover_orientation_and_lengths():

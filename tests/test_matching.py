@@ -9,6 +9,9 @@ instead.
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -17,10 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streampath.corpus import gen_random_graph, gen_random_weighted_graph
-from streampath.graph import Edge, Graph, Matching
+from streampath.graph import (
+    Edge,
+    Graph,
+    Matching,
+    components_contraction,
+    matching_contraction,
+)
 from streampath.matching import (
     ApproxParams,
     OracleLimitError,
+    _augment_on_kernel,
     _pick_swaps,
     oracle_max_matching,
     oracle_max_weight_matching,
@@ -28,7 +38,7 @@ from streampath.matching import (
     streaming_max_weight_matching,
 )
 from streampath.prng import SplitMix64
-from streampath.stream import InMemoryEdgeSource, open_session
+from streampath.stream import FileEdgeSource, InMemoryEdgeSource, open_session
 
 
 def _run_unweighted(g: Graph, eps: str) -> tuple[Matching, object]:
@@ -203,6 +213,156 @@ def test_later_lengths_may_run_through_vertices_flipped_earlier():
         m, report = _run_unweighted(g, eps)
         assert [(e.u, e.v) for e in m.edges] == [(0, 6), (4, 5), (1, 2), (3, 7)], eps
         assert report.runs[-1].words_peak == 50
+
+
+def _reference_max_matching(source, params, session, view=None, label="matching", events=None):
+    """The unweighted engine with a set of kept pairs: the dedup reference.
+
+    ``events`` counts what the set decided: greedy matches kept alone, and
+    later copies of kept pairs by how many of their two rows were full.
+    """
+    n_view = view.n_new if view is not None else source.n
+    target = view.target if view is not None else list(range(source.n))
+    events = Counter() if events is None else events
+    session.begin_run(label)
+    partner = [None] * n_view
+    session.charge(n_view)
+    cap = params.kernel_degree_cap
+    kept = set()
+    ku, kv, kw = [], [], []
+    rows = [[] for _ in range(n_view)]
+
+    def visit(_pos0, us, vs, ws):
+        words = 0
+        for u, v, w in zip(us, vs, ws):
+            a = target[u]
+            b = target[v]
+            if a == b or a < 0 or b < 0:
+                continue
+            key = a * n_view + b if a < b else b * n_view + a
+            if key in kept:
+                events[f"copy, {(len(rows[a]) >= cap) + (len(rows[b]) >= cap)} rows full"] += 1
+                continue
+            matched = partner[a] is None and partner[b] is None
+            if matched:
+                partner[a] = b
+                partner[b] = a
+                words += 3
+            row_a = rows[a]
+            row_b = rows[b]
+            if len(row_a) < cap or len(row_b) < cap:
+                row_a.append(b)
+                row_b.append(a)
+                words += 3
+            elif not matched:
+                continue
+            else:
+                events["kept alone"] += 1
+            kept.add(key)
+            ku.append(u)
+            kv.append(v)
+            kw.append(w)
+        if words:
+            session.charge(words)
+
+    session.run_pass(visit)
+    _augment_on_kernel(partner, rows, params.max_swap_edges, session)
+    edges = tuple(Edge(u, v, w) for u, v, w in zip(ku, kv, kw) if partner[target[u]] == target[v])
+    session.release(3 * (sum(map(len, rows)) // 2 + len(edges)) + n_view)
+    session.end_run()
+    return Matching(edges)
+
+
+def _dedup_stream(seed: int) -> Graph:
+    """A seeded stream whose repeated pairs meet every case of the dedup.
+
+    Two thirds of the non-hubs are matched first, and the three hubs meet
+    only those, so a hub may fill its row while free and a hub-hub pair is
+    then a greedy match kept alone; random
+    edges follow, and about half as many copies of earlier edges again are
+    placed later in the stream, each copy with a weight of its own.
+    """
+    rng = SplitMix64(seed)
+    n = rng.randint(30, 60)
+    rest = list(range(3, n))
+    rng.shuffle(rest)
+    matched = rest[: 2 * len(rest) // 3]
+    pairs = list(zip(matched[0::2], matched[1::2]))
+    for hub in range(3):
+        pairs += [(hub, matched[rng.below(len(matched))]) for _ in range(rng.randint(12, 30))]
+    pairs += [(0, 1), (2, 1)]
+    for _ in range(2 * n):
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            pairs.append((u, v))
+    for _ in range(len(pairs) // 2):
+        j = rng.below(len(pairs))
+        u, v = pairs[j]
+        pairs.insert(rng.randint(j + 1, len(pairs)), (v, u) if rng.coin() else (u, v))
+    return Graph.from_pairs(n, [(u, v, rng.randint(1, 9)) for u, v in pairs], weighted=True)
+
+
+def test_dedup_from_the_rows_matches_the_kept_pair_set():
+    events = Counter()
+    for seed, eps in product(range(40), ("1/2", "1/3")):
+        g = _dedup_stream(seed)
+        params = ApproxParams.parse(eps)
+        src = InMemoryEdgeSource(g)
+        first = _reference_max_matching(src, params, open_session(src, k=params.k), events=events)
+        contraction = matching_contraction(g.n, first)
+        banned = components_contraction(g.n, [e.pair for e in first], banned=range(0, g.n, 7))
+        for view in (None, contraction, banned):
+            runs = []
+            for engine in (streaming_max_matching, _reference_max_matching):
+                sess = open_session(src, k=params.k, strict=True)
+                runs.append((engine(src, params, sess, view=view), sess.report()))
+            assert runs[0] == runs[1], (seed, eps, view)
+    # every case the set used to decide, at both caps and through the views
+    assert set(events) == {"kept alone", "copy, 0 rows full", "copy, 1 rows full",
+                           "copy, 2 rows full"}, events
+    assert min(events.values()) >= 10, events
+
+
+def test_star_sent_twice_stays_linear():
+    # every later copy finds the hub's row 10^5 long and the leaf's row
+    # short; scanning the hub's row instead would take hours
+    leaves = 10**5
+    g = Graph.from_pairs(leaves + 1, [(0, leaf) for leaf in range(1, leaves + 1)] * 2)
+    params = ApproxParams.parse("1/3")
+    src = InMemoryEdgeSource(g)
+    sess = open_session(src, k=params.k, strict=True)
+    start = time.perf_counter()
+    m = streaming_max_matching(src, params, sess)
+    assert time.perf_counter() - start < 20
+    assert m.edges == (Edge(0, 1),)
+    # partners, one greedy match, and each distinct pair once in the kernel
+    assert sess.report().runs[-1].words_peak == (leaves + 1) + 3 + 3 * leaves
+
+
+def test_unweighted_pass_keeps_at_most_40_bytes_per_charged_word(tmp_path):
+    # G(10^4, 5 * 10^4) read from a file: the engine may keep its rows,
+    # partners and the kept pairs' original ends, but no pair set and no
+    # ints the parser made; the latter two cost about 64 bytes per word
+    rng = SplitMix64(7)
+    n, m = 10**4, 5 * 10**4
+    lines = [f"{n} {m}"]
+    while len(lines) <= m:
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            lines.append(f"{u} {v}")
+    path = tmp_path / "g.txt"
+    path.write_text("\n".join(lines) + "\n")
+    params = ApproxParams.parse("1/3")
+    src = FileEdgeSource(str(path))
+    sess = open_session(src, k=params.k)
+    tracemalloc.start()
+    try:
+        streaming_max_matching(src, params, sess)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = sess.report().runs[-1].words_peak
+    assert peak <= 40 * words, peak / words
 
 
 def _sparse_simple_graph(seed: int) -> Graph:

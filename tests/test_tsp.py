@@ -175,8 +175,8 @@ def test_max_tsp_patch_pass_charges_only_what_it_keeps():
     res = approx_max_tsp(inst, ApproxParams.parse("1/2"))
     runs = res.report.runs
     assert [r.label for r in runs] == ["first-matching", "second-matching", "leftover-patch"]
-    # two free vertices plus one patch edge; the matchings are already released
-    assert (runs[2].passes, runs[2].words_peak) == (1, 2 + 3)
+    # the 19-edge cover it carries, two free vertices and one patch edge
+    assert (runs[2].passes, runs[2].words_peak) == (1, 3 * 19 + 2 + 3)
     assert res.second_matching.edges[-1].pair == (0, 1)
     assert res.cover.covered == frozenset(range(n))
     assert res.tour.cost == 14204
@@ -186,6 +186,7 @@ def test_max_tsp_patch_pass_on_a_seeded_instance():
     # a seeded complete graph on 25 vertices, nine pairs in ten of weight 1
     # and the rest 50..100, shuffled: at eps = 1/2 both phases leave two
     # vertices free, and the patch pass joins them with a weight-1 edge
+    # while it carries the 17-edge cover (51 words)
     rng = SplitMix64(116)
     n = 25
     edges = [
@@ -197,7 +198,7 @@ def test_max_tsp_patch_pass_on_a_seeded_instance():
     res = approx_max_tsp(MaxTspInstance(n, tuple(edges)), ApproxParams.parse("1/2"), strict=True)
     runs = [(r.label, r.passes, r.words_peak) for r in res.report.runs]
     assert runs == [
-        ("first-matching", 1, 1089), ("second-matching", 1, 658), ("leftover-patch", 1, 5)
+        ("first-matching", 1, 1089), ("second-matching", 1, 658), ("leftover-patch", 1, 56)
     ]
     assert res.report.passes_used == 3
     assert (res.first_matching.size, res.second_matching.size) == (11, 7)
