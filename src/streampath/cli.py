@@ -34,7 +34,6 @@ from .stream import (
     BudgetExceededError,
     FileEdgeSource,
     StreamReport,
-    default_words_budget,
     load_edge_list,
     open_session,
     save_edge_list,
@@ -132,10 +131,7 @@ def _cmd_mpc(args) -> int:
     best = None
     if args.oracle:
         best = oracle_path_cover(Graph.from_pairs(src.n, src.edges(), src.weighted)).size
-    # Both pipelines run the unweighted engine, so a weighted file gets the
-    # unweighted default budget.
-    budget = default_words_budget(max(src.n, 1), params.k) if args.budget is None else args.budget
-    sess = open_session(src, words_budget=budget, strict=args.strict)
+    sess = open_session(src, k=params.k, words_budget=args.budget, strict=args.strict)
     if args.iterative:
         res = iterative_path_cover(src, params, sess)
         report = {"algorithm": "iterative-path-cover", "rounds": [m.size for m in res.rounds]}

@@ -86,11 +86,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def max_weight(self) -> int:
-        """Largest edge weight, 1 for an edgeless graph."""
-        return max((e.weight for e in self.edges), default=1)
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for e in self.edges:

@@ -378,20 +378,19 @@ def streaming_max_weight_matching(
     session.release(len(weakest))
     weakest.clear()
 
-    # One entry per pair, from either table: both hold its best copy.
-    # Viewed pairs a < b are keyed by the int a * n_view + b.
-    union = {
-        u * n_view + v if u < v else v * n_view + u: entry
+    # Kernel entries (a, b, w, original triple) with a < b, one per pair,
+    # taken from its lower end's table or from the only table that holds
+    # it (both hold its best copy), in stream order, so an entry's index
+    # orders it as its stream position does; from here on a kernel edge is
+    # named only by its index.
+    picked = [
+        (u, entry)
         for u in range(n_view)
         for v, entry in tables[u].items()
-    }
-    # Kernel entries (a, b, w, original triple) with a < b, in stream order,
-    # so an entry's index orders it as its stream position does; from here
-    # on a kernel edge is named only by its index.
-    kentries = [
-        (*divmod(key, n_view), w, t)
-        for key, (w, _, _, t) in sorted(union.items(), key=lambda kv: -kv[1][1])
+        if u < v or u not in tables[v]
     ]
+    picked.sort(key=lambda ue: -ue[1][1])
+    kentries = [(u, v, w, t) if u < v else (v, u, w, t) for u, (w, _, v, t) in picked]
     session.charge(3 * len(kentries))
     for u in range(n_view):
         session.release(2 * len(tables[u]))
@@ -428,9 +427,11 @@ def streaming_max_weight_matching(
         session.release(3)
 
     # The scan cap is a defensive bound on the damped local search; see the
-    # module docstring.  Exceeding it would mean the gain threshold failed
-    # to force geometric progress, i.e. a bug.
-    w_bits = max(1, source.max_weight.bit_length())
+    # docstring.  Exceeding it would mean the gain threshold failed to force
+    # geometric progress, i.e. a bug.  Every matching the search can reach
+    # lies in the kernel, so its weight bits are those of the heaviest
+    # kernel edge: the largest head of the heaviest-first rows.
+    w_bits = max(1, max((row[0][0] for row in rows if row), default=1).bit_length())
     n_bits = max(1, n_view.bit_length())
     scan_cap = 64 + 8 * n_view * params.k * params.k * (w_bits + n_bits + 4)
     # Accept gain > eps^2 * w(M) / (4 n), compared cross-multiplied so the

@@ -17,20 +17,19 @@ A pass hands the engines blocks of plain int columns ``(us, vs, ws)``,
 one visit per block, so the per-edge work is the engine's own loop; an
 engine builds ``Edge`` objects only for the edges it returns.  Every line
 of an edge-list file is validated when the file is opened.  Each pass
-re-reads the file in blocks and checks every line of a block by the same
-rules before yielding it, so a file that changed since it was opened fails
-with ``StreamFormatError`` instead of feeding the engines bad edges.
+re-reads the file with the same block reader, which checks every line of
+a block before yielding it, so a file that changed since it was opened
+fails with ``StreamFormatError`` instead of feeding the engines bad edges.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 from .graph import Graph
 
@@ -49,9 +48,9 @@ Block = tuple[list[int], list[int], list[int]]
 class EdgeStreamSource:
     """Interface for anything that can replay an edge sequence.
 
-    Subclasses provide ``n``, ``m``, ``weighted``, ``max_weight``, ``name``
-    and ``blocks()``, an iterator of non-empty blocks of the stream as
-    equal-length int columns ``(us, vs, ws)`` (``ws`` is all 1 on an
+    A source is its header, ``name``, ``n``, ``m`` and ``weighted``, and
+    its passes, ``blocks()``: an iterator of non-empty blocks of the stream
+    as equal-length int columns ``(us, vs, ws)`` (``ws`` is all 1 on an
     unweighted stream).  ``blocks()`` must yield the same edge sequence
     every time it is called; where it cuts that sequence into blocks is
     the source's choice.  A caller must not modify a block.
@@ -61,7 +60,6 @@ class EdgeStreamSource:
     n: int
     m: int
     weighted: bool
-    max_weight: int
 
     def blocks(self) -> Iterator[Block]:
         raise NotImplementedError
@@ -91,7 +89,6 @@ class InMemoryEdgeSource(EdgeStreamSource):
         self.n = graph.n
         self.m = graph.m
         self.weighted = graph.weighted
-        self.max_weight = graph.max_weight
         edges = graph.edges
         self._columns = (
             [e.u for e in edges],
@@ -197,25 +194,24 @@ class FileEdgeSource(EdgeStreamSource):
     ``u v`` (or ``u v w``), 0-indexed, no self-loops, weights >= 1, ASCII
     only.  Line order is the stream's arrival order.
 
-    The file is read in blocks of whole lines (about 64 KiB), and one
-    parser, ``_parse_block``, turns a block into int columns and checks
-    every edge-line rule on it, the field count of each line included.
-    Opening runs it over the whole file once and keeps no edges.  Each
-    pass runs it on every block before yielding it, and checks that the
-    pass stays within ``m`` edges (and reaches exactly ``m``).  A block
-    that fails is parsed again line by line, so every format error names
-    its ``path:line``; in a pass the error reads "file changed since it
-    was opened" and then what open would have said.  So an engine never
-    sees an edge that the validation at open would have rejected, even
-    when the file is rewritten after it was opened.  File timestamps are
-    not consulted: their resolution is coarse, so a check on them would
-    depend on timing.
+    One reader, ``_read``, serves the check at open and every pass.  It
+    reads the file in blocks of whole lines (about 64 KiB), turns each
+    block into int columns with ``_parse_block``, the one parser of the
+    edge-line rules (the field count of each line included), and checks
+    that the file holds exactly ``m`` edge lines, failing at the first
+    line past them.  Opening parses the header and drains the reader once,
+    keeping no edges; a pass yields its blocks.  A block that fails is
+    parsed again line by line, so every format error names its
+    ``path:line``, and a pass's error is open's error after "file changed
+    since it was opened: ".  So an engine never sees an edge that the
+    validation at open would have rejected, even when the file is
+    rewritten after it was opened.  File timestamps are not consulted:
+    their resolution is coarse, so a check on them would depend on timing.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.name = os.path.basename(path)
-        max_w = 1
         with open(path, "rb") as fh:
             header = fh.readline()
             if not header:
@@ -223,40 +219,33 @@ class FileEdgeSource(EdgeStreamSource):
             if not header.isascii():
                 raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
             self.n, self.m, self.weighted = _parse_header(header.decode("ascii"), path)
-            count = 0
-            for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
-                cols = _parse_block(block, self.n, self.weighted)
-                if isinstance(cols, str):
-                    lineno, why = _first_bad_line(block, count + 2, self.n, self.weighted)
-                    raise StreamFormatError(f"{path}:{lineno}: {why}")
-                max_w = max(max_w, max(cols[2]))
-                count += len(block)
-            if count != self.m:
-                raise StreamFormatError(
-                    f"{path}: header promises {self.m} edges, file has {count}"
-                )
-        self.max_weight = max_w
+            for _ in self._read(fh, ""):
+                pass
 
     def blocks(self) -> Iterator[Block]:
-        n, m, path = self.n, self.m, self.path
-        count = 0
-        with open(path, "rb") as fh:
+        with open(self.path, "rb") as fh:
             fh.readline()
-            for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
-                cols = _parse_block(block, n, self.weighted)
-                if isinstance(cols, str):
-                    raise _changed(path, *_first_bad_line(block, count + 2, n, self.weighted))
-                count += len(block)
-                if count > m:
-                    raise _changed(path, m + 2, f"more than the {m} edges it had")
-                yield cols
+            yield from self._read(fh, "file changed since it was opened: ")
+
+    def _read(self, fh: BinaryIO, prefix: str) -> Iterator[Block]:
+        """The checked blocks after the header; errors read ``path:line: <prefix><why>``."""
+        n, m, weighted = self.n, self.m, self.weighted
+        count = 0
+        for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
+            cols = _parse_block(block, n, weighted)
+            if isinstance(cols, str):
+                lineno, why = _first_bad_line(block, count + 2, n, weighted)
+                raise StreamFormatError(f"{self.path}:{lineno}: {prefix}{why}")
+            count += len(block)
+            if count > m:
+                raise StreamFormatError(
+                    f"{self.path}:{m + 2}: {prefix}header promises {m} edges, file has more"
+                )
+            yield cols
         if count != m:
-            raise _changed(path, count + 2, f"ends after {count} of its {m} edges")
-
-
-def _changed(path: str, lineno: int, why: str) -> StreamFormatError:
-    """Error for a pass that finds the file no longer as validated at open."""
-    return StreamFormatError(f"{path}:{lineno}: file changed since it was opened: {why}")
+            raise StreamFormatError(
+                f"{self.path}:{count + 2}: {prefix}header promises {m} edges, file has {count}"
+            )
 
 
 def load_edge_list(path: str) -> Graph:
@@ -273,19 +262,17 @@ def save_edge_list(path: str, g: Graph) -> None:
             fh.write(f"{e.u} {e.v} {e.weight}\n" if g.weighted else f"{e.u} {e.v}\n")
 
 
-def default_words_budget(n: int, k: int, max_weight: int = 0) -> int:
-    """Budget of 64*n*k words, scaled by ceil(log2(W+1)) when weighted.
+def default_words_budget(n: int, k: int) -> int:
+    """Budget of 64*n*k words, weighted stream or not.
 
-    ``max_weight`` of 0 means the unweighted model.  The constant is loose
-    on purpose: the budget exists to catch accidentally-superlinear state,
-    not to squeeze the engines.
+    A weight is one word, as the session charges it, so the heaviest
+    weight does not scale the budget.  The constant is loose on purpose:
+    the budget exists to catch accidentally-superlinear state, not to
+    squeeze the engines.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    words = 64 * n * k
-    if max_weight > 0:
-        words *= max(1, math.ceil(math.log2(max_weight + 1)))
-    return words
+    return 64 * n * k
 
 
 @dataclass(frozen=True)
@@ -452,7 +439,5 @@ def open_session(
     if words_budget is None:
         if k is None:
             raise ValueError("need k to size the default budget")
-        words_budget = default_words_budget(
-            max(source.n, 1), k, source.max_weight if source.weighted else 0
-        )
+        words_budget = default_words_budget(max(source.n, 1), k)
     return StreamSession(source, words_budget, strict)

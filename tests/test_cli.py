@@ -155,13 +155,13 @@ def test_strict_budget_exits_two(tmp_path, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
-def test_mpc_default_budget_ignores_the_weights(tmp_path, capsys):
-    # both pipelines run the unweighted engine: 64 * n * k = 64 * 3 * 3,
+def test_one_hostile_weight_inflates_no_default_budget(tmp_path, capsys):
+    # a weight is one word, so every default budget is 64 * n * k = 64 * 3 * 3,
     # not that scaled by the 13,288 bits of a 4,000-digit weight
     path = tmp_path / "nines.txt"
-    path.write_text("3 1 weighted\n0 1 " + "9" * 4000 + "\n")
-    for extra in ([], ["--iterative"]):
-        assert main(["mpc", str(path), "--json", *extra]) == 0
+    path.write_text("3 3 weighted\n0 1 " + "9" * 4000 + "\n0 2 7\n1 2 7\n")
+    for argv in (["mpc"], ["mpc", "--iterative"], ["maxtsp"], ["maxtsp", "--strict"]):
+        assert main([*argv, str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["stream"]["words_budget"] == 576
 
 

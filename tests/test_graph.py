@@ -54,7 +54,6 @@ def test_graph_from_pairs_both_arities():
     assert g.m == 2 and not g.weighted
     gw = Graph.from_pairs(4, [(0, 1, 5), (1, 2, 7)], weighted=True)
     assert [e.weight for e in gw.edges] == [5, 7]
-    assert gw.max_weight == 7
 
 
 def test_graph_rejects_out_of_range_vertices():
@@ -67,10 +66,6 @@ def test_graph_rejects_out_of_range_vertices():
 def test_graph_degrees_counts_parallel_copies():
     g = _g(3, [(0, 1), (0, 1), (1, 2)])
     assert g.degrees() == [2, 3, 1]
-
-
-def test_empty_graph_max_weight_defaults_to_one():
-    assert Graph(n=3, edges=(), weighted=True).max_weight == 1
 
 
 # --- Matching --------------------------------------------------------------

@@ -547,7 +547,7 @@ def test_weighted_full_table_upgrade_tie_and_eviction():
         + [(b, v2, 5)]
     )
     assert sess.report().as_dict() == {
-        "source": "memory", "n": 63, "m": 87, "passes_used": 1, "words_budget": 56448,
+        "source": "memory", "n": 63, "m": 87, "passes_used": 1, "words_budget": 8064,
         "words_peak": 582, "budget_exceeded": False,
         "runs": [{"label": "weighted-matching", "passes": 1, "words_peak": 582}],
     }
@@ -625,6 +625,30 @@ def test_final_maximality_sweep_adds_an_edge_too_light_for_the_search():
     ]
     assert m.weight == 1242306
     assert sess.report().runs[-1].words_peak == 56
+
+
+def test_scan_cap_takes_its_weight_bits_from_the_kernel(monkeypatch):
+    # A search that never converges fails once it has run scan_cap scans.
+    # The view merges the ends of the 2**60 edge, so it is no kernel edge:
+    # the cap counts the 3 bits of the heaviest kernel weight, 5, not 61.
+    from streampath import matching
+
+    scans = []
+
+    def endless(*args):
+        scans.append(1)
+        return [(1, (), (), ())]
+
+    monkeypatch.setattr(matching, "_pick_swaps", endless)
+    g = Graph.from_pairs(4, [(0, 1, 2**60), (1, 2, 3), (2, 3, 5)], weighted=True)
+    view = components_contraction(4, [(0, 1)])
+    params = ApproxParams.parse("1/3")
+    src = InMemoryEdgeSource(g)
+    with pytest.raises(AssertionError, match="failed to converge"):
+        streaming_max_weight_matching(src, params, open_session(src, k=params.k), view=view)
+    n_view, k = view.n_new, params.k
+    assert (n_view, k) == (3, 3)
+    assert len(scans) == 64 + 8 * n_view * k * k * (3 + n_view.bit_length() + 4) == 2008
 
 
 # --- the pruned swap search ------------------------------------------------------

@@ -322,48 +322,48 @@ def _with_weights(g: Graph, seed: int = 1) -> Graph:
 # graph, eps, budget, overall and per-run word peaks; the first and second
 # weighted matchings as (u, v, w), whose concatenation is the cover.
 _PINNED_WEIGHTED_COVERS = [
-    ('sparse14', '1/2', 7168, 350, [350, 175],
+    ('sparse14', '1/2', 1792, 350, [350, 175],
      [(6, 7, 9), (0, 9, 7), (5, 12, 8), (8, 10, 7), (2, 11, 5), (1, 13, 7), (3, 4, 9)],
      [(1, 9, 8), (2, 5, 5), (4, 7, 9)]),
-    ('sparse14', '1/3', 10752, 350, [350, 168],
+    ('sparse14', '1/3', 2688, 350, [350, 168],
      [(1, 11, 6), (0, 5, 7), (8, 10, 7), (9, 12, 8), (2, 6, 8), (7, 13, 9), (3, 4, 9)],
      [(6, 7, 9), (4, 5, 8), (1, 9, 8)]),
-    ('sparse14', '1/4', 14336, 350, [350, 168],
+    ('sparse14', '1/4', 3584, 350, [350, 168],
      [(1, 11, 6), (0, 9, 7), (5, 12, 8), (8, 10, 7), (2, 6, 8), (7, 13, 9), (3, 4, 9)],
      [(6, 7, 9), (4, 5, 8), (1, 9, 8)]),
-    ('sparse20', '1/2', 10240, 385, [385, 278],
+    ('sparse20', '1/2', 2560, 385, [385, 278],
      [(8, 16, 7), (1, 19, 9), (0, 13, 8), (7, 12, 8), (4, 14, 5), (3, 10, 7), (2, 17, 8),
       (15, 18, 6), (5, 11, 9)],
      [(12, 16, 7), (0, 9, 7), (1, 2, 9), (5, 18, 8), (3, 6, 3)]),
-    ('sparse20', '1/3', 15360, 385, [385, 281],
+    ('sparse20', '1/3', 3840, 385, [385, 281],
      [(8, 16, 7), (7, 12, 8), (1, 6, 8), (4, 14, 5), (0, 9, 7), (13, 17, 6), (3, 10, 7),
       (15, 18, 6), (5, 11, 9), (2, 19, 9)],
      [(1, 19, 9), (12, 13, 7), (4, 15, 7), (5, 16, 8), (0, 3, 9)]),
-    ('sparse20', '1/4', 20480, 385, [385, 281],
+    ('sparse20', '1/4', 5120, 385, [385, 281],
      [(8, 16, 7), (7, 12, 8), (1, 6, 8), (4, 14, 5), (0, 9, 7), (13, 17, 6), (3, 10, 7),
       (15, 18, 6), (5, 11, 9), (2, 19, 9)],
      [(1, 19, 9), (12, 13, 7), (4, 15, 7), (5, 16, 8), (0, 3, 9)]),
-    ('star26', '1/2', 13312, 366, [366, 272],
+    ('star26', '1/2', 3328, 366, [366, 272],
      [(0, 3, 9), (11, 20, 9), (8, 21, 6), (19, 23, 4), (9, 10, 7), (7, 25, 7), (2, 14, 8),
       (6, 24, 8), (12, 16, 9), (5, 17, 9), (1, 15, 9)],
      [(0, 7, 8), (4, 11, 6), (12, 22, 3), (21, 24, 5), (1, 19, 7), (2, 9, 8), (5, 13, 4)]),
-    ('star26', '1/3', 19968, 378, [378, 276],
+    ('star26', '1/3', 4992, 378, [378, 276],
      [(0, 3, 9), (11, 20, 9), (8, 21, 6), (19, 23, 4), (9, 10, 7), (7, 25, 7), (2, 14, 8),
       (6, 24, 8), (12, 16, 9), (5, 17, 9), (1, 15, 9)],
      [(0, 18, 8), (4, 11, 6), (21, 24, 5), (1, 19, 7), (2, 9, 8), (22, 25, 6), (5, 13, 4)]),
-    ('star26', '1/4', 26624, 390, [390, 276],
+    ('star26', '1/4', 6656, 390, [390, 276],
      [(0, 3, 9), (11, 20, 9), (8, 21, 6), (19, 23, 4), (9, 10, 7), (7, 25, 7), (2, 14, 8),
       (6, 24, 8), (12, 16, 9), (5, 17, 9), (1, 15, 9)],
      [(0, 18, 8), (4, 11, 6), (21, 24, 5), (1, 19, 7), (2, 9, 8), (22, 25, 6), (5, 13, 4)]),
-    ('dense16', '1/2', 8192, 668, [668, 236],
+    ('dense16', '1/2', 2048, 668, [668, 236],
      [(2, 14, 9), (10, 12, 8), (1, 4, 9), (5, 15, 4), (3, 8, 9), (6, 11, 7), (0, 13, 8),
       (7, 9, 7)],
      [(1, 12, 9), (0, 8, 9), (11, 14, 9), (5, 9, 7)]),
-    ('dense16', '1/3', 12288, 721, [721, 236],
+    ('dense16', '1/3', 3072, 721, [721, 236],
      [(5, 14, 6), (10, 12, 8), (1, 4, 9), (0, 8, 9), (3, 6, 9), (2, 15, 8), (7, 9, 7),
       (11, 13, 8)],
      [(1, 12, 9), (3, 8, 9), (11, 14, 9), (2, 7, 8)]),
-    ('dense16', '1/4', 16384, 721, [721, 236],
+    ('dense16', '1/4', 4096, 721, [721, 236],
      [(14, 15, 8), (5, 10, 8), (1, 12, 9), (0, 8, 9), (3, 6, 9), (4, 9, 9), (11, 13, 8),
       (2, 7, 8)],
      [(10, 12, 8), (3, 8, 9), (11, 14, 9), (4, 7, 8)]),

@@ -8,12 +8,14 @@ from itertools import count
 import pytest
 
 from streampath import stream
+from streampath.corpus import gen_random_weighted_graph
 from streampath.graph import Edge, Graph
 from streampath.matching import ApproxParams
 from streampath.pathcover import two_phase_path_cover
 from streampath.prng import SplitMix64
 from streampath.stream import (
     BudgetExceededError,
+    EdgeStreamSource,
     FileEdgeSource,
     InMemoryEdgeSource,
     StreamFormatError,
@@ -149,8 +151,31 @@ def test_crlf_file_streams_like_its_lf_twin(tmp_path):
     lf = "4 3 weighted\n2 0 5\n0 1 1\n3 1 7\n"
     a = FileEdgeSource(_write(tmp_path, lf, "lf.txt"))
     b = FileEdgeSource(_write(tmp_path, lf.replace("\n", "\r\n"), "crlf.txt"))
-    assert (b.n, b.m, b.weighted, b.max_weight) == (a.n, a.m, a.weighted, a.max_weight)
+    assert (b.n, b.m, b.weighted) == (a.n, a.m, a.weighted)
     assert list(b.edges()) == list(a.edges()) == [(2, 0, 5), (0, 1, 1), (3, 1, 7)]
+
+
+class _HeaderAndPasses(EdgeStreamSource):
+    """A source that defines only its header and its passes, in blocks of 7."""
+
+    def __init__(self, g: Graph) -> None:
+        self.name, self.n, self.m, self.weighted = "memory", g.n, g.m, g.weighted
+        self._triples = [(e.u, e.v, e.weight) for e in g.edges]
+
+    def blocks(self):
+        for i in range(0, self.m, 7):
+            yield tuple(map(list, zip(*self._triples[i : i + 7])))
+
+
+def test_a_source_needs_only_its_header_and_its_passes():
+    g = gen_random_weighted_graph(30, 3, max_weight=1000)
+    params = ApproxParams.parse("1/3")
+    got = []
+    for src in (_HeaderAndPasses(g), InMemoryEdgeSource(g)):
+        res = two_phase_path_cover(src, params, open_session(src, k=params.k), weighted=True)
+        got.append(([(e.u, e.v, e.weight) for e in res.cover.edges], res.report.as_dict()))
+    assert got[0] == got[1]
+    assert got[0][0] and got[0][1]["words_budget"] == 64 * 30 * 3
 
 
 _ORIGINAL = "4 3\n0 1\n1 2\n2 3\n"
@@ -159,9 +184,9 @@ _ORIGINAL = "4 3\n0 1\n1 2\n2 3\n"
 @pytest.mark.parametrize(
     "rewrite,fragment",
     [
-        ("4 3\n0 1\n1 2\n", "ends after 2 of its 3 edges"),
+        ("4 3\n0 1\n1 2\n", "header promises 3 edges, file has 2"),
         ("4 3\n0 1\n1 2\n2", "expected 2 fields on an edge line, got 1"),
-        ("4 3\n0 1\n1 2\n2 3\n0 2\n", "more than the 3 edges"),
+        ("4 3\n0 1\n1 2\n2 3\n0 2\n", "header promises 3 edges, file has more"),
         ("4 3\n0 1\n1 9\n2 3\n", "out of range"),
         ("4 3\n0 1\n2 2\n2 3\n", "self-loop"),
         ("4 3\n0 1\n1 x\n2 3\n", "edge fields must be plain decimal digits"),
@@ -186,15 +211,14 @@ def test_file_changed_after_open_fails_with_format_error(tmp_path, rewrite, frag
     assert fragment in str(err.value)
     # the file is one block, so only a clean cut lets any edge through
     assert all(0 <= u < 4 and 0 <= v < 4 and u != v and w == 1 for _, u, v, w in seen)
-    assert seen == ([(0, 0, 1, 1), (1, 1, 2, 1)] if "ends after" in fragment else [])
+    assert seen == ([(0, 0, 1, 1), (1, 1, 2, 1)] if "file has 2" in fragment else [])
     with pytest.raises(StreamFormatError, match="changed since it was opened"):
         two_phase_path_cover(src, ApproxParams.parse("1/3"), open_session(src, k=3))
-    # a bad line fails the pass with the line and message that open names
+    # the pass fails with the line and message that open names, counts included
     with pytest.raises(StreamFormatError) as at_open:
         FileEdgeSource(path)
-    if "promises" not in str(at_open.value):
-        where, why = str(at_open.value).split(": ", 1)
-        assert str(err.value) == f"{where}: file changed since it was opened: {why}"
+    where, why = str(at_open.value).split(": ", 1)
+    assert str(err.value) == f"{where}: file changed since it was opened: {why}"
 
 
 def test_weight_rewritten_below_one_fails(tmp_path):
@@ -244,7 +268,6 @@ def test_multi_block_pass_yields_exactly_the_file(tmp_path, weighted):
     path, g, want = _multi_block_file(tmp_path, weighted)
     src = FileEdgeSource(path)
     assert (src.n, src.m, src.weighted) == (g.n, g.m, weighted)
-    assert src.max_weight == max(w for _, _, w in want)
     assert list(src.edges()) == want
 
 
@@ -340,12 +363,6 @@ def test_path_cover_from_file_matches_memory(tmp_path, weighted):
 
 def test_default_budget_unweighted():
     assert default_words_budget(10, 3) == 64 * 10 * 3
-
-
-def test_default_budget_weighted_scales_with_weight_bits():
-    assert default_words_budget(10, 3, max_weight=1) == 64 * 10 * 3
-    assert default_words_budget(10, 3, max_weight=20) == 64 * 10 * 3 * 5
-    assert default_words_budget(10, 3, max_weight=2**10 - 1) == 64 * 10 * 3 * 10
 
 
 def test_open_session_needs_k_or_budget():

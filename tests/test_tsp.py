@@ -223,19 +223,19 @@ _PINNED_TOURS = [
     (30, 11, "1/4",
      [12, 10, 0, 14, 23, 15, 1, 26, 5, 2, 16, 24, 3, 6, 20, 9, 4, 7, 28, 22, 8, 11, 21, 25,
       13, 29, 18, 27, 17, 19],
-     501, _max_tsp_report(30, 435, 38400, 2580, 2580, 810)),
+     501, _max_tsp_report(30, 435, 7680, 2580, 2580, 810)),
     (34, 12, "1/3",
      [7, 4, 0, 22, 1, 28, 19, 29, 5, 32, 2, 18, 3, 24, 13, 12, 16, 6, 21, 33, 8, 25, 17, 27,
       9, 31, 23, 10, 20, 30, 15, 11, 14, 26],
-     556, _max_tsp_report(34, 561, 32640, 2229, 2229, 1037)),
+     556, _max_tsp_report(34, 561, 6528, 2229, 2229, 1037)),
     (37, 13, "1/4",
      [7, 14, 0, 24, 1, 31, 18, 15, 2, 27, 28, 36, 8, 29, 3, 10, 4, 22, 5, 12, 9, 30, 16, 6,
       34, 21, 11, 13, 35, 25, 26, 20, 17, 32, 19, 23, 33],
-     660, _max_tsp_report(37, 666, 47360, 3198, 3198, 1288)),
+     660, _max_tsp_report(37, 666, 9472, 3198, 3198, 1288)),
     (40, 14, "1/3",
      [5, 19, 0, 36, 1, 2, 35, 39, 3, 4, 11, 27, 6, 29, 8, 15, 16, 14, 7, 17, 24, 10, 9, 30,
       12, 37, 26, 33, 13, 21, 34, 28, 20, 23, 18, 31, 32, 25, 22, 38],
-     669, _max_tsp_report(40, 780, 38400, 2640, 2640, 1375)),
+     669, _max_tsp_report(40, 780, 7680, 2640, 2640, 1375)),
 ]
 
 
@@ -246,12 +246,12 @@ _PINNED_DEEP_SEARCHES = [
      [30, 0, 3, 36, 15, 1, 59, 49, 2, 8, 14, 9, 4, 16, 11, 42, 5, 47, 50, 41, 23, 6, 19,
       51, 7, 26, 40, 10, 12, 31, 13, 21, 17, 37, 57, 27, 32, 18, 22, 34, 24, 53, 20, 38,
       46, 25, 44, 55, 45, 52, 28, 56, 29, 54, 39, 35, 43, 33, 48, 58],
-     1040, _max_tsp_report(60, 1770, 76800, 5238, 5238, 2727)),
+     1040, _max_tsp_report(60, 1770, 15360, 5238, 5238, 2727)),
     (60, 1, "1/5",
      [3, 0, 30, 44, 10, 36, 1, 48, 8, 2, 45, 52, 4, 26, 40, 28, 47, 5, 32, 55, 23, 6, 19,
       51, 7, 12, 31, 13, 14, 9, 43, 33, 21, 16, 11, 42, 15, 20, 53, 24, 25, 58, 17, 37, 18,
       22, 56, 34, 38, 57, 27, 46, 41, 50, 29, 54, 39, 35, 49, 59],
-     1043, _max_tsp_report(60, 1770, 96000, 6504, 6504, 3195)),
+     1043, _max_tsp_report(60, 1770, 19200, 6504, 6504, 3195)),
 ]
 
 
