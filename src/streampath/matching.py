@@ -14,7 +14,9 @@ offline on those rows.
   holds the kept pairs' original ends as values in arrays, so what it
   keeps is the rows, the partners and those columns.
 * ``streaming_max_weight_matching`` keeps per-vertex tables of the
-  heaviest incident edges, then runs a local search over alternating
+  heaviest incident edges, each a heap once full, so an eviction never
+  rescans a table and a losing edge costs one comparison against the
+  head's weight.  It then runs a local search over alternating
   path/cycle swaps of at most 2k - 1 edges whose gain beats a damping
   threshold: each scan applies the vertex-disjoint swaps a greedy takes
   in order of decreasing gain, found best-first without listing the
@@ -53,6 +55,7 @@ import operator
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heapreplace
 from itertools import compress, count, starmap
 
 from .graph import ContractionMap, Edge, Graph, Matching
@@ -291,7 +294,8 @@ def _augmenting_path(
             remaining += 2
 
 
-_TableEntry = tuple[int, int, int, tuple[int, int, int]]
+_TableEntry = tuple[int, int, int, int, int]
+_NEIGHBOUR = operator.itemgetter(2)
 
 
 def streaming_max_weight_matching(
@@ -319,11 +323,17 @@ def streaming_max_weight_matching(
     final zero-threshold sweep makes the matching maximal within the
     kernel.
 
-    The table pass charges 2 words per table entry, and 1 word per vertex
-    whose table is full for the cached weakest entry of that table, which
-    lets an arriving edge that loses be rejected with one comparison; the
-    cache words are charged as tables fill and released when the pass ends.
-    The run ends holding what it began with; callers charge what they keep.
+    A table is a list of entries in arrival order plus the set of their
+    neighbours.  When it fills it becomes a heap whose head is the entry
+    the cap evicts, so no table is ever rescanned: an eviction is one
+    ``heapreplace``, and a heavier copy of a kept pair replaces its entry
+    and re-heapifies.  The head's weight is the table's floor, held where
+    the pass loop reads it, so an arriving end at or below it is dropped
+    with one comparison; that is exact, as a pair a full table keeps has a
+    copy at least as heavy as the head.  The pass charges 2 words per table
+    entry, and 1 word per full table for its floor, charged as the table
+    fills and released when the pass ends.  The run ends holding what it
+    began with; callers charge what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list for the reason given in streaming_max_matching.
@@ -331,52 +341,60 @@ def streaming_max_weight_matching(
 
     session.begin_run(label)
     cap = params.kernel_degree_cap
-    # Per viewed vertex: neighbour -> (weight, -position, neighbour, original
-    # triple).  The first two fields are unique within a table, so the
-    # smallest value is the one entry the cap evicts: the lightest, and the
-    # latest among equal weights.
-    tables: list[dict[int, _TableEntry]] = [dict() for _ in range(n_view)]
-    # Per vertex whose table is full: the table's smallest value, kept up
-    # to date so that an arriving edge that loses costs one comparison.
-    weakest: dict[int, _TableEntry] = {}
+    # Per viewed vertex, its table: the entries (weight, -position,
+    # neighbour, original end u, original end v) in arrival order, a heap
+    # from the moment the table fills, and the set of their neighbours.
+    # The first two fields are unique within a table, so a full table's
+    # head is the one entry the cap evicts: the lightest, and the latest
+    # among equal weights.
+    tables: list[list[_TableEntry]] = [[] for _ in range(n_view)]
+    nbrs: list[set[int]] = [set() for _ in range(n_view)]
+    # Per vertex: the head weight of its table once full, else 0, which
+    # every weight (>= 1) beats.  A pair a full table keeps holds a copy at
+    # least as heavy as the head, so an end at or below it changes nothing.
+    floor = [0] * n_view
 
     # Positions only grow along a pass, so an arriving copy beats a kept
-    # entry exactly when it is strictly heavier.
-    def consider(u: int, v: int, w: int, entry: _TableEntry) -> None:
-        tab = tables[u]
-        cur = tab.get(v)
-        if cur is not None:
-            if w > cur[0]:
-                tab[v] = entry
-                if weakest.get(u) is cur:  # it was the weakest entry
-                    weakest[u] = min(tab.values())
+    # entry exactly when it is strictly heavier.  The caller has checked
+    # that ``w`` beats the floor, so a new pair at a full table evicts the
+    # head.  A heavier copy moves its entry only away from the head.
+    def keep(x: int, y: int, w: int, npos: int, u: int, v: int) -> None:
+        tab = tables[x]
+        held = nbrs[x]
+        if y in held:
+            i = list(map(_NEIGHBOUR, tab)).index(y)
+            if w > tab[i][0]:
+                tab[i] = (w, npos, y, u, v)
+                if floor[x]:
+                    heapify(tab)
+                    floor[x] = tab[0][0]
             return
-        if len(tab) < cap:
-            tab[v] = entry
-            session.charge(2)
-            if len(tab) == cap:
-                weakest[u] = min(tab.values())
-                session.charge(1)
+        held.add(y)
+        if floor[x]:
+            held.discard(heapreplace(tab, (w, npos, y, u, v))[2])
+            floor[x] = tab[0][0]
             return
-        low = weakest[u]
-        if w > low[0]:
-            del tab[low[2]]
-            tab[v] = entry
-            weakest[u] = min(tab.values())
+        tab.append((w, npos, y, u, v))
+        session.charge(2)
+        if len(tab) == cap:
+            heapify(tab)
+            floor[x] = tab[0][0]
+            session.charge(1)
 
     def table_visit(pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
-        for pos, u, v, w in zip(count(pos0), us, vs, ws):
+        for pos, u, v, w in zip(count(-pos0, -1), us, vs, ws):
             a = target[u]
             b = target[v]
             if a == b or a < 0 or b < 0:
                 continue
-            t = (u, v, w)
-            consider(a, b, w, (w, -pos, b, t))
-            consider(b, a, w, (w, -pos, a, t))
+            if w > floor[a]:
+                keep(a, b, w, pos, u, v)
+            if w > floor[b]:
+                keep(b, a, w, pos, u, v)
 
     session.run_pass(table_visit)
-    session.release(len(weakest))
-    weakest.clear()
+    session.release(sum(map(bool, floor)))
+    del floor
 
     # Kernel entries (a, b, w, original triple) with a < b, one per pair,
     # taken from its lower end's table or from the only table that holds
@@ -384,26 +402,29 @@ def streaming_max_weight_matching(
     # orders it as its stream position does; from here on a kernel edge is
     # named only by its index.
     picked = [
-        (u, entry)
-        for u in range(n_view)
-        for v, entry in tables[u].items()
-        if u < v or u not in tables[v]
+        (x, entry)
+        for x in range(n_view)
+        for entry in tables[x]
+        if x < entry[2] or x not in nbrs[entry[2]]
     ]
-    picked.sort(key=lambda ue: -ue[1][1])
-    kentries = [(u, v, w, t) if u < v else (v, u, w, t) for u, (w, _, v, t) in picked]
+    picked.sort(key=lambda xe: -xe[1][1])
+    kentries = [
+        (x, y, w, (u, v, w)) if x < y else (y, x, w, (u, v, w))
+        for x, (w, _, y, u, v) in picked
+    ]
     session.charge(3 * len(kentries))
-    for u in range(n_view):
-        session.release(2 * len(tables[u]))
-    tables.clear()
+    for tab in tables:
+        session.release(2 * len(tab))
+    del tables, nbrs, picked
 
-    # Per vertex: (weight, other end, entry index), heaviest first; a row is
-    # built in index order and the sort is stable, so earliest first on ties.
+    # Entry indices heaviest first; the sort is stable, so earliest first
+    # on ties.  Per vertex: (weight, other end, entry index) in that order.
+    order = sorted(range(len(kentries)), key=lambda i: -kentries[i][2])
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n_view)]
-    for idx, (u, v, w, _) in enumerate(kentries):
+    for idx in order:
+        u, v, w, _ = kentries[idx]
         rows[u].append((w, v, idx))
         rows[v].append((w, u, idx))
-    for row in rows:
-        row.sort(key=lambda r: -r[0])
 
     # Per vertex: the entry index of its matched edge, or -1 when free.
     medge = [-1] * n_view
@@ -430,8 +451,8 @@ def streaming_max_weight_matching(
     # docstring.  Exceeding it would mean the gain threshold failed to force
     # geometric progress, i.e. a bug.  Every matching the search can reach
     # lies in the kernel, so its weight bits are those of the heaviest
-    # kernel edge: the largest head of the heaviest-first rows.
-    w_bits = max(1, max((row[0][0] for row in rows if row), default=1).bit_length())
+    # kernel edge, the first in ``order``.
+    w_bits = kentries[order[0]][2].bit_length() if order else 1
     n_bits = max(1, n_view.bit_length())
     scan_cap = 64 + 8 * n_view * params.k * params.k * (w_bits + n_bits + 4)
     # Accept gain > eps^2 * w(M) / (4 n), compared cross-multiplied so the
@@ -453,8 +474,7 @@ def streaming_max_weight_matching(
             for idx in adds:
                 match(idx)
 
-    # Heaviest first; the sort is stable, so earliest first on ties.
-    for idx in sorted(range(len(kentries)), key=lambda i: -kentries[i][2]):
+    for idx in order:
         u, v, _, _ = kentries[idx]
         if medge[u] < 0 and medge[v] < 0:
             match(idx)

@@ -194,12 +194,12 @@ class FileEdgeSource(EdgeStreamSource):
     ``u v`` (or ``u v w``), 0-indexed, no self-loops, weights >= 1, ASCII
     only.  Line order is the stream's arrival order.
 
-    One reader, ``_read``, serves the check at open and every pass.  It
-    reads the file in blocks of whole lines (about 64 KiB), turns each
-    block into int columns with ``_parse_block``, the one parser of the
-    edge-line rules (the field count of each line included), and checks
-    that the file holds exactly ``m`` edge lines, failing at the first
-    line past them.  Opening parses the header and drains the reader once,
+    One reader, ``_read_blocks``, serves the check at open, every pass and
+    ``load_edge_list``.  It reads the file in blocks of whole lines (about
+    64 KiB), turns each block into int columns with ``_parse_block``, the
+    one parser of the edge-line rules (the field count of each line
+    included), and checks that the file holds exactly ``m`` edge lines,
+    failing at the first line past them.  Opening parses the header and drains the reader once,
     keeping no edges; a pass yields its blocks.  A block that fails is
     parsed again line by line, so every format error names its
     ``path:line``, and a pass's error is open's error after "file changed
@@ -213,45 +213,60 @@ class FileEdgeSource(EdgeStreamSource):
         self.path = path
         self.name = os.path.basename(path)
         with open(path, "rb") as fh:
-            header = fh.readline()
-            if not header:
-                raise StreamFormatError(f"{path}:1: empty file")
-            if not header.isascii():
-                raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
-            self.n, self.m, self.weighted = _parse_header(header.decode("ascii"), path)
-            for _ in self._read(fh, ""):
+            self.n, self.m, self.weighted = _read_header(fh, path)
+            for _ in _read_blocks(fh, path, self.n, self.m, self.weighted, ""):
                 pass
 
     def blocks(self) -> Iterator[Block]:
         with open(self.path, "rb") as fh:
             fh.readline()
-            yield from self._read(fh, "file changed since it was opened: ")
-
-    def _read(self, fh: BinaryIO, prefix: str) -> Iterator[Block]:
-        """The checked blocks after the header; errors read ``path:line: <prefix><why>``."""
-        n, m, weighted = self.n, self.m, self.weighted
-        count = 0
-        for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
-            cols = _parse_block(block, n, weighted)
-            if isinstance(cols, str):
-                lineno, why = _first_bad_line(block, count + 2, n, weighted)
-                raise StreamFormatError(f"{self.path}:{lineno}: {prefix}{why}")
-            count += len(block)
-            if count > m:
-                raise StreamFormatError(
-                    f"{self.path}:{m + 2}: {prefix}header promises {m} edges, file has more"
-                )
-            yield cols
-        if count != m:
-            raise StreamFormatError(
-                f"{self.path}:{count + 2}: {prefix}header promises {m} edges, file has {count}"
+            yield from _read_blocks(
+                fh, self.path, self.n, self.m, self.weighted, "file changed since it was opened: "
             )
 
 
+def _read_header(fh: BinaryIO, path: str) -> tuple[int, int, bool]:
+    """``n``, ``m`` and ``weighted`` from the first line of an open edge-list file."""
+    header = fh.readline()
+    if not header:
+        raise StreamFormatError(f"{path}:1: empty file")
+    if not header.isascii():
+        raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
+    return _parse_header(header.decode("ascii"), path)
+
+
+def _read_blocks(
+    fh: BinaryIO, path: str, n: int, m: int, weighted: bool, prefix: str
+) -> Iterator[Block]:
+    """The checked blocks after the header; errors read ``path:line: <prefix><why>``."""
+    count = 0
+    for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
+        cols = _parse_block(block, n, weighted)
+        if isinstance(cols, str):
+            lineno, why = _first_bad_line(block, count + 2, n, weighted)
+            raise StreamFormatError(f"{path}:{lineno}: {prefix}{why}")
+        count += len(block)
+        if count > m:
+            raise StreamFormatError(
+                f"{path}:{m + 2}: {prefix}header promises {m} edges, file has more"
+            )
+        yield cols
+    if count != m:
+        raise StreamFormatError(
+            f"{path}:{count + 2}: {prefix}header promises {m} edges, file has {count}"
+        )
+
+
 def load_edge_list(path: str) -> Graph:
-    """Read a whole edge-list file into a Graph (non-streaming convenience)."""
-    src = FileEdgeSource(path)
-    return Graph.from_pairs(src.n, src.edges(), src.weighted)
+    """Read a whole edge-list file into a Graph (non-streaming convenience).
+
+    The file is read once, with the checks and the error texts of a
+    ``FileEdgeSource`` open; the graph is built from the checked blocks.
+    """
+    with open(path, "rb") as fh:
+        n, m, weighted = _read_header(fh, path)
+        blocks = _read_blocks(fh, path, n, m, weighted, "")
+        return Graph.from_pairs(n, chain.from_iterable(zip(*b) for b in blocks), weighted)
 
 
 def save_edge_list(path: str, g: Graph) -> None:

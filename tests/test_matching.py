@@ -553,31 +553,11 @@ def test_weighted_full_table_upgrade_tie_and_eviction():
     }
 
 
-def _best_copy_kernel(g: Graph, cap: int) -> list[tuple[int, int, int, tuple[int, int, int]]]:
-    """Offline kernel: each vertex's ``cap`` best pairs by best copy, united.
+def _capture_kernel(monkeypatch) -> list[list]:
+    """A list that records the kernel entries of a weighted run's first scan.
 
-    A pair's best copy is its heaviest, the earliest among equal weights;
-    entries are ``(a, b, w, original triple)`` with a < b, in stream order
-    of those copies.
+    Clear it before each run: it records only while it is empty.
     """
-    best: dict[tuple[int, int], tuple[int, int]] = {}
-    for pos, e in enumerate(g.edges):
-        cur = best.get(e.pair)
-        if cur is None or e.weight > cur[0]:
-            best[e.pair] = (e.weight, pos)
-    ranked: list[list[tuple[int, int, tuple[int, int]]]] = [[] for _ in range(g.n)]
-    for pair, (w, pos) in best.items():
-        for x in pair:
-            ranked[x].append((w, -pos, pair))
-    kept = {pair for row in ranked for _, _, pair in sorted(row, reverse=True)[:cap]}
-    copies = [g.edges[best[pair][1]] for pair in sorted(kept, key=lambda p: best[p][1])]
-    return [(*e.pair, e.weight, (e.u, e.v, e.weight)) for e in copies]
-
-
-def test_weighted_kernel_is_each_vertexs_best_pairs_by_best_copy(monkeypatch):
-    # Multigraphs with parallel copies and weights 1..3, so ties are common,
-    # at eps = 1/2, so the cap of 12 binds: the kernel the local search
-    # starts from is the union of each vertex's 12 best pairs by best copy.
     from streampath import matching
 
     seen: list[list] = []
@@ -589,24 +569,116 @@ def test_weighted_kernel_is_each_vertexs_best_pairs_by_best_copy(monkeypatch):
         return search(kentries, *rest)
 
     monkeypatch.setattr(matching, "_pick_swaps", captured)
-    cap = ApproxParams.parse("1/2").kernel_degree_cap
-    over_cap = 0
-    for seed in range(300):
-        rng = SplitMix64(seed)
-        n = rng.randint(8, 30)
-        m = rng.randint(n, 8 * n)
-        triples = []
-        while len(triples) < m:
-            u, v = rng.below(n), rng.below(n)
-            if u != v:
-                triples.append((u, v, rng.randint(1, 3)))
-        g = Graph.from_pairs(n, triples, weighted=True)
-        seen.clear()
-        _run_weighted(g, "1/2")
-        assert seen[0] == _best_copy_kernel(g, cap), seed
-        degrees = [len({e.pair for e in g.edges if x in e.pair}) for x in range(n)]
-        over_cap += sum(d > cap for d in degrees)
-    assert over_cap > 300
+    return seen
+
+
+def test_weighted_upgrade_below_the_head_then_evict_the_true_weakest(monkeypatch):
+    # eps = 1/2: A's table holds 12 entries.  They arrive lightest-first at
+    # the head, so the full table is (2, 3, 6, 4, 5, 7, 7, 8, ...) in heap
+    # order.  A parallel copy lifts the weight-3 entry, which is not the
+    # weakest, to 9.  The weight-10 arrival then evicts the weight-2 entry,
+    # and the weight-5 arrival must evict the weight-4 entry, the true
+    # weakest: a table that leaves the lifted entry out of order puts a
+    # weight-6 entry at its head and drops the weight-5 arrival instead.
+    # N4 first fills its own table with heavier edges, so the pair (A, N4)
+    # reaches the kernel only through A's table.
+    seen = _capture_kernel(monkeypatch)
+    a, x, n4, z1, z2 = 0, 2, 4, 13, 14
+    triples = [(n4, p, 50) for p in range(15, 27)]
+    triples += [(a, y, w) for y, w in zip(range(1, 13), (2, 3, 6, 4, 5, 7, 7, 8, 8, 8, 8, 8))]
+    triples += [(a, x, 9), (a, z1, 10), (a, z2, 5)]
+    g = Graph.from_pairs(27, triples, weighted=True)
+    params = ApproxParams.parse("1/2")
+    src = InMemoryEdgeSource(g)
+    sess = open_session(src, k=params.k, strict=True)
+    streaming_max_weight_matching(src, params, sess)
+    assert sess.words_in_use == 0
+    pairs = [(u, v, w) for u, v, w, _ in seen[0]]
+    assert (a, n4, 4) not in pairs
+    assert pairs == [(n4, p, 50) for p in range(15, 27)] + [
+        (a, y, w) for y, w in zip((1, 3, 5, 6, 7, 8, 9, 10, 11, 12), (2, 6, 5, 7, 7, 8, 8, 8, 8, 8))
+    ] + [(a, x, 9), (a, z1, 10), (a, z2, 5)]
+    assert seen[0] == _best_copy_kernel(g, params.kernel_degree_cap)
+
+
+def _best_copy_kernel(
+    g: Graph, cap: int, view=None
+) -> list[tuple[int, int, int, tuple[int, int, int]]]:
+    """Offline kernel: each viewed vertex's ``cap`` best pairs by best copy, united.
+
+    Edges are read through ``view.target`` when a view is given, dropping
+    those with a banned end or both ends in one class.  A viewed pair's
+    best copy is its heaviest, the earliest among equal weights; entries
+    are ``(a, b, w, original triple)`` with viewed ends a < b, in stream
+    order of those copies.
+    """
+    n_view = view.n_new if view is not None else g.n
+    target = view.target if view is not None else range(g.n)
+    best: dict[tuple[int, int], tuple[int, int]] = {}
+    for pos, e in enumerate(g.edges):
+        a, b = target[e.u], target[e.v]
+        if a == b or a < 0 or b < 0:
+            continue
+        pair = (min(a, b), max(a, b))
+        cur = best.get(pair)
+        if cur is None or e.weight > cur[0]:
+            best[pair] = (e.weight, pos)
+    ranked: list[list[tuple[int, int, tuple[int, int]]]] = [[] for _ in range(n_view)]
+    for pair, (w, pos) in best.items():
+        for x in pair:
+            ranked[x].append((w, -pos, pair))
+    kept = {pair for row in ranked for _, _, pair in sorted(row, reverse=True)[:cap]}
+    out = []
+    for pair in sorted(kept, key=lambda p: best[p][1]):
+        e = g.edges[best[pair][1]]
+        out.append((*pair, e.weight, (e.u, e.v, e.weight)))
+    return out
+
+
+def test_weighted_kernel_is_each_vertexs_best_pairs_by_best_copy(monkeypatch):
+    # Multigraphs with parallel copies and weights 1..3, so ties are common,
+    # with the cap binding at many vertices: the kernel the local search
+    # starts from is the union of each viewed vertex's 6k best pairs by
+    # best copy.  Each eps streams every graph directly, through a
+    # contraction of random pairs (as phase two reads the first matching's
+    # contraction, so viewed pairs arrive as parallel copies and full tables
+    # upgrade entries that are not their heads), and through that
+    # contraction with a few vertices banned.
+    seen = _capture_kernel(monkeypatch)
+    for eps, view_kind in product(("1/2", "1/3"), ("none", "contracted", "banned")):
+        params = ApproxParams.parse(eps)
+        cap = params.kernel_degree_cap
+        over_cap = 0
+        # Graphs read through a view are larger, so fewer of them suffice.
+        for seed in range(300 if view_kind == "none" else 100):
+            rng = SplitMix64(seed)
+            if view_kind == "none":
+                n = rng.randint(8, 30) * cap // 12
+            else:
+                n = rng.randint(2 * cap, 4 * cap)
+            m = rng.randint(n, 8 * n) * cap // 12
+            triples = []
+            while len(triples) < m:
+                u, v = rng.below(n), rng.below(n)
+                if u != v:
+                    triples.append((u, v, rng.randint(1, 3)))
+            g = Graph.from_pairs(n, triples, weighted=True)
+            view = None
+            if view_kind != "none":
+                merge = [(rng.below(n), rng.below(n)) for _ in range(n // 3)]
+                banned = [rng.below(n) for _ in range(n // 10)] if view_kind == "banned" else ()
+                view = components_contraction(n, merge, banned)
+            src = InMemoryEdgeSource(g)
+            sess = open_session(src, k=params.k, strict=True)
+            seen.clear()
+            streaming_max_weight_matching(src, params, sess, view=view)
+            assert sess.words_in_use == 0
+            assert seen[0] == _best_copy_kernel(g, cap, view), (eps, view_kind, seed)
+            target = view.target if view is not None else range(n)
+            pairs = {frozenset((target[e.u], target[e.v])) for e in g.edges}
+            degrees = Counter(x for pair in pairs if len(pair) == 2 and -1 not in pair for x in pair)
+            over_cap += sum(d > cap for d in degrees.values())
+        assert over_cap > 300, (eps, view_kind)
 
 
 def test_final_maximality_sweep_adds_an_edge_too_light_for_the_search():

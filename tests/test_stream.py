@@ -103,6 +103,9 @@ def test_malformed_files_are_rejected_with_location(tmp_path, text, fragment):
         FileEdgeSource(path)
     assert fragment in str(err.value)
     assert path.split("/")[-1] in str(err.value)
+    with pytest.raises(StreamFormatError) as loaded:
+        load_edge_list(path)
+    assert str(loaded.value) == str(err.value)
 
 
 _LONG = "7" * 5000
@@ -119,9 +122,10 @@ _LONG = "7" * 5000
 )
 def test_fields_past_the_int_digit_limit_are_too_long(tmp_path, text, where):
     path = _write(tmp_path, text)
-    with pytest.raises(StreamFormatError) as err:
-        FileEdgeSource(path)
-    assert str(err.value) == f"{path}:{where} too long"
+    for read in (FileEdgeSource, load_edge_list):
+        with pytest.raises(StreamFormatError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:{where} too long"
 
 
 @pytest.mark.parametrize(
@@ -272,6 +276,25 @@ def test_multi_block_pass_yields_exactly_the_file(tmp_path, weighted):
 
 
 @pytest.mark.parametrize("weighted", [False, True])
+def test_load_edge_list_parses_each_block_once(tmp_path, weighted, monkeypatch):
+    path, g, want = _multi_block_file(tmp_path, weighted)
+    blocks = len(list(FileEdgeSource(path).blocks()))
+    assert blocks > 1
+    parsed = []
+    parse = stream._parse_block
+
+    def counted(block, n, weighted):
+        parsed.append(len(block))
+        return parse(block, n, weighted)
+
+    monkeypatch.setattr(stream, "_parse_block", counted)
+    back = load_edge_list(path)
+    assert len(parsed) == blocks and sum(parsed) == g.m
+    assert (back.n, back.weighted) == (g.n, weighted)
+    assert [(e.u, e.v, e.weight) for e in back.edges] == want
+
+
+@pytest.mark.parametrize("weighted", [False, True])
 def test_blocks_are_the_stream_in_contiguous_columns(tmp_path, weighted):
     path, g, want = _multi_block_file(tmp_path, weighted)
     assert g.m > stream._SLICE_EDGES
@@ -298,9 +321,10 @@ def test_bad_line_in_a_later_block_is_named_at_open_and_in_a_pass(tmp_path):
     lines[15_001] = f"{x} {x}\n"  # edge 15000 is on line 15002
     with open(path, "w") as fh:
         fh.writelines(lines)
-    with pytest.raises(StreamFormatError) as at_open:
-        FileEdgeSource(path)
-    assert str(at_open.value) == f"{path}:15002: self-loop at vertex {x}"
+    for read in (FileEdgeSource, load_edge_list):
+        with pytest.raises(StreamFormatError) as at_open:
+            read(path)
+        assert str(at_open.value) == f"{path}:15002: self-loop at vertex {x}"
     seen = []
     with pytest.raises(StreamFormatError) as err:
         open_session(src, k=2).run_pass(_collect(seen))
