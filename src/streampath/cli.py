@@ -247,9 +247,9 @@ def _cmd_gen(args) -> int:
     elif args.kind == "degree124":
         g = gen_degree124_graph(args.n, seed)
     elif args.kind == "tsp12":
-        g = gen_random_tsp12(args.n, seed, density).cheap_graph()
+        g = gen_random_tsp12(args.n, seed, density)
     else:
-        g = gen_random_max_tsp(args.n, seed, args.max_weight).graph()
+        g = gen_random_max_tsp(args.n, seed, args.max_weight)
     save_edge_list(args.out, g)
     print(f"wrote {args.out}: kind={args.kind} n={g.n} m={g.m} seed={seed}")
     return _OK

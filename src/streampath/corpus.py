@@ -568,7 +568,7 @@ def sweep_contract_bound(trials: int = 500, seed: int = 7) -> SweepOutcome:
     for t in range(trials):
         n = rng.randint(3, 9)
         inst = gen_random_max_tsp(n, rng.next_u64(), _WEIGHT_SCALES[t % 3])
-        m = gen_random_matching_in(inst.graph(), rng.next_u64())
+        m = gen_random_matching_in(inst, rng.next_u64())
         bound = contract_bound_check(inst, m)
         out.check(
             "bound-holds",

@@ -52,6 +52,7 @@ which ``StreamSession.end_run`` checks; callers charge what they keep.
 from __future__ import annotations
 
 import operator
+import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,7 +95,17 @@ class ApproxParams:
             raise ValueError(
                 f"cannot parse epsilon {text!r}; write a fraction such as 1/3"
             ) from None
-        return cls(eps)
+        params = cls(eps)
+        # The largest default budget, 64 n k at any n a per-vertex table can
+        # index, must print, or the run would fail only at its report.
+        try:
+            str(64 * sys.maxsize * params.k)
+        except ValueError:
+            raise ValueError(
+                f"epsilon {text!r} is too small: k = ceil(1/epsilon) has too many"
+                " digits to report"
+            ) from None
+        return params
 
     @property
     def max_swap_edges(self) -> int:

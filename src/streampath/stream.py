@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
 from typing import BinaryIO, Callable, Iterator
@@ -313,19 +313,7 @@ class StreamReport:
     runs: tuple[RunRecord, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "n": self.n,
-            "m": self.m,
-            "passes_used": self.passes_used,
-            "words_budget": self.words_budget,
-            "words_peak": self.words_peak,
-            "budget_exceeded": self.budget_exceeded,
-            "runs": [
-                {"label": r.label, "passes": r.passes, "words_peak": r.words_peak}
-                for r in self.runs
-            ],
-        }
+        return {**asdict(self), "runs": [asdict(r) for r in self.runs]}
 
 
 class StreamSession:

@@ -9,6 +9,10 @@ max-weight tours on complete graphs it runs the weighted engine, the
 cover is patched so at most one vertex is left uncovered, then the paths
 are concatenated.
 
+Each instance class is a ``Graph`` with ``weighted`` fixed, so the
+pipelines stream the instance itself and its edges are checked once, when
+it is built.  The pair lookups behind ``weight`` are built on first use.
+
 The exact oracles (Held-Karp tours, branch-and-bound path cover) are
 deliberately small-instance: they exist to certify the streaming results
 on test corpora, not to scale.
@@ -28,29 +32,19 @@ from .stream import InMemoryEdgeSource, StreamReport, open_session
 
 
 @dataclass(frozen=True)
-class Tsp12Instance:
+class Tsp12Instance(Graph):
     """Symmetric TSP where every pair costs 1 or 2.
 
-    Only the cost-1 pairs are stored (as ``edges``); every absent pair
-    costs 2.  The cost-1 pairs form the graph whose path cover drives the
+    The instance is the unweighted graph of its cost-1 pairs, each listed
+    once; every absent pair costs 2.  That graph's path cover drives the
     approximation.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
+    weighted: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("need at least 3 vertices for a tour")
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if e.u >= self.n or e.v >= self.n:
-                raise ValueError(f"edge ({e.u}, {e.v}) out of range for n={self.n}")
-            if e.weight != 1:
-                raise ValueError("cost-1 edge list must have weight 1 throughout")
-            if e.pair in seen:
-                raise ValueError(f"duplicate pair {e.pair}")
-            seen.add(e.pair)
+        super().__post_init__()
+        _check_tour_pairs(self)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Tsp12Instance":
@@ -63,13 +57,9 @@ class Tsp12Instance:
                 kept.append(Edge(e.u, e.v))
         return cls(g.n, tuple(kept))
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
     def cheap_graph(self) -> Graph:
-        """The cost-1 pairs as an unweighted graph."""
-        return Graph(self.n, self.edges, weighted=False)
+        """The cost-1 pairs as an unweighted graph: the instance itself."""
+        return self
 
     def weight(self, u: int, v: int) -> int:
         if u == v:
@@ -83,32 +73,21 @@ class Tsp12Instance:
 
 
 @dataclass(frozen=True)
-class MaxTspInstance:
+class MaxTspInstance(Graph):
     """Complete graph with positive integer weights, tour weight maximized."""
 
-    n: int
-    edges: tuple[Edge, ...]
+    weighted: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("need at least 3 vertices for a tour")
+        super().__post_init__()
+        _check_tour_pairs(self)
         want = self.n * (self.n - 1) // 2
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if e.u >= self.n or e.v >= self.n:
-                raise ValueError(f"edge ({e.u}, {e.v}) out of range for n={self.n}")
-            if e.pair in seen:
-                raise ValueError(f"duplicate pair {e.pair}")
-            seen.add(e.pair)
-        if len(seen) != want:
-            raise ValueError(f"instance must be complete: {len(seen)} of {want} pairs present")
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+        if self.m != want:
+            raise ValueError(f"instance must be complete: {self.m} of {want} pairs present")
 
     def graph(self) -> Graph:
-        return Graph(self.n, self.edges, weighted=True)
+        """The weighted complete graph: the instance itself."""
+        return self
 
     def weight(self, u: int, v: int) -> int:
         if u == v:
@@ -118,6 +97,17 @@ class MaxTspInstance:
     @cached_property
     def _weights(self) -> dict[tuple[int, int], int]:
         return {e.pair: e.weight for e in self.edges}
+
+
+def _check_tour_pairs(g: Graph) -> None:
+    """A tour instance has at least 3 vertices and lists each pair once."""
+    if g.n < 3:
+        raise ValueError("need at least 3 vertices for a tour")
+    seen: set[tuple[int, int]] = set()
+    for e in g.edges:
+        if e.pair in seen:
+            raise ValueError(f"duplicate pair {e.pair}")
+        seen.add(e.pair)
 
 
 def hamiltonian_order(paths: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
@@ -165,7 +155,7 @@ def approx_tsp12(
     the cover guarantee that lands within ``4/3 + epsilon + 1/n`` of the
     optimum.
     """
-    src = InMemoryEdgeSource(inst.cheap_graph(), name="tsp12-cost1")
+    src = InMemoryEdgeSource(inst, name="tsp12-cost1")
     sess = open_session(src, k=params.k, words_budget=words_budget, strict=strict)
     mpc = two_phase_path_cover(src, params, sess)
     order = hamiltonian_order(mpc.cover.paths, inst.n)
@@ -212,7 +202,7 @@ def approx_max_tsp(
     the smallest id: the start of the path with the smallest first
     vertex, since each path runs from its lower-id endpoint.
     """
-    src = InMemoryEdgeSource(inst.graph(), name="max-tsp")
+    src = InMemoryEdgeSource(inst, name="max-tsp")
     sess = open_session(src, k=params.k, words_budget=words_budget, strict=strict)
     mpc = two_phase_path_cover(src, params, sess, weighted=True)
     cover, first, second = mpc.cover, mpc.first_matching, mpc.second_matching
@@ -379,7 +369,7 @@ def tsp12_identity_check(inst: Tsp12Instance) -> Tsp12Identity:
     return Tsp12Identity(
         n=inst.n,
         optimum=oracle_tsp12(inst),
-        best_cover_size=oracle_path_cover(inst.cheap_graph()).size,
+        best_cover_size=oracle_path_cover(inst).size,
         has_cheap_tour=_has_all_cheap_tour(inst),
     )
 
@@ -561,7 +551,7 @@ class ContractBound:
 
 def contract_bound_check(inst: MaxTspInstance, matching: Matching) -> ContractBound:
     """Evaluate the contraction inequality exactly via the oracles."""
-    contracted, _ = contract_edges(inst.graph(), [e.pair for e in matching])
+    contracted, _ = contract_edges(inst, [e.pair for e in matching])
     mu_w = oracle_max_weight_matching(contracted).weight
     return ContractBound(
         n=inst.n,

@@ -47,11 +47,22 @@ _BAD_EDGE_LINE = {
     "weight-too-long.txt": "4 2 weighted\n0 1 5\n1 2 " + "7" * 5000 + "\n",
 }
 
+# Tour inputs that each break one tour-instance rule, or lean on the
+# (1,2) reader's dedup of repeated pairs.
+_BAD_TOUR = {
+    "maxtsp-incomplete.txt": "4 3 weighted\n0 1 5\n0 2 6\n0 3 7\n",
+    "maxtsp-repeated.txt": "3 3 weighted\n0 1 5\n1 0 6\n1 2 7\n",
+    "tsp12-two.txt": "2 1\n0 1\n",
+    "tsp12-repeated.txt": "5 5\n0 1\n1 0\n2 3\n0 1\n3 4\n",
+}
+
 # Files the generators cannot produce: hostile or malformed input.
 _WRITTEN = {
     "header-underscore.txt": "1_0 +1\n0 1\n",
     "header-too-long.txt": "1" * 5000 + " 1\n0 1\n",
     "self-loop.txt": "2 1\n0 0\n",
+    "p4.txt": "4 3\n0 1\n1 2\n2 3\n",
+    **_BAD_TOUR,
     **_BAD_EDGE_LINE,
 }
 
@@ -96,6 +107,7 @@ def cases() -> list[str]:
         "mpc header-underscore.txt",
         "mpc header-too-long.txt",
         "mpc --epsilon 3/2 g12.txt",
+        "mpc p4.txt --epsilon 1e-5000",
     ]
     runs += [f"mpc {name}" for name in _BAD_EDGE_LINE]
     for name in ("t9", "t40"):
@@ -112,6 +124,10 @@ def cases() -> list[str]:
         "maxtsp x8.txt --oracle --json",
         "maxtsp x30.txt --budget 50 --strict",
         "maxtsp g12.txt",
+        "maxtsp maxtsp-incomplete.txt",
+        "maxtsp maxtsp-repeated.txt",
+        "tsp12 tsp12-two.txt",
+        "tsp12 tsp12-repeated.txt --json",
         "verify --json --trials 25",
         "verify --trials 2",
         "verify --suite two-phase --trials 6 --seed 11 --json",

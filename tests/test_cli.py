@@ -100,6 +100,19 @@ def test_bad_epsilon_exits_one(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_tiny_epsilon_fails_before_opening_the_file(tmp_path, capsys, monkeypatch, json_flag):
+    path = tmp_path / "p4.txt"
+    path.write_text("4 3\n0 1\n1 2\n2 3\n")
+    opened = []
+    monkeypatch.setattr(cli.FileEdgeSource, "__init__", lambda self, file: opened.append(file))
+    assert main(["mpc", str(path), "--epsilon", "1e-5000", *json_flag]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("streampath: epsilon '1e-5000' is too small")
+    assert opened == []
+
+
 def test_malformed_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 0\n")

@@ -9,6 +9,7 @@ instead.
 
 from __future__ import annotations
 
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -77,6 +78,19 @@ def test_params_expose_swap_and_cap_limits():
 def test_params_reject_out_of_range(bad):
     with pytest.raises(ValueError):
         ApproxParams.parse(bad)
+
+
+def test_params_refuse_an_epsilon_whose_budget_cannot_print():
+    assert ApproxParams.parse("1e-4200").k == 10**4200
+    with pytest.raises(ValueError, match="epsilon '1e-5000' is too small"):
+        ApproxParams.parse("1e-5000")
+    # With Python's int-to-text limit off, every epsilon in (0, 1) is admitted.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert ApproxParams.parse("1e-5000").k == 10**5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- unweighted engine --------------------------------------------------------------

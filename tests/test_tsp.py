@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -35,12 +36,14 @@ _P14 = ApproxParams.parse("1/4")
 
 
 def test_tsp12_instance_validates():
-    with pytest.raises(ValueError):
-        Tsp12Instance(2, (Edge(0, 1),))  # n >= 3
-    with pytest.raises(ValueError):
-        Tsp12Instance(3, (Edge(0, 1), Edge(1, 0)))  # duplicate pair
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 3 vertices for a tour"):
+        Tsp12Instance(2, (Edge(0, 1),))
+    with pytest.raises(ValueError, match=r"duplicate pair \(0, 1\)"):
+        Tsp12Instance(3, (Edge(0, 1), Edge(1, 0)))
+    with pytest.raises(ValueError, match="unweighted graph cannot hold an edge of weight != 1"):
         Tsp12Instance(3, (Edge(0, 1, weight=2),))  # only cost-1 pairs are listed
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
+        Tsp12Instance(3, (Edge(0, 3),))
     inst = Tsp12Instance(3, (Edge(0, 1),))
     assert inst.weight(0, 1) == 1
     assert inst.weight(1, 2) == 2
@@ -53,11 +56,49 @@ def test_tsp12_from_graph_dedupes():
 
 
 def test_max_tsp_instance_must_be_complete():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="instance must be complete: 3 of 6 pairs present"):
         MaxTspInstance(4, tuple(Edge(u, v, 1) for u, v in [(0, 1), (0, 2), (0, 3)]))
+    with pytest.raises(ValueError, match=r"duplicate pair \(0, 1\)"):
+        MaxTspInstance(3, (Edge(0, 1, 5), Edge(1, 0, 6), Edge(1, 2, 7)))
+    with pytest.raises(ValueError, match="need at least 3 vertices for a tour"):
+        MaxTspInstance(2, (Edge(0, 1, 5),))
     pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     inst = MaxTspInstance(4, tuple(Edge(u, v, u + v + 1) for u, v in pairs))
     assert inst.weight(1, 3) == 5
+
+
+def test_tour_instances_are_graphs_that_replace_keeps():
+    # perfbench copies each input with dataclasses.replace before a solve
+    for inst, weighted in ((gen_random_tsp12(8, 3), False), (gen_random_max_tsp(6, 2), True)):
+        assert isinstance(inst, Graph) and inst.weighted is weighted
+        copy = dataclasses.replace(inst)
+        assert type(copy) is type(inst) and copy.weighted is weighted
+        assert copy == inst and copy is not inst
+
+
+def test_no_tour_instance_is_built_through_from_pairs():
+    # Graph.from_pairs passes ``weighted``, which neither class accepts, so
+    # an instance is built from its edges or with Tsp12Instance.from_graph.
+    for cls in (Tsp12Instance, MaxTspInstance):
+        assert "from_pairs" not in vars(cls)
+        with pytest.raises(TypeError):
+            cls.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def test_a_tour_solve_streams_the_instance_it_was_handed(monkeypatch):
+    tsp12, maxtsp = gen_random_tsp12(12, 5), gen_random_max_tsp(9, 4)
+    assert tsp12.cheap_graph() is tsp12 and maxtsp.graph() is maxtsp
+    built = []
+    post_init = Graph.__post_init__
+
+    def counting(self):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    approx_tsp12(tsp12, _P13, strict=True)
+    approx_max_tsp(maxtsp, _P13, strict=True)
+    assert built == []
 
 
 def test_hamiltonian_order_appends_leftovers():
