@@ -29,9 +29,7 @@ from .matching import (
     streaming_max_weight_matching,
 )
 from .pathcover import (
-    IterativeCoverResult,
     MpcResult,
-    cover_interior_vertices,
     iterative_path_cover,
     two_phase_path_cover,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "FileEdgeSource",
     "Graph",
     "InMemoryEdgeSource",
-    "IterativeCoverResult",
     "Matching",
     "MaxTspInstance",
     "MaxTspResult",
@@ -103,7 +100,6 @@ __all__ = [
     "components_contraction",
     "contract_bound_check",
     "contract_edges",
-    "cover_interior_vertices",
     "default_words_budget",
     "extract_matching_from_cycle",
     "extract_matching_from_path_or_cycle",

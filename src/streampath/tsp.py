@@ -48,14 +48,16 @@ class Tsp12Instance(Graph):
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Tsp12Instance":
-        """Use ``g``'s distinct pairs as the cost-1 pairs (first copy wins)."""
-        seen: set[tuple[int, int]] = set()
-        kept = []
+        """Use ``g``'s distinct pairs as the cost-1 pairs (first copy wins).
+
+        The instance holds ``g``'s own first copy of each pair, in stream
+        order, so a ``g`` with an edge of weight other than 1 is refused
+        with ``Graph``'s unit-weight error rather than reweighted.
+        """
+        first: dict[tuple[int, int], Edge] = {}
         for e in g.edges:
-            if e.pair not in seen:
-                seen.add(e.pair)
-                kept.append(Edge(e.u, e.v))
-        return cls(g.n, tuple(kept))
+            first.setdefault(e.pair, e)
+        return cls(g.n, tuple(first.values()))
 
     def cheap_graph(self) -> Graph:
         """The cost-1 pairs as an unweighted graph: the instance itself."""

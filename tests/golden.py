@@ -62,6 +62,8 @@ _WRITTEN = {
     "header-too-long.txt": "1" * 5000 + " 1\n0 1\n",
     "self-loop.txt": "2 1\n0 0\n",
     "p4.txt": "4 3\n0 1\n1 2\n2 3\n",
+    "empty.txt": "5 0\n",
+    "empty3.txt": "3 0\n",
     **_BAD_TOUR,
     **_BAD_EDGE_LINE,
 }
@@ -108,6 +110,8 @@ def cases() -> list[str]:
         "mpc header-too-long.txt",
         "mpc --epsilon 3/2 g12.txt",
         "mpc p4.txt --epsilon 1e-5000",
+        "mpc empty.txt --json",
+        "mpc empty.txt --iterative --json",
     ]
     runs += [f"mpc {name}" for name in _BAD_EDGE_LINE]
     for name in ("t9", "t40"):
@@ -128,6 +132,7 @@ def cases() -> list[str]:
         "maxtsp maxtsp-repeated.txt",
         "tsp12 tsp12-two.txt",
         "tsp12 tsp12-repeated.txt --json",
+        "tsp12 empty3.txt --json",
         "verify --json --trials 25",
         "verify --trials 2",
         "verify --suite two-phase --trials 6 --seed 11 --json",

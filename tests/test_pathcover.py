@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 
 from streampath.corpus import builtin_fixture, gen_random_graph
-from streampath.graph import Edge, Graph, validate_path_cover
+from streampath.graph import Graph, Matching, validate_path_cover
 from streampath.matching import ApproxParams, streaming_max_matching
 from streampath.pathcover import (
     cover_bound_holds,
-    cover_interior_vertices,
     iterative_path_cover,
     two_phase_path_cover,
 )
@@ -58,6 +57,10 @@ def test_two_phase_on_an_empty_graph():
     res = _two_phase(Graph(n=4, edges=()))
     assert res.cover.size == 0
     assert res.cover.paths == ()
+    # an empty first round ends the loop: no second run, empty matchings
+    assert res.rounds == ()
+    assert [r.label for r in res.report.runs] == ["first-matching"]
+    assert res.first_matching == res.second_matching == Matching()
 
 
 def test_two_phase_union_is_disjoint_short_paths():
@@ -112,19 +115,6 @@ def test_engine_runs_leave_no_cyclic_garbage(run):
             gc.enable()
 
 
-# --- interior bookkeeping -------------------------------------------------------
-
-
-def test_interior_vertices_of_a_cover():
-    edges = (Edge(0, 1), Edge(1, 2), Edge(4, 5))
-    assert cover_interior_vertices(6, edges) == frozenset({1})
-
-
-def test_interior_rejects_non_cover():
-    with pytest.raises(ValueError):
-        cover_interior_vertices(3, (Edge(0, 1), Edge(0, 2), Edge(1, 2)))
-
-
 # --- iterative variant -------------------------------------------------------------
 
 
@@ -149,6 +139,21 @@ def test_iterative_never_loses_to_two_phase():
         assert res.cover.size >= base
         chk = validate_path_cover(g.n, res.cover.edges)
         assert chk.ok, chk.reason
+
+
+@pytest.mark.parametrize("eps", ["1/2", "1/3"])
+@pytest.mark.parametrize("density", [Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)])
+def test_two_phase_is_the_first_two_iterative_rounds(density, eps):
+    # dense graphs put degrees past the 6k cap, so the kernels drop edges
+    params = ApproxParams.parse(eps)
+    for n in range(4, 44):
+        g = gen_random_graph(n, 1000 * n + 17, density)
+        src = InMemoryEdgeSource(g)
+        base = two_phase_path_cover(src, params, open_session(src, k=params.k, strict=True))
+        it = iterative_path_cover(src, params, open_session(src, k=params.k, strict=True))
+        assert it.rounds[:2] == base.rounds
+        first_runs = [(r.passes, r.words_peak) for r in it.report.runs[:2]]
+        assert first_runs == [(r.passes, r.words_peak) for r in base.report.runs]
 
 
 def test_iterative_can_beat_two_phase():

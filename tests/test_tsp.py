@@ -50,9 +50,14 @@ def test_tsp12_instance_validates():
 
 
 def test_tsp12_from_graph_dedupes():
-    g = Graph.from_pairs(4, [(0, 1), (0, 1), (2, 3)])
+    # the instance holds g's own first copy of each pair, in stream order
+    g = Graph.from_pairs(4, [(1, 0), (2, 3), (0, 1), (3, 1)])
     inst = Tsp12Instance.from_graph(g)
-    assert inst.m == 2
+    assert inst.m == 3
+    assert all(a is b for a, b in zip(inst.edges, (g.edges[0], g.edges[1], g.edges[3]), strict=True))
+    heavy = Graph.from_pairs(3, [(0, 1, 1), (1, 2, 2)], weighted=True)
+    with pytest.raises(ValueError, match="unweighted graph cannot hold an edge of weight != 1"):
+        Tsp12Instance.from_graph(heavy)
 
 
 def test_max_tsp_instance_must_be_complete():
