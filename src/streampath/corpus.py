@@ -149,12 +149,9 @@ def gen_random_max_tsp(n: int, seed: int, max_weight: int = 20) -> MaxTspInstanc
     if max_weight < 1:
         raise ValueError(f"max_weight must be at least 1, got {max_weight}")
     rng = SplitMix64(seed)
-    triples = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            triples.append((u, v, rng.randint(1, max_weight)))
-    rng.shuffle(triples)
-    return MaxTspInstance(n, tuple(Edge(*t) for t in triples))
+    edges = [Edge(u, v, rng.randint(1, max_weight)) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(edges)
+    return MaxTspInstance(n, tuple(edges))
 
 
 def gen_degree124_graph(n: int, seed: int) -> Graph:

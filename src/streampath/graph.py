@@ -2,7 +2,9 @@
 
 All types here are immutable value objects.  Algorithms never mutate a
 Graph; operations like contraction return a fresh Graph plus a mapping
-object describing where each original vertex went.
+object describing where each original vertex went.  An ``Edge`` keeps
+its three ints in slots, with no instance dict, because dense and
+complete instances hold one per pair; no attribute can be added to one.
 
 Conventions used throughout the package:
 
@@ -20,9 +22,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Edge:
-    """An undirected edge.  Endpoints are unordered; ``pair`` normalizes."""
+    """An undirected edge.  Endpoints are unordered; ``pair`` normalizes.
+
+    The endpoints and weight live in slots, with no instance dict, so no
+    attribute can be added to an edge.
+    """
 
     u: int
     v: int

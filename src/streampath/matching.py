@@ -20,7 +20,8 @@ offline on those rows.
   path/cycle swaps of at most 2k - 1 edges whose gain beats a damping
   threshold: each scan applies the vertex-disjoint swaps a greedy takes
   in order of decreasing gain, found best-first without listing the
-  others, and a plain maximality sweep finishes.
+  others.  A greedy sweep, heaviest kernel edge first, starts the search
+  (it is what the first scan would apply) and makes the result maximal.
 
 Guarantee tiers, stated precisely because the kernel cap matters:
 
@@ -330,8 +331,10 @@ def streaming_max_weight_matching(
     bound only erodes to (k/(k+1)) / (1 + eps/4) >= 1 - eps.  Each scan
     applies the swaps ``_pick_swaps`` returns: of all improving swaps by
     decreasing gain, then by signature, each that shares no vertex with
-    one taken before it.  A scan that finds none ends the search, and a
-    final zero-threshold sweep makes the matching maximal within the
+    one taken before it.  The search starts from the greedy matching over
+    the kernel, heaviest edge first, which is what its first scan would
+    apply to an empty matching.  A scan that finds none ends the search,
+    and the same greedy sweep then makes the matching maximal within the
     kernel.
 
     A table is a list of entries in arrival order plus the set of their
@@ -470,6 +473,18 @@ def streaming_max_weight_matching(
     # hot path stays in integers.
     eps_sq = params.epsilon * params.epsilon
     thr_mul = eps_sq.denominator * 4 * n_view
+
+    # The greedy over ``order``: each kernel edge whose ends are both free.
+    # On the empty matching every swap is one added edge, so this is what
+    # the first scan would apply; after the search it makes the matching
+    # maximal within the kernel.
+    def match_free() -> None:
+        for idx in order:
+            u, v, _, _ = kentries[idx]
+            if medge[u] < 0 and medge[v] < 0:
+                match(idx)
+
+    match_free()
     scans = 0
     while True:
         scans += 1
@@ -484,11 +499,7 @@ def streaming_max_weight_matching(
                 unmatch(idx)
             for idx in adds:
                 match(idx)
-
-    for idx in order:
-        u, v, _, _ = kentries[idx]
-        if medge[u] < 0 and medge[v] < 0:
-            match(idx)
+    match_free()
 
     edges = tuple(Edge(*t) for idx, (u, _, _, t) in enumerate(kentries) if medge[u] == idx)
     session.release(3 * (len(kentries) + len(edges)) + n_view)

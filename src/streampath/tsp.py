@@ -12,6 +12,10 @@ are concatenated.
 Each instance class is a ``Graph`` with ``weighted`` fixed, so the
 pipelines stream the instance itself and its edges are checked once, when
 it is built.  The pair lookups behind ``weight`` are built on first use.
+An instance names the pair of ``a < b`` by the one int ``a * n + b``, in
+its duplicate check and its lookups, so no pair check or lookup builds a
+tuple; ``weight`` refuses an endpoint outside ``[0, n)``, which that key
+would alias to another pair.
 
 The exact oracles (Held-Karp tours, branch-and-bound path cover) are
 deliberately small-instance: they exist to certify the streaming results
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import Edge, Graph, Matching, PathCover, Tour, contract_edges, validate_path_cover
 from .matching import ApproxParams, OracleLimitError, oracle_max_weight_matching
@@ -54,9 +58,9 @@ class Tsp12Instance(Graph):
         order, so a ``g`` with an edge of weight other than 1 is refused
         with ``Graph``'s unit-weight error rather than reweighted.
         """
-        first: dict[tuple[int, int], Edge] = {}
-        for e in g.edges:
-            first.setdefault(e.pair, e)
+        first: dict[int, Edge] = {}
+        for key, e in zip(_pair_keys(g), g.edges):
+            first.setdefault(key, e)
         return cls(g.n, tuple(first.values()))
 
     def cheap_graph(self) -> Graph:
@@ -66,12 +70,11 @@ class Tsp12Instance(Graph):
     def weight(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError("no self-loop cost")
-        key = (u, v) if u < v else (v, u)
-        return 1 if key in self._pair_set else 2
+        return 1 if _pair_key(self.n, u, v) in self._pair_set else 2
 
     @cached_property
-    def _pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(e.pair for e in self.edges)
+    def _pair_set(self) -> frozenset[int]:
+        return frozenset(_pair_keys(self))
 
 
 @dataclass(frozen=True)
@@ -94,22 +97,39 @@ class MaxTspInstance(Graph):
     def weight(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError("no self-loop weight")
-        return self._weights[(u, v) if u < v else (v, u)]
+        return self._weights[_pair_key(self.n, u, v)]
 
     @cached_property
-    def _weights(self) -> dict[tuple[int, int], int]:
-        return {e.pair: e.weight for e in self.edges}
+    def _weights(self) -> dict[int, int]:
+        return {key: e.weight for key, e in zip(_pair_keys(self), self.edges)}
+
+
+def _pair_key(n: int, u: int, v: int) -> int:
+    """The key ``a * n + b`` of the pair ``{u, v}``, where ``a < b``.
+
+    Refuses an endpoint outside ``[0, n)``, whose key would name another
+    pair: ``(0, n + 2)`` has the key of ``(1, 2)``.
+    """
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"pair ({u}, {v}) out of range for n={n}")
+    return u * n + v if u < v else v * n + u
+
+
+def _pair_keys(g: Graph) -> Iterator[int]:
+    """The key of each edge's pair, in stream order (``Graph`` has range-checked them)."""
+    n = g.n
+    return (e.u * n + e.v if e.u < e.v else e.v * n + e.u for e in g.edges)
 
 
 def _check_tour_pairs(g: Graph) -> None:
     """A tour instance has at least 3 vertices and lists each pair once."""
     if g.n < 3:
         raise ValueError("need at least 3 vertices for a tour")
-    seen: set[tuple[int, int]] = set()
-    for e in g.edges:
-        if e.pair in seen:
+    seen: set[int] = set()
+    for key, e in zip(_pair_keys(g), g.edges):
+        if key in seen:
             raise ValueError(f"duplicate pair {e.pair}")
-        seen.add(e.pair)
+        seen.add(key)
 
 
 def hamiltonian_order(paths: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -76,6 +78,38 @@ def test_random_max_tsp_is_complete_and_shuffled():
     assert inst.m == 21
     pairs = [e.pair for e in inst.edges]
     assert pairs != sorted(pairs), "stream order should not be the sorted order"
+
+
+@pytest.mark.parametrize(
+    ("n", "seed", "digest"),
+    [
+        (5, 1, "cfaf6079586f0a7ce76bb273a9b95287dc0230aa39551511a12581893fe50468"),
+        (60, 7, "b25c8ee0b02d22b76ede5dc382ebf446fdc9f3e13749f1128375b07fb3b8db4a"),
+        (200, 3, "308de38e28508d89b695a4f7a0e7600082d85b451aabaf90e23a456b6d651287"),
+    ],
+)
+def test_random_max_tsp_draws_are_pinned(n, seed, digest):
+    # sha256 of the repr of the (u, v, weight) list in stream order
+    inst = gen_random_max_tsp(n, seed, 1000)
+    triples = [(e.u, e.v, e.weight) for e in inst.edges]
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_max_tsp_holds_one_slotted_edge_per_pair(seed):
+    # Python 3.10-3.13 read 85-88 bytes per edge held and 253-260 at the
+    # peak, which the duplicate-pair check sets.  Edges with an instance
+    # dict read 131-193 and 367-439; slotted edges drawn through a list of
+    # triples and checked by tuple keys peak at 332-346.
+    tracemalloc.start()
+    try:
+        inst = gen_random_max_tsp(200, seed, 1000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.m == 19_900
+    assert held <= 100 * inst.m, held / inst.m
+    assert peak <= 300 * inst.m, peak / inst.m
 
 
 def test_degree124_generator_census():

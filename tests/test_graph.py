@@ -37,6 +37,13 @@ def test_edge_normalizes_nothing_but_validates():
     assert e.pair == (1, 3)
 
 
+def test_edge_keeps_its_ints_in_slots():
+    e = Edge(0, 1)
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(e, "label", "x")  # past the frozen check: no slot for it
+
+
 def test_edge_rejects_loops_and_bad_weights():
     with pytest.raises(ValueError):
         Edge(2, 2)

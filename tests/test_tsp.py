@@ -72,6 +72,31 @@ def test_max_tsp_instance_must_be_complete():
     assert inst.weight(1, 3) == 5
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_weight_is_the_listed_pair_in_either_orientation(seed):
+    n = 5 + 3 * seed
+    tsp12 = gen_random_tsp12(n, seed, Fraction(1, 3))
+    heavy = gen_random_max_tsp(n, seed, 1000)
+    cheap = {frozenset((e.u, e.v)) for e in tsp12.edges}
+    weights = {frozenset((e.u, e.v)): e.weight for e in heavy.edges}
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                assert tsp12.weight(u, v) == (1 if frozenset((u, v)) in cheap else 2)
+                assert heavy.weight(u, v) == weights[frozenset((u, v))]
+
+
+def test_weight_refuses_endpoints_outside_the_instance():
+    # a pair is keyed by a * n + b, so (0, n + 2) would alias (1, 2)
+    n = 5
+    tsp12 = Tsp12Instance(n, (Edge(1, 2),))
+    heavy = gen_random_max_tsp(n, 1, 1000)
+    for inst in (tsp12, heavy):
+        for u, v in ((0, n + 2), (n + 2, 0), (0, n), (-1, 3), (3, -4)):
+            with pytest.raises(ValueError, match=rf"pair \({u}, {v}\) out of range for n={n}"):
+                inst.weight(u, v)
+
+
 def test_tour_instances_are_graphs_that_replace_keeps():
     # perfbench copies each input with dataclasses.replace before a solve
     for inst, weighted in ((gen_random_tsp12(8, 3), False), (gen_random_max_tsp(6, 2), True)):
