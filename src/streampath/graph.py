@@ -19,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -340,8 +340,6 @@ class Tour:
             raise ValueError("a tour needs at least 3 vertices")
 
     @classmethod
-    def from_order(cls, order: Sequence[int], weight_of: Callable[[int, int], int]) -> "Tour":
-        """Cost the cycle ``order[0] - ... - order[-1] - order[0]``."""
-        n = len(order)
-        cost = sum(weight_of(order[i], order[(i + 1) % n]) for i in range(n))
-        return cls(tuple(order), cost)
+    def from_order(cls, order: Sequence[int], legs: Sequence[int]) -> "Tour":
+        """The cycle ``order[0] - ... - order[-1] - order[0]``, costing the sum of its legs."""
+        return cls(tuple(order), sum(legs))

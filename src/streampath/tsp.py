@@ -11,11 +11,8 @@ are concatenated.
 
 Each instance class is a ``Graph`` with ``weighted`` fixed, so the
 pipelines stream the instance itself and its edges are checked once, when
-it is built.  The pair lookups behind ``weight`` are built on first use.
-An instance names the pair of ``a < b`` by the one int ``a * n + b``, in
-its duplicate check and its lookups, so no pair check or lookup builds a
-tuple; ``weight`` refuses an endpoint outside ``[0, n)``, which that key
-would alias to another pair.
+it is built.  An instance is only its edges: a tour is costed by one sweep
+of them (``_cost_tour``), and a pair the instance does not list costs 2.
 
 The exact oracles (Held-Karp tours, branch-and-bound path cover) are
 deliberately small-instance: they exist to certify the streaming results
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .graph import Edge, Graph, Matching, PathCover, Tour, contract_edges, validate_path_cover
@@ -67,15 +63,6 @@ class Tsp12Instance(Graph):
         """The cost-1 pairs as an unweighted graph: the instance itself."""
         return self
 
-    def weight(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("no self-loop cost")
-        return 1 if _pair_key(self.n, u, v) in self._pair_set else 2
-
-    @cached_property
-    def _pair_set(self) -> frozenset[int]:
-        return frozenset(_pair_keys(self))
-
 
 @dataclass(frozen=True)
 class MaxTspInstance(Graph):
@@ -94,26 +81,6 @@ class MaxTspInstance(Graph):
         """The weighted complete graph: the instance itself."""
         return self
 
-    def weight(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("no self-loop weight")
-        return self._weights[_pair_key(self.n, u, v)]
-
-    @cached_property
-    def _weights(self) -> dict[int, int]:
-        return {key: e.weight for key, e in zip(_pair_keys(self), self.edges)}
-
-
-def _pair_key(n: int, u: int, v: int) -> int:
-    """The key ``a * n + b`` of the pair ``{u, v}``, where ``a < b``.
-
-    Refuses an endpoint outside ``[0, n)``, whose key would name another
-    pair: ``(0, n + 2)`` has the key of ``(1, 2)``.
-    """
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"pair ({u}, {v}) out of range for n={n}")
-    return u * n + v if u < v else v * n + u
-
 
 def _pair_keys(g: Graph) -> Iterator[int]:
     """The key of each edge's pair, in stream order (``Graph`` has range-checked them)."""
@@ -130,6 +97,26 @@ def _check_tour_pairs(g: Graph) -> None:
         if key in seen:
             raise ValueError(f"duplicate pair {e.pair}")
         seen.add(key)
+
+
+def _cost_tour(inst: Tsp12Instance | MaxTspInstance, order: Sequence[int]) -> Tour:
+    """The tour through ``order``, costed by one sweep of the instance's edges.
+
+    ``leg[u]`` costs the leg from ``u`` to ``succ[u]``.  A pair the instance
+    does not list costs 2; a heavy instance lists every pair.
+    """
+    n = inst.n
+    succ = [0] * n
+    for i, v in enumerate(order):
+        succ[order[i - 1]] = v
+    leg = [2] * n
+    for e in inst.edges:
+        u, v = e.u, e.v
+        if succ[u] == v:
+            leg[u] = e.weight
+        if succ[v] == u:
+            leg[v] = e.weight
+    return Tour.from_order(order, leg)
 
 
 def hamiltonian_order(paths: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
@@ -181,7 +168,7 @@ def approx_tsp12(
     sess = open_session(src, k=params.k, words_budget=words_budget, strict=strict)
     mpc = two_phase_path_cover(src, params, sess)
     order = hamiltonian_order(mpc.cover.paths, inst.n)
-    tour = Tour.from_order(order, inst.weight)
+    tour = _cost_tour(inst, order)
     if tour.cost > 2 * inst.n - mpc.cover.size:
         raise AssertionError("tour exceeded the 2n - cover_size ceiling")
     return Tsp12Result(tour, mpc)
@@ -262,7 +249,7 @@ def approx_max_tsp(
         min(paths, key=lambda p: p[0]).insert(0, free[0])
 
     order = hamiltonian_order(paths, inst.n)
-    tour = Tour.from_order(order, inst.weight)
+    tour = _cost_tour(inst, order)
     return MaxTspResult(tour, cover, first, second, sess.report())
 
 
@@ -272,16 +259,17 @@ def max_tsp_bound_holds(weight: int, optimum: int, n: int, epsilon: Fraction) ->
     return 12 * n * weight * q >= (7 * n - 9) * (q - p) * optimum
 
 
-def _held_karp(n: int, cost: list[list[int]], maximize: bool) -> int:
+def _held_karp(inst: Tsp12Instance | MaxTspInstance, maximize: bool) -> int:
     """Exact tour value by dynamic programming over vertex subsets.
 
     State: (set of visited vertices including 0, current vertex).  Capped
-    at n = 15 which is roughly half a million states.
+    at n = 15 which is roughly half a million states; the cap is checked
+    before the n x n cost matrix is built.
     """
-    if n < 3:
-        raise ValueError("need at least 3 vertices for a tour")
+    n = inst.n
     if n > 15:
         raise OracleLimitError(f"exact tours handle n <= 15, got {n}")
+    cost = _cost_matrix(inst)
 
     def better(a: int | None, b: int) -> bool:
         if a is None:
@@ -321,19 +309,27 @@ def _held_karp(n: int, cost: list[list[int]], maximize: bool) -> int:
 
 
 def _cost_matrix(inst: Tsp12Instance | MaxTspInstance) -> list[list[int]]:
-    """``inst.weight`` of every ordered pair as an n x n matrix, 0 on the diagonal."""
+    """The cost of every ordered pair as an n x n matrix, 0 on the diagonal.
+
+    A pair the instance does not list costs 2, as in ``_cost_tour``.
+    """
     n = inst.n
-    return [[inst.weight(u, v) if u != v else 0 for v in range(n)] for u in range(n)]
+    cost = [[2] * n for _ in range(n)]
+    for v in range(n):
+        cost[v][v] = 0
+    for e in inst.edges:
+        cost[e.u][e.v] = cost[e.v][e.u] = e.weight
+    return cost
 
 
 def oracle_tsp12(inst: Tsp12Instance) -> int:
     """Exact optimum cost of a (1,2) instance (n <= 15)."""
-    return _held_karp(inst.n, _cost_matrix(inst), maximize=False)
+    return _held_karp(inst, maximize=False)
 
 
 def oracle_max_tsp(inst: MaxTspInstance) -> int:
     """Exact maximum tour weight (n <= 15)."""
-    return _held_karp(inst.n, _cost_matrix(inst), maximize=True)
+    return _held_karp(inst, maximize=True)
 
 
 def _has_all_cheap_tour(inst: Tsp12Instance) -> bool:

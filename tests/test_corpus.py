@@ -69,8 +69,9 @@ def test_random_weighted_graph_weights_in_range():
 def test_random_tsp12_matches_its_cheap_graph():
     inst = gen_random_tsp12(8, 3, Fraction(1, 2))
     cheap = inst.cheap_graph()
-    assert cheap.m == inst.m
-    assert all(inst.weight(e.u, e.v) == 1 for e in cheap.edges)
+    assert cheap is inst and not inst.weighted
+    assert all(e.weight == 1 for e in inst.edges)
+    assert len({e.pair for e in inst.edges}) == inst.m > 0
 
 
 def test_random_max_tsp_is_complete_and_shuffled():

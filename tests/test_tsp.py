@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from streampath.prng import SplitMix64
 from streampath.tsp import (
     MaxTspInstance,
     Tsp12Instance,
+    _cost_matrix,
+    _cost_tour,
     approx_max_tsp,
     approx_tsp12,
     contract_bound_check,
@@ -45,8 +48,7 @@ def test_tsp12_instance_validates():
     with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
         Tsp12Instance(3, (Edge(0, 3),))
     inst = Tsp12Instance(3, (Edge(0, 1),))
-    assert inst.weight(0, 1) == 1
-    assert inst.weight(1, 2) == 2
+    assert inst.edges == (Edge(0, 1),) and inst.m == 1
 
 
 def test_tsp12_from_graph_dedupes():
@@ -69,32 +71,42 @@ def test_max_tsp_instance_must_be_complete():
         MaxTspInstance(2, (Edge(0, 1, 5),))
     pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     inst = MaxTspInstance(4, tuple(Edge(u, v, u + v + 1) for u, v in pairs))
-    assert inst.weight(1, 3) == 5
+    assert inst.m == 6
+    assert {e.pair: e.weight for e in inst.edges}[(1, 3)] == 5
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_weight_is_the_listed_pair_in_either_orientation(seed):
-    n = 5 + 3 * seed
-    tsp12 = gen_random_tsp12(n, seed, Fraction(1, 3))
-    heavy = gen_random_max_tsp(n, seed, 1000)
-    cheap = {frozenset((e.u, e.v)) for e in tsp12.edges}
-    weights = {frozenset((e.u, e.v)): e.weight for e in heavy.edges}
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                assert tsp12.weight(u, v) == (1 if frozenset((u, v)) in cheap else 2)
-                assert heavy.weight(u, v) == weights[frozenset((u, v))]
+    # brute force over a frozenset-keyed dict: a listed pair costs its
+    # weight in either orientation and an unlisted pair costs 2, both in a
+    # tour through a random vertex order and in the oracles' cost matrix
+    rng = SplitMix64(seed)
+    n = 3 + 3 * seed
 
+    def flipped(inst):
+        # the generators list each pair as (a, b) with a < b; list every
+        # other one as (b, a)
+        edges = tuple(Edge(e.v, e.u, e.weight) if i % 2 else e for i, e in enumerate(inst.edges))
+        assert {e.u < e.v for e in edges} == {True, False}
+        return type(inst)(n, edges)
 
-def test_weight_refuses_endpoints_outside_the_instance():
-    # a pair is keyed by a * n + b, so (0, n + 2) would alias (1, 2)
-    n = 5
-    tsp12 = Tsp12Instance(n, (Edge(1, 2),))
-    heavy = gen_random_max_tsp(n, 1, 1000)
-    for inst in (tsp12, heavy):
-        for u, v in ((0, n + 2), (n + 2, 0), (0, n), (-1, 3), (3, -4)):
-            with pytest.raises(ValueError, match=rf"pair \({u}, {v}\) out of range for n={n}"):
-                inst.weight(u, v)
+    for inst in (
+        flipped(gen_random_tsp12(n, seed, Fraction(2, 3))),
+        flipped(gen_random_max_tsp(n, seed, 1000)),
+        gen_random_tsp12(n, seed, Fraction(1, 3)),
+    ):
+        weights = {frozenset((e.u, e.v)): e.weight for e in inst.edges}
+
+        def cost(u, v):
+            return 0 if u == v else weights.get(frozenset((u, v)), 2)
+
+        assert _cost_matrix(inst) == [[cost(u, v) for v in range(n)] for u in range(n)]
+        for _ in range(10):
+            order = list(range(n))
+            rng.shuffle(order)
+            tour = _cost_tour(inst, order)
+            assert tour.order == tuple(order)
+            assert tour.cost == sum(cost(order[i - 1], order[i]) for i in range(n))
 
 
 def test_tour_instances_are_graphs_that_replace_keeps():
@@ -129,6 +141,29 @@ def test_a_tour_solve_streams_the_instance_it_was_handed(monkeypatch):
     approx_tsp12(tsp12, _P13, strict=True)
     approx_max_tsp(maxtsp, _P13, strict=True)
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "make, solve",
+    [
+        (lambda: gen_random_max_tsp(300, 1, 1000), approx_max_tsp),
+        (lambda: gen_random_tsp12(300, 1), approx_tsp12),
+    ],
+    ids=["maxtsp", "tsp12"],
+)
+def test_a_tour_solve_keeps_at_most_250_bytes_per_charged_word(make, solve):
+    # Python 3.10-3.13 read 136-157 (heavy) and 114-116 (1,2) bytes per
+    # charged word; a lookup over every pair of the instance, built to cost
+    # the n legs of the tour, reads 340-356 and 380-392
+    inst = make()
+    tracemalloc.start()
+    try:
+        res = solve(inst, _P13, strict=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = res.report.words_peak
+    assert peak <= 250 * words, peak / words
 
 
 def test_hamiltonian_order_appends_leftovers():
@@ -353,6 +388,24 @@ def test_held_karp_limit():
     inst = MaxTspInstance(16, tuple(Edge(u, v, 1) for u, v in pairs))
     with pytest.raises(OracleLimitError):
         oracle_max_tsp(inst)
+
+
+def test_exact_tours_refuse_before_building_a_cost_matrix():
+    # an n x n matrix at n = 3,000 holds 9 * 10**6 cells (a 78 MB peak
+    # under tracemalloc); the refusal itself allocates about 1 KB
+    cases = (
+        (oracle_tsp12, Tsp12Instance(3000, tuple(Edge(v, v + 1) for v in range(2999)))),
+        (oracle_max_tsp, gen_random_max_tsp(300, 1, 1000)),
+    )
+    for oracle, inst in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleLimitError, match=f"exact tours handle n <= 15, got {inst.n}"):
+                oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024, peak
 
 
 def test_oracle_path_cover_known_values():
