@@ -60,14 +60,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("STREAMPATH_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"STREAMPATH_SEED must be an int, got {raw!r}") from None
-
-
 def _emit(args, report: dict, human_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -233,7 +225,6 @@ def _cmd_gen(args) -> int:
         expected = " ".join(f"{k}={v}" for k, v in sorted(fx.expected.items()))
         print(f"wrote {args.out}: n={fx.graph.n} m={fx.graph.m} ({fx.notes}; {expected})")
         return _OK
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         density = Fraction(args.density)
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -241,17 +232,17 @@ def _cmd_gen(args) -> int:
             f"cannot parse density {args.density!r}; write a fraction such as 1/2"
         ) from None
     if args.kind == "graph":
-        g = gen_random_graph(args.n, seed, density)
+        g = gen_random_graph(args.n, args.seed, density)
     elif args.kind == "weighted":
-        g = gen_random_weighted_graph(args.n, seed, density, args.max_weight)
+        g = gen_random_weighted_graph(args.n, args.seed, density, args.max_weight)
     elif args.kind == "degree124":
-        g = gen_degree124_graph(args.n, seed)
+        g = gen_degree124_graph(args.n, args.seed)
     elif args.kind == "tsp12":
-        g = gen_random_tsp12(args.n, seed, density)
+        g = gen_random_tsp12(args.n, args.seed, density)
     else:
-        g = gen_random_max_tsp(args.n, seed, args.max_weight)
+        g = gen_random_max_tsp(args.n, args.seed, args.max_weight)
     save_edge_list(args.out, g)
-    print(f"wrote {args.out}: kind={args.kind} n={g.n} m={g.m} seed={seed}")
+    print(f"wrote {args.out}: kind={args.kind} n={g.n} m={g.m} seed={args.seed}")
     return _OK
 
 
@@ -321,7 +312,7 @@ def _build_parser() -> _Parser:
     rnd.add_argument("--n", type=int, required=True)
     rnd.add_argument("--density", default="1/2", help="pair probability, a fraction")
     rnd.add_argument("--max-weight", type=int, default=20)
-    rnd.add_argument("--seed", type=int, default=None, help="default: STREAMPATH_SEED or 0")
+    rnd.add_argument("--seed", type=int, default=0)
     rnd.add_argument("--out", required=True)
     rnd.set_defaults(func=_cmd_gen)
 

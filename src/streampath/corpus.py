@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import (
+    WORD_LIMIT,
     Edge,
     Graph,
     Matching,
@@ -129,8 +130,8 @@ def gen_random_weighted_graph(
 ) -> Graph:
     if not (0 <= density <= 1):
         raise ValueError("density must be in [0, 1]")
-    if max_weight < 1:
-        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
+    if not 1 <= max_weight < WORD_LIMIT:
+        raise ValueError("max_weight must be at least 1 and below 2^63")
     rng = SplitMix64(seed)
     triples = []
     for u in range(n):
@@ -146,8 +147,8 @@ def gen_random_tsp12(n: int, seed: int, density: Fraction = Fraction(1, 2)) -> T
 
 
 def gen_random_max_tsp(n: int, seed: int, max_weight: int = 20) -> MaxTspInstance:
-    if max_weight < 1:
-        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
+    if not 1 <= max_weight < WORD_LIMIT:
+        raise ValueError("max_weight must be at least 1 and below 2^63")
     rng = SplitMix64(seed)
     edges = [Edge(u, v, rng.randint(1, max_weight)) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(edges)

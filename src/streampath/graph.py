@@ -13,13 +13,19 @@ Conventions used throughout the package:
 * parallel edges are allowed in a ``Graph`` and are meaningful: the edge
   sequence *is* the arrival order of the stream,
 * weights are positive integers; an unweighted graph is one where every
-  edge has weight 1.
+  edge has weight 1,
+* ``n`` and every weight are below ``WORD_LIMIT`` = 2^63, so each fits a
+  signed 64-bit word, the word the semi-streaming model counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Iterable, Iterator, Sequence
+
+# Each place an int of an instance, or k, comes in refuses one past a word.
+WORD_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -43,6 +49,8 @@ class Edge:
             raise ValueError(f"self-loop at vertex {self.u} is not allowed")
         if not isinstance(self.weight, int) or self.weight < 1:
             raise ValueError(f"edge weight must be a positive int, got {self.weight!r}")
+        if self.weight >= WORD_LIMIT:
+            raise ValueError("edge weight must be below 2^63")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -64,6 +72,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
+        if self.n >= WORD_LIMIT:
+            raise ValueError("vertex count must be below 2^63")
         for e in self.edges:
             if e.u >= self.n or e.v >= self.n:
                 raise ValueError(f"edge ({e.u}, {e.v}) out of range for n={self.n}")
@@ -78,15 +88,7 @@ class Graph:
         weighted: bool = False,
     ) -> "Graph":
         """Build from ``(u, v)`` or ``(u, v, w)`` tuples, preserving order."""
-        edges = []
-        for p in pairs:
-            if len(p) == 2:
-                edges.append(Edge(p[0], p[1]))
-            elif len(p) == 3:
-                edges.append(Edge(p[0], p[1], p[2]))
-            else:
-                raise ValueError(f"expected (u, v) or (u, v, w), got {p!r}")
-        return cls(n, tuple(edges), weighted)
+        return cls(n, tuple(starmap(Edge, pairs)), weighted)
 
     @property
     def m(self) -> int:

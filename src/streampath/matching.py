@@ -11,8 +11,8 @@ offline on those rows.
   One sweep per length suffices with no vertex barred: after a shortest
   augmenting path is flipped, any that meets it is longer (Hopcroft-Karp).
   The pass keeps no set of pairs, as the rows tell a repeated pair, and
-  holds the kept pairs' original ends as values in arrays, so what it
-  keeps is the rows, the partners and those columns.
+  holds the kept pairs' original ends and weights in 64-bit arrays, so
+  what it keeps is the rows, the partners and those columns.
 * ``streaming_max_weight_matching`` keeps per-vertex tables of the
   heaviest incident edges, each a heap once full, so an eviction never
   rescans a table and a losing edge costs one comparison against the
@@ -53,14 +53,13 @@ which ``StreamSession.end_run`` checks; callers charge what they keep.
 from __future__ import annotations
 
 import operator
-import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heapreplace
 from itertools import compress, count, starmap
 
-from .graph import ContractionMap, Edge, Graph, Matching
+from .graph import WORD_LIMIT, ContractionMap, Edge, Graph, Matching
 from .stream import EdgeStreamSource, StreamSession
 
 
@@ -73,8 +72,9 @@ class ApproxParams:
     """Quality knob shared by the engines.
 
     ``epsilon`` is an exact Fraction in (0, 1); ``k = ceil(1/epsilon)`` is
-    derived.  The engines remove augmenting structures of up to ``2k - 1``
-    edges, which is what buys the k/(k+1) fraction of optimum.
+    derived and below 2^63.  The engines remove augmenting structures of
+    up to ``2k - 1`` edges, which is what buys the k/(k+1) fraction of
+    optimum.
     """
 
     epsilon: Fraction
@@ -86,6 +86,8 @@ class ApproxParams:
         if not (0 < self.epsilon < 1):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         k = -((-self.epsilon.denominator) // self.epsilon.numerator)
+        if k >= WORD_LIMIT:
+            raise ValueError("epsilon is too small: k = ceil(1/epsilon) must be below 2^63")
         object.__setattr__(self, "k", k)
 
     @classmethod
@@ -96,17 +98,7 @@ class ApproxParams:
             raise ValueError(
                 f"cannot parse epsilon {text!r}; write a fraction such as 1/3"
             ) from None
-        params = cls(eps)
-        # The largest default budget, 64 n k at any n a per-vertex table can
-        # index, must print, or the run would fail only at its report.
-        try:
-            str(64 * sys.maxsize * params.k)
-        except ValueError:
-            raise ValueError(
-                f"epsilon {text!r} is too small: k = ceil(1/epsilon) has too many"
-                " digits to report"
-            ) from None
-        return params
+        return cls(eps)
 
     @property
     def max_swap_edges(self) -> int:
@@ -138,7 +130,7 @@ def streaming_max_matching(
     arrival order; their *viewed* endpoints are disjoint, the original
     endpoints need not be.  The pass keeps no set of pairs: a later copy
     of a kept pair is recognised from the rows, and each kept pair's
-    first copy is held as values in columns of original ends and weights.
+    first copy is held in 64-bit columns of original ends and weights.
     Each kept pair is charged 3 words as a kernel edge and 3 more while
     matched; only a greedy match kept alone that a flip drops stays held
     uncharged.  The run ends holding what it began with; callers charge
@@ -155,14 +147,13 @@ def streaming_max_matching(
     cap = params.kernel_degree_cap
     # Kept pairs, in stream order: the kernel edges, and greedy matches that
     # found both kernel rows full ("kept alone").  Their first copies'
-    # original ends are held by value in two arrays, and their weights,
-    # which may have any number of digits, in a list; ``rows`` lists each
-    # viewed vertex's kernel neighbours in arrival order, as ``target``'s
-    # own ints.  An original end indexes ``target``, which is already in
-    # memory, so it fits a signed 64-bit slot.
+    # original ends and weights are held by value in three arrays of signed
+    # 64-bit slots, as every int of an instance is below 2^63; ``rows``
+    # lists each viewed vertex's kernel neighbours in arrival order, as
+    # ``target``'s own ints.
     ku = array("q")
     kv = array("q")
-    kw: list[int] = []
+    kw = array("q")
     rows: list[list[int]] = [[] for _ in range(n_view)]
 
     # The greedy matching and the kernel only grow during the pass, so each

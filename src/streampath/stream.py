@@ -16,10 +16,11 @@ is to certify the model's asymptotics, not CPython's allocator.
 A pass hands the engines blocks of plain int columns ``(us, vs, ws)``,
 one visit per block, so the per-edge work is the engine's own loop; an
 engine builds ``Edge`` objects only for the edges it returns.  Every line
-of an edge-list file is validated when the file is opened.  Each pass
-re-reads the file with the same block reader, which checks every line of
-a block before yielding it, so a file that changed since it was opened
-fails with ``StreamFormatError`` instead of feeding the engines bad edges.
+of an edge-list file is validated when the file is opened, each field a
+word below 2^63.  Each pass re-reads the file with the same block reader,
+which checks every line of a block before yielding it, so a file that
+changed since it was opened fails with ``StreamFormatError`` instead of
+feeding the engines bad edges.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import partial
 from itertools import chain
 from typing import BinaryIO, Callable, Iterator
 
-from .graph import Graph
+from .graph import WORD_LIMIT, Graph
 
 
 class StreamFormatError(ValueError):
@@ -107,27 +108,35 @@ class InMemoryEdgeSource(EdgeStreamSource):
 # edge, small enough that a pass holds only a sliver of the file.
 _BLOCK_BYTES = 1 << 16
 
+_WIDE = "edge fields must be below 2^63"
 
-def _parse_header(line: str, path: str) -> tuple[int, int, bool]:
+
+def _field(token: bytes) -> int:
+    """A field of digits as an int; ``WORD_LIMIT`` if over 19 digits are significant."""
+    digits = token.lstrip(b"0")
+    return int(digits or b"0") if len(digits) <= 19 else WORD_LIMIT
+
+
+def _parse_header(line: bytes, path: str) -> tuple[int, int, bool]:
     tokens = line.split()
     if len(tokens) == 2:
         weighted = False
-    elif len(tokens) == 3 and tokens[2] == "weighted":
+    elif len(tokens) == 3 and tokens[2] == b"weighted":
         weighted = True
     else:
         raise StreamFormatError(
-            f"{path}:1: header must be 'n m' or 'n m weighted', got {line.strip()!r}"
+            f"{path}:1: header must be 'n m' or 'n m weighted', got {line.strip().decode()!r}"
         )
-    # The caller has checked the line is ASCII, so isdigit() admits 0-9 only,
-    # where int() would also read "1_0" and "+1".
+    # bytes.isdigit() admits 0-9 only, where int() would also read "1_0"
+    # and "+1".
     if not (tokens[0].isdigit() and tokens[1].isdigit()):
         raise StreamFormatError(
             f"{path}:1: vertex and edge counts must be ints, non-negative, in plain decimal digits"
         )
-    try:
-        return int(tokens[0]), int(tokens[1]), weighted
-    except ValueError:  # more digits than int() reads
-        raise StreamFormatError(f"{path}:1: vertex or edge count too long") from None
+    n, m = _field(tokens[0]), _field(tokens[1])
+    if max(n, m) >= WORD_LIMIT:
+        raise StreamFormatError(f"{path}:1: vertex and edge counts must be below 2^63")
+    return n, m, weighted
 
 
 def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
@@ -135,13 +144,14 @@ def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
 
     The one home of the edge-line rules, in this order: ASCII only, the
     field count of every line (a blank line has none), plain decimal
-    digits (no sign, no ``_``) and no more than ``int()`` reads, endpoints
-    in range, no self-loops, weights >= 1.  Each newline becomes a token
+    digits (no sign, no ``_``), endpoints below 2^63 and in range, no
+    self-loops, weights >= 1 and below 2^63.  Each newline becomes a token
     ``\\xff``, a byte no ASCII line holds, so one ``split`` checks every
     line's field count: the separators must fill every ``(want + 1)``-th
     slot.  The ints are parsed in one go and checked with C-level passes,
-    keeping no object per line.  The message holds the line's own values
-    when the block is one line, as ``_first_bad_line`` runs it.
+    keeping no object per line; a block ``int()`` refuses is read again
+    field by field with ``_field``.  The message holds the line's own
+    values when the block is one line, as ``_first_bad_line`` runs it.
     """
     want = 3 if weighted else 2
     lines = len(block)
@@ -161,13 +171,14 @@ def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
     try:
         nums = list(map(int, tokens))
     except ValueError:
-        if all(map(bytes.isdigit, tokens)):  # more digits than int() reads
-            return "edge field too long"
-        return "edge fields must be plain decimal digits"
+        if not all(map(bytes.isdigit, tokens)):
+            return "edge fields must be plain decimal digits"
+        nums = list(map(_field, tokens))
     us = nums[0::want]
     vs = nums[1::want]
-    if max(max(us), max(vs)) >= n:
-        return f"endpoint out of range [0, {n})"
+    top = max(max(us), max(vs))
+    if top >= n:
+        return _WIDE if top >= WORD_LIMIT else f"endpoint out of range [0, {n})"
     if any(map(operator.eq, us, vs)):
         return f"self-loop at vertex {us[0]}"
     if not weighted:
@@ -175,6 +186,8 @@ def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:
     ws = nums[2::3]
     if min(ws) < 1:
         return f"weight must be >= 1, got {min(ws)}"
+    if max(ws) >= WORD_LIMIT:
+        return _WIDE
     return us, vs, ws
 
 
@@ -191,8 +204,9 @@ class FileEdgeSource(EdgeStreamSource):
     """Streams an edge-list file.
 
     Format: first line ``n m`` or ``n m weighted``; then exactly m lines
-    ``u v`` (or ``u v w``), 0-indexed, no self-loops, weights >= 1, ASCII
-    only.  Line order is the stream's arrival order.
+    ``u v`` (or ``u v w``), 0-indexed, no self-loops, weights >= 1, every
+    field plain decimal digits below 2^63, ASCII only.  Line order is the
+    stream's arrival order.
 
     One reader, ``_read_blocks``, serves the check at open, every pass and
     ``load_edge_list``.  It reads the file in blocks of whole lines (about
@@ -232,7 +246,7 @@ def _read_header(fh: BinaryIO, path: str) -> tuple[int, int, bool]:
         raise StreamFormatError(f"{path}:1: empty file")
     if not header.isascii():
         raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
-    return _parse_header(header.decode("ascii"), path)
+    return _parse_header(header, path)
 
 
 def _read_blocks(
@@ -280,10 +294,10 @@ def save_edge_list(path: str, g: Graph) -> None:
 def default_words_budget(n: int, k: int) -> int:
     """Budget of 64*n*k words, weighted stream or not.
 
-    A weight is one word, as the session charges it, so the heaviest
-    weight does not scale the budget.  The constant is loose on purpose:
-    the budget exists to catch accidentally-superlinear state, not to
-    squeeze the engines.
+    A weight is below 2^63, one word, as the session charges it, so the
+    heaviest weight does not scale the budget.  The constant is loose on
+    purpose: the budget exists to catch accidentally-superlinear state, not
+    to squeeze the engines.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")

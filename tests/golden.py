@@ -60,6 +60,10 @@ _BAD_TOUR = {
 _WRITTEN = {
     "header-underscore.txt": "1_0 +1\n0 1\n",
     "header-too-long.txt": "1" * 5000 + " 1\n0 1\n",
+    "header-2-63.txt": f"{2**63} 1\n0 1\n",
+    "header-2-63-minus-1.txt": f"{2**63 - 1} 1\n0 1\n",
+    "weight-2-63.txt": f"3 3 weighted\n0 1 {2**63}\n0 2 7\n1 2 7\n",
+    "weight-2-63-minus-1.txt": f"3 3 weighted\n0 1 {2**63 - 1}\n0 2 7\n1 2 7\n",
     "self-loop.txt": "2 1\n0 0\n",
     "p4.txt": "4 3\n0 1\n1 2\n2 3\n",
     "empty.txt": "5 0\n",
@@ -81,6 +85,7 @@ _GEN = [
     "gen random tsp12 --n 40 --density 1/4 --seed 8 --out t40.txt",
     "gen random maxtsp --n 8 --seed 9 --out x8.txt",
     "gen random maxtsp --n 30 --max-weight 1000 --seed 10 --out x30.txt",
+    f"gen random weighted --n 4 --max-weight {2**63} --seed 12 --out w-2-63.txt",
 ]
 
 _EPSILONS = ("1/3", "1/2", "1/5")
@@ -108,6 +113,12 @@ def cases() -> list[str]:
         "mpc self-loop.txt",
         "mpc header-underscore.txt",
         "mpc header-too-long.txt",
+        "mpc header-2-63.txt",
+        "mpc header-2-63-minus-1.txt",
+        "mpc weight-2-63.txt --json",
+        "mpc weight-2-63-minus-1.txt --json",
+        "maxtsp weight-2-63.txt --json",
+        "maxtsp weight-2-63-minus-1.txt --json",
         "mpc --epsilon 3/2 g12.txt",
         "mpc p4.txt --epsilon 1e-5000",
         "mpc empty.txt --json",

@@ -109,7 +109,7 @@ def test_tiny_epsilon_fails_before_opening_the_file(tmp_path, capsys, monkeypatc
     assert main(["mpc", str(path), "--epsilon", "1e-5000", *json_flag]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("streampath: epsilon '1e-5000' is too small")
+    assert err == "streampath: epsilon is too small: k = ceil(1/epsilon) must be below 2^63\n"
     assert opened == []
 
 
@@ -145,11 +145,13 @@ def test_edge_fields_that_int_would_accept_exit_one(tmp_path, capsys, text, wher
 
 @pytest.mark.parametrize("command", ["mpc", "tsp12"])
 def test_hostile_header_exits_one(tmp_path, capsys, command):
-    # n is far past what an index can hold, so the vertex tables overflow
+    # n is past a word, so the header is refused before any table is sized
     huge = tmp_path / "huge.txt"
     huge.write_text("10000000000000000000 1\n0 1\n")
     assert main([command, str(huge)]) == 1
-    assert "too large" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"streampath: {huge}:1: vertex and edge counts must be below 2^63\n"
+    )
 
 
 def test_memory_error_exits_one(tmp_path, capsys, monkeypatch):
@@ -169,13 +171,19 @@ def test_strict_budget_exits_two(tmp_path, capsys):
 
 
 def test_one_hostile_weight_inflates_no_default_budget(tmp_path, capsys):
-    # a weight is one word, so every default budget is 64 * n * k = 64 * 3 * 3,
-    # not that scaled by the 13,288 bits of a 4,000-digit weight
-    path = tmp_path / "nines.txt"
-    path.write_text("3 3 weighted\n0 1 " + "9" * 4000 + "\n0 2 7\n1 2 7\n")
-    for argv in (["mpc"], ["mpc", "--iterative"], ["maxtsp"], ["maxtsp", "--strict"]):
+    # a weight is one word, so every default budget is 64 * n * k = 64 * 3 * 3
+    # with the widest weight a word holds, and one past it is refused
+    path = tmp_path / "heavy.txt"
+    argvs = (["mpc"], ["mpc", "--iterative"], ["maxtsp"], ["maxtsp", "--strict"])
+    path.write_text(f"3 3 weighted\n0 1 {2**63 - 1}\n0 2 7\n1 2 7\n")
+    for argv in argvs:
         assert main([*argv, str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["stream"]["words_budget"] == 576
+    path.write_text(f"3 3 weighted\n0 1 {2**63}\n0 2 7\n1 2 7\n")
+    for argv in argvs:
+        assert main([*argv, str(path), "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"streampath: {path}:2: edge fields must be below 2^63\n"
 
 
 def test_usage_error_exits_one(capsys):
@@ -323,13 +331,6 @@ def test_maxtsp_rejects_incomplete_input(tmp_path, capsys):
     assert "pair" in err
 
 
-def test_gen_seed_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STREAMPATH_SEED", "77")
-    out = str(tmp_path / "env.txt")
-    assert main(["gen", "random", "graph", "--n", "8", "--out", out]) == 0
-    assert "seed=77" in capsys.readouterr().out
-
-
 def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "structure-matching", "--trials", "40"]) == 0
     out = capsys.readouterr().out
@@ -360,27 +361,36 @@ def _degrees_in_124(tmp_path):
     assert g.m > 0 and set(g.degrees()) <= {1, 2, 4}
 
 
+def _nothing_written(tmp_path):
+    assert not (tmp_path / "out.txt").exists()
+
+
+def _readable(tmp_path):
+    # a file gen writes is one the reader takes
+    assert load_edge_list(str(tmp_path / "out.txt")).m == 6
+
+
 @pytest.mark.parametrize(
-    "command, env, code, fragment, sweep_calls, then",
+    "command, code, fragment, sweep_calls, then",
     [
-        ("maxtsp {graph}", {}, 1, "maxtsp expects a weighted edge list", [], None),
-        ("gen random graph --n 5 --out {out}", {"STREAMPATH_SEED": "abc"},
-         1, "STREAMPATH_SEED must be an int, got 'abc'", [], None),
-        ("gen random degree124 --n 12 --seed 3 --out {out}", {},
+        ("maxtsp {graph}", 1, "maxtsp expects a weighted edge list", [], None),
+        ("gen random degree124 --n 12 --seed 3 --out {out}",
          0, "kind=degree124 n=12", [], _degrees_in_124),
-        ("verify --suite two-phase --trials 3 --seed 9", {},
+        ("verify --suite two-phase --trials 3 --seed 9",
          0, "suite two-phase: 3 trials", [{"trials": 3, "seed": 9}], None),
-        ("verify --trials x", {}, 1, "argument --trials: expected an int, got 'x'", [], None),
+        ("verify --trials x", 1, "argument --trials: expected an int, got 'x'", [], None),
+        (f"gen random weighted --n 4 --max-weight {2**63} --out {{out}}",
+         1, "max_weight must be at least 1 and below 2^63", [], _nothing_written),
+        (f"gen random maxtsp --n 4 --max-weight {2**63 - 1} --out {{out}}",
+         0, "kind=maxtsp n=4", [], _readable),
     ],
-    ids=["maxtsp-unweighted", "seed-env-not-int", "gen-degree124", "verify-seed",
-         "verify-trials-x"],
+    ids=["maxtsp-unweighted", "gen-degree124", "verify-seed", "verify-trials-x",
+         "max-weight-2^63", "max-weight-2^63-1"],
 )
-def test_cli_paths(tmp_path, capsys, monkeypatch, command, env, code, fragment, sweep_calls, then):
+def test_cli_paths(tmp_path, capsys, monkeypatch, command, code, fragment, sweep_calls, then):
     graph = str(tmp_path / "g.txt")
     assert main(["gen", "random", "graph", "--n", "6", "--seed", "1", "--out", graph]) == 0
     capsys.readouterr()
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     calls = []
     real = cli.SWEEPS["two-phase"]
 

@@ -51,6 +51,10 @@ def test_edge_rejects_loops_and_bad_weights():
         Edge(0, 1, weight=0)
     with pytest.raises(ValueError):
         Edge(0, -1)
+    # a weight is one signed 64-bit word
+    assert Edge(0, 1, 2**63 - 1).weight == 2**63 - 1
+    with pytest.raises(ValueError, match=r"edge weight must be below 2\^63"):
+        Edge(0, 1, 2**63)
 
 
 # --- Graph ----------------------------------------------------------------
@@ -61,6 +65,10 @@ def test_graph_from_pairs_both_arities():
     assert g.m == 2 and not g.weighted
     gw = Graph.from_pairs(4, [(0, 1, 5), (1, 2, 7)], weighted=True)
     assert [e.weight for e in gw.edges] == [5, 7]
+    # a pair is an Edge's arguments, so any other length is refused as a call
+    for bad in [(0,), (0, 1, 2, 3)]:
+        with pytest.raises(TypeError):
+            Graph.from_pairs(4, [bad])
 
 
 def test_graph_rejects_out_of_range_vertices():
@@ -68,6 +76,9 @@ def test_graph_rejects_out_of_range_vertices():
         _g(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(n=-1, edges=())
+    assert Graph(2**63 - 1, ()).n == 2**63 - 1
+    with pytest.raises(ValueError, match=r"vertex count must be below 2\^63"):
+        Graph(2**63, ())
 
 
 def test_graph_degrees_counts_parallel_copies():

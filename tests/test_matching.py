@@ -9,7 +9,6 @@ instead.
 
 from __future__ import annotations
 
-import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -80,17 +79,13 @@ def test_params_reject_out_of_range(bad):
         ApproxParams.parse(bad)
 
 
-def test_params_refuse_an_epsilon_whose_budget_cannot_print():
-    assert ApproxParams.parse("1e-4200").k == 10**4200
-    with pytest.raises(ValueError, match="epsilon '1e-5000' is too small"):
-        ApproxParams.parse("1e-5000")
-    # With Python's int-to-text limit off, every epsilon in (0, 1) is admitted.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        assert ApproxParams.parse("1e-5000").k == 10**5000
-    finally:
-        sys.set_int_max_str_digits(limit)
+def test_params_refuse_an_epsilon_whose_k_is_past_a_word():
+    assert ApproxParams(Fraction(1, 2**63 - 1)).k == 2**63 - 1
+    for eps in [Fraction(1, 2**63), Fraction("1e-4200"), Fraction("1e-5000")]:
+        with pytest.raises(ValueError, match=r"k = ceil\(1/epsilon\) must be below 2\^63"):
+            ApproxParams(eps)
+    with pytest.raises(ValueError, match="epsilon is too small"):
+        ApproxParams.parse("1e-4200")
 
 
 # --- unweighted engine --------------------------------------------------------------
@@ -353,17 +348,20 @@ def test_star_sent_twice_stays_linear():
     assert sess.report().runs[-1].words_peak == (leaves + 1) + 3 + 3 * leaves
 
 
-def test_unweighted_pass_keeps_at_most_40_bytes_per_charged_word(tmp_path):
-    # G(10^4, 5 * 10^4) read from a file: the engine may keep its rows,
-    # partners and the kept pairs' original ends, but no pair set and no
-    # ints the parser made; the latter two cost about 64 bytes per word
+@pytest.mark.parametrize("top", [None, 1000, 2**63 - 1], ids=["unweighted", "w1000", "w2^63"])
+def test_unweighted_pass_keeps_at_most_33_bytes_per_charged_word(tmp_path, top):
+    # G(10^4, 5 * 10^4) read from a file, unweighted or with weights in
+    # [1, top]: the engine may keep its rows, partners and the kept pairs'
+    # original ends and weights as words, but no pair set and no ints the
+    # parser made; it measures 28-30 on Python 3.10-3.13, and 34-37 when
+    # it keeps the parser's weight ints
     rng = SplitMix64(7)
     n, m = 10**4, 5 * 10**4
-    lines = [f"{n} {m}"]
+    lines = [f"{n} {m}" if top is None else f"{n} {m} weighted"]
     while len(lines) <= m:
         u, v = rng.below(n), rng.below(n)
         if u != v:
-            lines.append(f"{u} {v}")
+            lines.append(f"{u} {v}" if top is None else f"{u} {v} {rng.randint(1, top)}")
     path = tmp_path / "g.txt"
     path.write_text("\n".join(lines) + "\n")
     params = ApproxParams.parse("1/3")
@@ -376,7 +374,22 @@ def test_unweighted_pass_keeps_at_most_40_bytes_per_charged_word(tmp_path):
     finally:
         tracemalloc.stop()
     words = sess.report().runs[-1].words_peak
-    assert peak <= 40 * words, peak / words
+    assert peak <= 33 * words, peak / words
+
+
+def test_both_engines_carry_every_weight_a_word_holds():
+    # the unweighted engine keeps weights in a 64-bit array, which holds
+    # every weight an Edge admits
+    with pytest.raises(ValueError):
+        Graph.from_pairs(2, [(0, 1, 2**63)], weighted=True)
+    w = 2**63 - 1
+    g = Graph.from_pairs(4, [(0, 1, w), (1, 2, 5), (2, 3, w)], weighted=True)
+    params = ApproxParams.parse("1/3")
+    for engine in (streaming_max_matching, streaming_max_weight_matching):
+        src = InMemoryEdgeSource(g)
+        m = engine(src, params, open_session(src, k=params.k, strict=True))
+        assert sorted((e.u, e.v, e.weight) for e in m) == [(0, 1, w), (2, 3, w)], engine
+        assert all(type(e.weight) is int for e in m)
 
 
 def _sparse_simple_graph(seed: int) -> Graph:

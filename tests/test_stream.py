@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from itertools import count
 
 import pytest
@@ -109,23 +110,52 @@ def test_malformed_files_are_rejected_with_location(tmp_path, text, fragment):
 
 
 _LONG = "7" * 5000
+_WIDE = "must be below 2^63"
 
 
+# Each field past a word: 5,000 digits, which int() refuses by default, and
+# 2^63, which it reads.
 @pytest.mark.parametrize(
     "text,where",
     [
-        (f"{_LONG} 1\n0 1\n", "1: vertex or edge count"),
-        (f"3 1\n{_LONG} 1\n", "2: edge field"),
-        (f"3 2 weighted\n0 1 4\n1 2 {_LONG}\n", "3: edge field"),
+        (f"{_LONG} 1\n0 1\n", f"1: vertex and edge counts {_WIDE}"),
+        (f"{2**63} 1\n0 1\n", f"1: vertex and edge counts {_WIDE}"),
+        (f"3 1\n{_LONG} 1\n", f"2: edge fields {_WIDE}"),
+        (f"3 1\n1 {2**63}\n", f"2: edge fields {_WIDE}"),
+        (f"3 2 weighted\n0 1 4\n1 2 {_LONG}\n", f"3: edge fields {_WIDE}"),
+        (f"3 2 weighted\n0 1 4\n1 2 {2**63}\n", f"3: edge fields {_WIDE}"),
     ],
-    ids=["header", "endpoint", "weight"],
+    ids=["header", "header-2^63", "endpoint", "endpoint-2^63", "weight", "weight-2^63"],
 )
 def test_fields_past_the_int_digit_limit_are_too_long(tmp_path, text, where):
+    # past a word, whether or not int() reads the field: one rule, one message
     path = _write(tmp_path, text)
-    for read in (FileEdgeSource, load_edge_list):
-        with pytest.raises(StreamFormatError) as err:
-            read(path)
-        assert str(err.value) == f"{path}:{where} too long"
+    limit = sys.get_int_max_str_digits()
+    got = []
+    for digits in (limit, 0):
+        sys.set_int_max_str_digits(digits)
+        try:
+            for read in (FileEdgeSource, load_edge_list):
+                with pytest.raises(StreamFormatError) as err:
+                    read(path)
+                got.append(str(err.value))
+        finally:
+            sys.set_int_max_str_digits(limit)
+    assert got == [f"{path}:{where}"] * 4
+
+
+def test_zero_padding_past_int_digits_is_still_a_small_field(tmp_path):
+    # a field is its value, so leading zeros never make it wide
+    pad = "0" * 5000
+    path = _write(tmp_path, f"{pad}3 {pad}2 weighted\n{pad}0 1 {pad}9\n2 {pad}1 {2**63 - 1}\n")
+    limit = sys.get_int_max_str_digits()
+    for digits in (limit, 0):
+        sys.set_int_max_str_digits(digits)
+        try:
+            src = FileEdgeSource(path)
+            assert (src.n, src.m, list(src.edges())) == (3, 2, [(0, 1, 9), (2, 1, 2**63 - 1)])
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(
@@ -139,7 +169,7 @@ def test_field_rewritten_past_the_int_digit_limit_fails_the_pass(tmp_path, rewri
     _write(tmp_path, rewrite)
     with pytest.raises(StreamFormatError) as err:
         list(src.edges())
-    assert str(err.value) == f"{path}:3: file changed since it was opened: edge field too long"
+    assert str(err.value) == f"{path}:3: file changed since it was opened: edge fields {_WIDE}"
 
 
 def test_open_does_not_retain_edges(tmp_path):
