@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .corpus import (
     SWEEPS,
@@ -36,6 +37,8 @@ from .stream import (
     StreamReport,
     load_edge_list,
     open_session,
+    read_fraction,
+    read_word,
     save_edge_list,
 )
 from .tsp import (
@@ -60,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _flag(read, text: str):
+    """``read(text)`` as an argparse type: the ValueError it raises is a usage error."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_WORD, _FRACTION = partial(_flag, read_word), partial(_flag, read_fraction)
+
+
 def _emit(args, report: dict, human_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -70,8 +84,8 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
 
 def _run_flags(sub: argparse.ArgumentParser, iterative_flag: bool = False) -> None:
     sub.add_argument("file", help="edge-list file (see README for the format)")
-    sub.add_argument("--epsilon", default="1/3", help="quality knob, a fraction in (0,1)")
-    sub.add_argument("--budget", type=int, default=None, help="retained-words budget override")
+    sub.add_argument("--epsilon", type=_FRACTION, default="1/3", help="quality knob P/Q in (0,1)")
+    sub.add_argument("--budget", type=_WORD, default=None, help="retained-words budget override")
     sub.add_argument("--strict", action="store_true", help="fail fast on budget overrun (exit 2)")
     sub.add_argument("--oracle", action="store_true", help="also solve exactly and check the bound")
     sub.add_argument("--json", action="store_true", help="machine-readable report")
@@ -116,7 +130,7 @@ def _finish_run(
 
 
 def _cmd_mpc(args) -> int:
-    params = ApproxParams.parse(args.epsilon)
+    params = ApproxParams(args.epsilon)
     src = FileEdgeSource(args.file)
     # The oracle runs first, on the graph read from the open source, so a
     # graph past its limit fails before the streaming run and not after it.
@@ -160,7 +174,7 @@ def _cmd_mpc(args) -> int:
 
 
 def _cmd_tsp12(args) -> int:
-    params = ApproxParams.parse(args.epsilon)
+    params = ApproxParams(args.epsilon)
     g = load_edge_list(args.file)
     if g.weighted:
         raise ValueError("tsp12 expects an unweighted edge list of the cost-1 pairs")
@@ -189,7 +203,7 @@ def _cmd_tsp12(args) -> int:
 
 
 def _cmd_maxtsp(args) -> int:
-    params = ApproxParams.parse(args.epsilon)
+    params = ApproxParams(args.epsilon)
     g = load_edge_list(args.file)
     if not g.weighted:
         raise ValueError("maxtsp expects a weighted edge list covering every pair once")
@@ -225,20 +239,14 @@ def _cmd_gen(args) -> int:
         expected = " ".join(f"{k}={v}" for k, v in sorted(fx.expected.items()))
         print(f"wrote {args.out}: n={fx.graph.n} m={fx.graph.m} ({fx.notes}; {expected})")
         return _OK
-    try:
-        density = Fraction(args.density)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(
-            f"cannot parse density {args.density!r}; write a fraction such as 1/2"
-        ) from None
     if args.kind == "graph":
-        g = gen_random_graph(args.n, args.seed, density)
+        g = gen_random_graph(args.n, args.seed, args.density)
     elif args.kind == "weighted":
-        g = gen_random_weighted_graph(args.n, args.seed, density, args.max_weight)
+        g = gen_random_weighted_graph(args.n, args.seed, args.density, args.max_weight)
     elif args.kind == "degree124":
         g = gen_degree124_graph(args.n, args.seed)
     elif args.kind == "tsp12":
-        g = gen_random_tsp12(args.n, args.seed, density)
+        g = gen_random_tsp12(args.n, args.seed, args.density)
     else:
         g = gen_random_max_tsp(args.n, args.seed, args.max_weight)
     save_edge_list(args.out, g)
@@ -248,6 +256,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SWEEPS) if args.suite == "all" else [args.suite]
+    if args.trials == 0:
+        # zero trials would check nothing and still report every suite passed
+        raise ValueError("--trials must be at least 1")
     kwargs = {}
     if args.trials is not None:
         kwargs["trials"] = args.trials
@@ -275,16 +286,6 @@ def _cmd_verify(args) -> int:
     return _OK if all_ok else _GUARANTEE
 
 
-def _trial_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an int, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="streampath", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -309,19 +310,17 @@ def _build_parser() -> _Parser:
     fx.set_defaults(func=_cmd_gen)
     rnd = gen_subs.add_parser("random", help="a seeded random instance")
     rnd.add_argument("kind", choices=("graph", "weighted", "degree124", "tsp12", "maxtsp"))
-    rnd.add_argument("--n", type=int, required=True)
-    rnd.add_argument("--density", default="1/2", help="pair probability, a fraction")
-    rnd.add_argument("--max-weight", type=int, default=20)
-    rnd.add_argument("--seed", type=int, default=0)
+    rnd.add_argument("--n", type=_WORD, required=True)
+    rnd.add_argument("--density", type=_FRACTION, default="1/2", help="pair probability P/Q")
+    rnd.add_argument("--max-weight", type=_WORD, default=20)
+    rnd.add_argument("--seed", type=_WORD, default=0)
     rnd.add_argument("--out", required=True)
     rnd.set_defaults(func=_cmd_gen)
 
     verify = subs.add_parser("verify", help="run oracle sweeps")
     verify.add_argument("--suite", default="all", choices=("all",) + tuple(SWEEPS))
-    verify.add_argument(
-        "--trials", type=_trial_count, default=None, help="override per-suite trial count"
-    )
-    verify.add_argument("--seed", type=int, default=None, help="override per-suite seed")
+    verify.add_argument("--trials", type=_WORD, default=None, help="override per-suite trial count")
+    verify.add_argument("--seed", type=_WORD, default=None, help="override per-suite seed")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 

@@ -14,8 +14,8 @@ Conventions used throughout the package:
   sequence *is* the arrival order of the stream,
 * weights are positive integers; an unweighted graph is one where every
   edge has weight 1,
-* ``n`` and every weight are below ``WORD_LIMIT`` = 2^63, so each fits a
-  signed 64-bit word, the word the semi-streaming model counts.
+* ``n``, every endpoint and every weight are below ``WORD_LIMIT`` = 2^63,
+  so each fits a signed 64-bit word, the word the semi-streaming model counts.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ class Edge:
     def __post_init__(self) -> None:
         if not (isinstance(self.u, int) and isinstance(self.v, int)):
             raise ValueError("endpoints must be ints")
-        if self.u < 0 or self.v < 0:
-            raise ValueError(f"negative endpoint in edge ({self.u}, {self.v})")
+        if not (0 <= self.u < WORD_LIMIT and 0 <= self.v < WORD_LIMIT):
+            raise ValueError("endpoints must be non-negative and below 2^63")
         if self.u == self.v:
             raise ValueError(f"self-loop at vertex {self.u} is not allowed")
         if not isinstance(self.weight, int) or self.weight < 1:
-            raise ValueError(f"edge weight must be a positive int, got {self.weight!r}")
+            raise ValueError("edge weight must be a positive int")
         if self.weight >= WORD_LIMIT:
             raise ValueError("edge weight must be below 2^63")
 

@@ -60,7 +60,7 @@ from heapq import heapify, heapreplace
 from itertools import compress, count, starmap
 
 from .graph import WORD_LIMIT, ContractionMap, Edge, Graph, Matching
-from .stream import EdgeStreamSource, StreamSession
+from .stream import EdgeStreamSource, StreamSession, read_fraction
 
 
 class OracleLimitError(ValueError):
@@ -84,7 +84,7 @@ class ApproxParams:
         if not isinstance(self.epsilon, Fraction):
             raise ValueError("epsilon must be a fractions.Fraction")
         if not (0 < self.epsilon < 1):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+            raise ValueError("epsilon must be in (0, 1)")
         k = -((-self.epsilon.denominator) // self.epsilon.numerator)
         if k >= WORD_LIMIT:
             raise ValueError("epsilon is too small: k = ceil(1/epsilon) must be below 2^63")
@@ -92,13 +92,7 @@ class ApproxParams:
 
     @classmethod
     def parse(cls, text: str) -> "ApproxParams":
-        try:
-            eps = Fraction(text)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise ValueError(
-                f"cannot parse epsilon {text!r}; write a fraction such as 1/3"
-            ) from None
-        return cls(eps)
+        return cls(read_fraction(text))
 
     @property
     def max_swap_edges(self) -> int:

@@ -19,9 +19,9 @@ class SplitMix64:
     """splitmix64 generator with helpers for bounded ints and shuffles."""
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError("seed must be non-negative and below 2^64")
+        self._state = seed
 
     def next_u64(self) -> int:
         """Return the next raw 64-bit output."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import chain
 from typing import BinaryIO, Callable, Iterator
@@ -117,6 +118,28 @@ def _field(token: bytes) -> int:
     return int(digits or b"0") if len(digits) <= 19 else WORD_LIMIT
 
 
+def read_word(text: str | bytes) -> int:
+    """``text`` as a word: plain ASCII decimal digits, valued below 2^63.
+
+    Unlike ``int()``: no ``_``, sign, space or non-ASCII digit, and the same on every Python.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("must be ints, non-negative, in plain decimal digits")
+    value = _field(text.encode() if isinstance(text, str) else text)
+    if value >= WORD_LIMIT:
+        raise ValueError("must be below 2^63")
+    return value
+
+
+def read_fraction(text: str) -> Fraction:
+    """``P`` or ``P/Q`` for words ``P`` and ``Q >= 1``; no decimal or exponent form."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(read_word(num), read_word(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("must be P or P/Q: plain decimal digits below 2^63, Q >= 1") from None
+
+
 def _parse_header(line: bytes, path: str) -> tuple[int, int, bool]:
     tokens = line.split()
     if len(tokens) == 2:
@@ -127,16 +150,10 @@ def _parse_header(line: bytes, path: str) -> tuple[int, int, bool]:
         raise StreamFormatError(
             f"{path}:1: header must be 'n m' or 'n m weighted', got {line.strip().decode()!r}"
         )
-    # bytes.isdigit() admits 0-9 only, where int() would also read "1_0"
-    # and "+1".
-    if not (tokens[0].isdigit() and tokens[1].isdigit()):
-        raise StreamFormatError(
-            f"{path}:1: vertex and edge counts must be ints, non-negative, in plain decimal digits"
-        )
-    n, m = _field(tokens[0]), _field(tokens[1])
-    if max(n, m) >= WORD_LIMIT:
-        raise StreamFormatError(f"{path}:1: vertex and edge counts must be below 2^63")
-    return n, m, weighted
+    try:
+        return read_word(tokens[0]), read_word(tokens[1]), weighted
+    except ValueError as exc:
+        raise StreamFormatError(f"{path}:1: vertex and edge counts {exc}") from None
 
 
 def _parse_block(block: list[bytes], n: int, weighted: bool) -> Block | str:

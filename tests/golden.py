@@ -86,6 +86,11 @@ _GEN = [
     "gen random maxtsp --n 8 --seed 9 --out x8.txt",
     "gen random maxtsp --n 30 --max-weight 1000 --seed 10 --out x30.txt",
     f"gen random weighted --n 4 --max-weight {2**63} --seed 12 --out w-2-63.txt",
+    # Flags whose text int() or Fraction() reads but a file field may not hold.
+    "gen random graph --n 1_2 --seed 1 --out g-underscore.txt",
+    "gen random graph --n \u0663 --seed 1 --out g-arabic-digit.txt",
+    f"gen random graph --n 12 --seed {2**64 + 5} --out g-seed-2-64-plus-5.txt",
+    "gen random graph --n 12 --density 1_0/30 --seed 1 --out g-density-underscore.txt",
 ]
 
 _EPSILONS = ("1/3", "1/2", "1/5")
@@ -121,6 +126,9 @@ def cases() -> list[str]:
         "maxtsp weight-2-63-minus-1.txt --json",
         "mpc --epsilon 3/2 g12.txt",
         "mpc p4.txt --epsilon 1e-5000",
+        "mpc p4.txt --epsilon 1_0/33",
+        "mpc p4.txt --epsilon 0.25",
+        "mpc p4.txt --budget 1_000",
         "mpc empty.txt --json",
         "mpc empty.txt --iterative --json",
     ]
@@ -147,6 +155,7 @@ def cases() -> list[str]:
         "verify --json --trials 25",
         "verify --trials 2",
         "verify --suite two-phase --trials 6 --seed 11 --json",
+        f"verify --suite two-phase --trials 2 --seed {2**64 + 3}",
     ]
     return runs
 

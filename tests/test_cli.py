@@ -94,6 +94,14 @@ def test_missing_file_exits_one(capsys):
     assert "streampath:" in capsys.readouterr().err
 
 
+def _exit_code(argv) -> int:
+    """``main``'s exit code, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_bad_epsilon_exits_one(tmp_path, capsys):
     path = _fixture_file(tmp_path)
     assert main(["mpc", path, "--epsilon", "5/3"]) == 1
@@ -106,10 +114,13 @@ def test_tiny_epsilon_fails_before_opening_the_file(tmp_path, capsys, monkeypatc
     path.write_text("4 3\n0 1\n1 2\n2 3\n")
     opened = []
     monkeypatch.setattr(cli.FileEdgeSource, "__init__", lambda self, file: opened.append(file))
-    assert main(["mpc", str(path), "--epsilon", "1e-5000", *json_flag]) == 1
+    # an exponent form is not a fraction P/Q, so argparse refuses it
+    with pytest.raises(SystemExit) as exited:
+        main(["mpc", str(path), "--epsilon", "1e-5000", *json_flag])
+    assert exited.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "streampath: epsilon is too small: k = ceil(1/epsilon) must be below 2^63\n"
+    assert err == f"streampath mpc: error: argument --epsilon: {_NOT_FRACTION}\n"
     assert opened == []
 
 
@@ -192,29 +203,102 @@ def test_usage_error_exits_one(capsys):
     assert err.value.code == 1
 
 
+# Text that is not a fraction P/Q is a usage error; a fraction out of [0, 1]
+# is the generator's to refuse.
 @pytest.mark.parametrize(
-    "kind, density",
-    [("graph", "1/0"), ("weighted", "1/0"), ("maxtsp", "1/0"), ("graph", "half"),
-     ("weighted", "3"), ("weighted", "-1/2")],
+    "kind, density, fragment",
+    [("graph", "1/0", "argument --density"), ("weighted", "1/0", "argument --density"),
+     ("maxtsp", "1/0", "argument --density"), ("graph", "half", "argument --density"),
+     ("weighted", "3", "density must be in [0, 1]"), ("weighted", "-1/2", "argument --density")],
+    ids=["graph-1/0", "weighted-1/0", "maxtsp-1/0", "graph-half", "weighted-3", "weighted--1/2"],
 )
-def test_gen_random_bad_density_exits_one(tmp_path, capsys, kind, density):
+def test_gen_random_bad_density_exits_one(tmp_path, capsys, kind, density, fragment):
     out = tmp_path / "g.txt"
     argv = ["gen", "random", kind, "--n", "5", f"--density={density}", "--out", str(out)]
-    assert main(argv) == 1
+    assert _exit_code(argv) == 1
     err = capsys.readouterr().err
-    assert "density" in err and "Traceback" not in err
+    assert fragment in err and "Traceback" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["weighted", "maxtsp"])
-@pytest.mark.parametrize("max_weight", ["0", "-3"])
-def test_gen_random_bad_max_weight_exits_one(tmp_path, capsys, kind, max_weight):
+@pytest.mark.parametrize(
+    "max_weight, fragment",
+    [("0", "max_weight must be at least 1"), ("-3", "argument --max-weight")],
+    ids=["0", "-3"],
+)
+def test_gen_random_bad_max_weight_exits_one(tmp_path, capsys, kind, max_weight, fragment):
     out = tmp_path / "g.txt"
     argv = ["gen", "random", kind, "--n", "5", f"--max-weight={max_weight}", "--out", str(out)]
-    assert main(argv) == 1
+    assert _exit_code(argv) == 1
     err = capsys.readouterr().err
-    assert "max_weight" in err and "Traceback" not in err
+    assert fragment in err and "Traceback" not in err
     assert not out.exists()
+
+
+_NOT_DIGITS = "must be ints, non-negative, in plain decimal digits"
+_NOT_WORD = "must be below 2^63"
+_NOT_FRACTION = "must be P or P/Q: plain decimal digits below 2^63, Q >= 1"
+_NINES = "9" * 5000
+_WIDEST = str(2**63 - 1)
+
+# Text that int() or Fraction() reads but a file field may not hold.
+_NOT_INTS = [
+    *[(text, _NOT_DIGITS) for text in ["1_2", "+7", " 7", "\u0663", "-1", "x"]],
+    *[(text, _NOT_WORD) for text in [str(2**63), _NINES]],
+]
+_NOT_FRACTIONS = [
+    (text, _NOT_FRACTION)
+    for text in ["1_0/33", "0.25", "1e-3", "1/0", f"1/{_NINES}", f"1/{2**63}", "1/2/3", "/2"]
+]
+
+# Each flag that takes a number: its subcommand, an argv with "{}" for the
+# value, the text it refuses, and a widest value that runs (None for --n
+# and --trials, whose widest value would run for ever).
+_NUMBER_FLAGS = {
+    "--n": ("gen random", "gen random graph --n {} --out {out}", _NOT_INTS, None),
+    "--max-weight": ("gen random", "gen random weighted --n 4 --max-weight {} --out {out}",
+                     _NOT_INTS, _WIDEST),
+    "--seed": ("gen random", "gen random graph --n 4 --seed {} --out {out}", _NOT_INTS, _WIDEST),
+    "--budget": ("mpc", "mpc {file} --budget {} --strict", _NOT_INTS, _WIDEST),
+    "--trials": ("verify", "verify --suite degree-census --trials {}", _NOT_INTS, None),
+    "verify --seed": ("verify", "verify --suite degree-census --trials 1 --seed {}",
+                      _NOT_INTS, _WIDEST),
+    "--epsilon": ("mpc", "mpc {file} --epsilon {}", _NOT_FRACTIONS, f"1/{_WIDEST}"),
+    "--density": ("gen random", "gen random graph --n 4 --density {} --out {out}",
+                  _NOT_FRACTIONS, f"{_WIDEST}/{_WIDEST}"),
+}
+
+
+@pytest.mark.parametrize("flag", list(_NUMBER_FLAGS))
+def test_number_flags_read_like_file_fields(
+    tmp_path, capsys, monkeypatch, each_digit_limit, flag
+):
+    # a flag takes what a file field takes, on every Python and either
+    # int-digit limit, and a refusal comes before any file is opened or written
+    command, template, refused, widest = _NUMBER_FLAGS[flag]
+    p4, out = tmp_path / "p4.txt", tmp_path / "out.txt"
+    p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+
+    def argv(text):
+        fill = {"{}": text, "{out}": str(out), "{file}": str(p4)}
+        return [fill.get(arg, arg) for arg in template.split()]
+
+    opened = []
+    monkeypatch.setattr(cli.FileEdgeSource, "__init__", lambda self, file: opened.append(file))
+    for text, why in refused:
+
+        def refusal():
+            with pytest.raises(SystemExit) as exited:
+                main(argv(text))
+            return exited.value.code, *capsys.readouterr()
+
+        message = f"streampath {command}: error: argument {flag.split()[-1]}: {why}\n"
+        assert each_digit_limit(refusal) == [(1, "", message)] * 2, text
+    assert opened == [] and not out.exists()
+    if widest is not None:
+        monkeypatch.undo()
+        assert main(argv(widest)) == 0
 
 
 def test_gen_random_then_tsp12(tmp_path, capsys):
@@ -348,10 +432,9 @@ def test_verify_json_shape(capsys):
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_rejects_fewer_than_one_trial(capsys, trials):
-    # zero trials would check nothing and still report every suite passed
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--suite", "two-phase", "--trials", trials])
-    assert err.value.code == 1
+    # zero trials would check nothing and still report every suite passed;
+    # "-1" is no word, so argparse refuses it, and the command refuses 0
+    assert _exit_code(["verify", "--suite", "two-phase", "--trials", trials]) == 1
     captured = capsys.readouterr()
     assert "--trials" in captured.err and "passed" not in captured.out
 
@@ -378,9 +461,9 @@ def _readable(tmp_path):
          0, "kind=degree124 n=12", [], _degrees_in_124),
         ("verify --suite two-phase --trials 3 --seed 9",
          0, "suite two-phase: 3 trials", [{"trials": 3, "seed": 9}], None),
-        ("verify --trials x", 1, "argument --trials: expected an int, got 'x'", [], None),
+        ("verify --trials x", 1, f"argument --trials: {_NOT_DIGITS}", [], None),
         (f"gen random weighted --n 4 --max-weight {2**63} --out {{out}}",
-         1, "max_weight must be at least 1 and below 2^63", [], _nothing_written),
+         1, f"argument --max-weight: {_NOT_WORD}", [], _nothing_written),
         (f"gen random maxtsp --n 4 --max-weight {2**63 - 1} --out {{out}}",
          0, "kind=maxtsp n=4", [], _readable),
     ],

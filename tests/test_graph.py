@@ -57,6 +57,27 @@ def test_edge_rejects_loops_and_bad_weights():
         Edge(0, 1, 2**63)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Edge(0, 1, -(10**5000)), "edge weight must be a positive int"),
+        (lambda: Edge(-(10**5000), 1), "endpoints must be non-negative and below 2^63"),
+        (lambda: Edge(0, 2**63), "endpoints must be non-negative and below 2^63"),
+        (lambda: Graph(5, (Edge(10**5000, 1),)), "endpoints must be non-negative and below 2^63"),
+    ],
+    ids=["weight", "endpoint", "endpoint-2^63", "graph"],
+)
+def test_refusals_print_no_unbounded_int(each_digit_limit, build, message):
+    # a message formats only ints below 2^63, so it is the same whether or
+    # not int() could print the value refused
+    def refusal():
+        with pytest.raises(ValueError) as err:
+            build()
+        return str(err.value)
+
+    assert each_digit_limit(refusal) == [message] * 2
+
+
 # --- Graph ----------------------------------------------------------------
 
 

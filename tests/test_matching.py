@@ -63,8 +63,8 @@ def test_params_derive_k_as_inverse_ceiling():
     assert ApproxParams.parse("1/3").k == 3
     assert ApproxParams.parse("1/2").k == 2
     assert ApproxParams.parse("2/5").k == 3
-    assert ApproxParams.parse("0.25").k == 4
-    assert ApproxParams.parse("0.9").k == 2  # eps < 1 keeps k >= 2, so 3-edge paths are searched
+    assert ApproxParams.parse("1/4").k == 4
+    assert ApproxParams.parse("9/10").k == 2  # eps < 1 keeps k >= 2, so 3-edge paths are searched
 
 
 def test_params_expose_swap_and_cap_limits():
@@ -73,7 +73,7 @@ def test_params_expose_swap_and_cap_limits():
     assert p.kernel_degree_cap == 24
 
 
-@pytest.mark.parametrize("bad", ["0", "1", "7/3", "-1/2", "", "half", "1/0"])
+@pytest.mark.parametrize("bad", ["0", "1", "7/3", "-1/2", "", "half", "1/0", "0.25", "1e-3"])
 def test_params_reject_out_of_range(bad):
     with pytest.raises(ValueError):
         ApproxParams.parse(bad)
@@ -84,8 +84,21 @@ def test_params_refuse_an_epsilon_whose_k_is_past_a_word():
     for eps in [Fraction(1, 2**63), Fraction("1e-4200"), Fraction("1e-5000")]:
         with pytest.raises(ValueError, match=r"k = ceil\(1/epsilon\) must be below 2\^63"):
             ApproxParams(eps)
-    with pytest.raises(ValueError, match="epsilon is too small"):
-        ApproxParams.parse("1e-4200")
+    # parse reads P/Q as a file field is read, so 1/2^63 is refused as text
+    assert ApproxParams.parse(f"1/{2**63 - 1}").k == 2**63 - 1
+    with pytest.raises(ValueError, match=r"must be P or P/Q"):
+        ApproxParams.parse(f"1/{2**63}")
+
+
+def test_params_refusal_prints_no_epsilon(each_digit_limit):
+    # an epsilon past int()'s digit limit is refused with a message that
+    # holds no digits of it, the same whether or not the limit is on
+    def refusal():
+        with pytest.raises(ValueError) as err:
+            ApproxParams(Fraction(10**5000))
+        return str(err.value)
+
+    assert each_digit_limit(refusal) == ["epsilon must be in (0, 1)"] * 2
 
 
 # --- unweighted engine --------------------------------------------------------------

@@ -32,6 +32,13 @@ def test_negative_seed_rejected():
         SplitMix64(-1)
 
 
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5, 10**5000], ids=["2^64", "2^64+5", "10^5000"])
+def test_seed_past_64_bits_rejected(seed):
+    # masking would make 2^64 + 5 draw what 5 draws
+    with pytest.raises(ValueError, match=r"seed must be non-negative and below 2\^64"):
+        SplitMix64(seed)
+
+
 def test_below_stays_in_range():
     rng = SplitMix64(99)
     for bound in (1, 2, 3, 7, 100):
