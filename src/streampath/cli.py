@@ -207,7 +207,7 @@ def _cmd_maxtsp(args) -> int:
     g = load_edge_list(args.file)
     if not g.weighted:
         raise ValueError("maxtsp expects a weighted edge list covering every pair once")
-    inst = MaxTspInstance(g.n, g.edges)
+    inst = MaxTspInstance(g.n, us=g.us, vs=g.vs, ws=g.ws)
     opt = oracle_max_tsp(inst) if args.oracle else None
     res = approx_max_tsp(inst, params, words_budget=args.budget, strict=args.strict)
     name = os.path.basename(args.file)

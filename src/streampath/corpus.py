@@ -12,6 +12,7 @@ several independent assertions.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -150,9 +151,18 @@ def gen_random_max_tsp(n: int, seed: int, max_weight: int = 20) -> MaxTspInstanc
     if not 1 <= max_weight < WORD_LIMIT:
         raise ValueError("max_weight must be at least 1 and below 2^63")
     rng = SplitMix64(seed)
-    edges = [Edge(u, v, rng.randint(1, max_weight)) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(edges)
-    return MaxTspInstance(n, tuple(edges))
+    # Each pair u < v in order with its weight, then the shuffle's swaps
+    # applied to all three columns: the draws of ``rng.shuffle`` on a list.
+    us = array("q", (u for u in range(n) for _ in range(u + 1, n)))
+    vs = array("q", (v for u in range(n) for v in range(u + 1, n)))
+    ws = array("q", (rng.randint(1, max_weight) for _ in us))
+    below = rng.below
+    for i in range(len(us) - 1, 0, -1):
+        j = below(i + 1)
+        us[i], us[j] = us[j], us[i]
+        vs[i], vs[j] = vs[j], vs[i]
+        ws[i], ws[j] = ws[j], ws[i]
+    return MaxTspInstance(n, us=us, vs=vs, ws=ws)
 
 
 def gen_degree124_graph(n: int, seed: int) -> Graph:
@@ -192,10 +202,11 @@ def gen_random_matching_in(g: Graph, seed: int) -> Matching:
     rng = SplitMix64(seed)
     order = list(range(g.m))
     rng.shuffle(order)
+    edges = g.edges
     used: set[int] = set()
     picked: list[Edge] = []
     for i in order:
-        e = g.edges[i]
+        e = edges[i]
         if e.u not in used and e.v not in used and rng.coin():
             used.add(e.u)
             used.add(e.v)

@@ -2,9 +2,12 @@
 
 All types here are immutable value objects.  Algorithms never mutate a
 Graph; operations like contraction return a fresh Graph plus a mapping
-object describing where each original vertex went.  An ``Edge`` keeps
-its three ints in slots, with no instance dict, because dense and
-complete instances hold one per pair; no attribute can be added to one.
+object describing where each original vertex went.  A ``Graph`` holds its
+edges as three ``array("q")`` columns, endpoints and weights, 24 bytes per
+edge, because dense and complete instances list every pair; the columns
+are checked once, when the graph is built, by column-wide minima and
+maxima.  An ``Edge`` is built only when something asks for one, and keeps
+its three ints in slots, with no instance dict.
 
 Conventions used throughout the package:
 
@@ -20,8 +23,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import compress, starmap
 from typing import Iterable, Iterator, Sequence
 
 # Each place an int of an instance, or k, comes in refuses one past a word.
@@ -58,27 +63,84 @@ class Edge:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An edge-sequence multigraph.
+def _column(values: Sequence[int]) -> array:
+    """``values`` as an ``array("q")``: an ``array("q")`` itself, else a copy."""
+    if isinstance(values, array) and values.typecode == "q":
+        return values
+    return array("q", values)
 
-    ``edges`` keeps arrival order, so replaying it replays the stream.
+
+@dataclass(frozen=True, init=False)
+class Graph:
+    """An edge-sequence multigraph held as three int columns.
+
+    Edge ``i`` of the stream is ``(us[i], vs[i], ws[i])``, so replaying the
+    columns replays the stream.  Build one from ``Edge`` objects,
+    ``Graph(n, edges, weighted)``, or from columns, ``Graph(n, us=...,
+    vs=..., ws=..., weighted=...)``; an ``array("q")`` column is held as
+    given, not copied, and must not be modified afterwards.  ``edges``
+    builds the ``Edge`` objects afresh on each access.
     """
 
     n: int
-    edges: tuple[Edge, ...]
+    us: array
+    vs: array
+    ws: array
     weighted: bool = False
 
+    def __init__(
+        self,
+        n: int,
+        edges: Sequence[Edge] = (),
+        weighted: bool = False,
+        *,
+        us: Sequence[int] | None = None,
+        vs: Sequence[int] | None = None,
+        ws: Sequence[int] | None = None,
+    ) -> None:
+        if us is None and vs is None and ws is None:
+            us = array("q", [e.u for e in edges])
+            vs = array("q", [e.v for e in edges])
+            ws = array("q", [e.weight for e in edges])
+        elif edges or us is None or vs is None or ws is None:
+            raise TypeError("give a graph its edges or all three columns")
+        else:
+            try:
+                us, vs, ws = _column(us), _column(vs), _column(ws)
+            except (OverflowError, TypeError):
+                # A value is no int or is past a word: name its edge.
+                _first_bad_edge(n, us, vs, ws, weighted)
+                raise
+        _hold(self, n, us, vs, ws, weighted)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n, us, vs, ws = self.n, self.us, self.vs, self.ws
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if self.n >= WORD_LIMIT:
+        if n >= WORD_LIMIT:
             raise ValueError("vertex count must be below 2^63")
-        for e in self.edges:
-            if e.u >= self.n or e.v >= self.n:
-                raise ValueError(f"edge ({e.u}, {e.v}) out of range for n={self.n}")
-            if not self.weighted and e.weight != 1:
-                raise ValueError("unweighted graph cannot hold an edge of weight != 1")
+        m = len(us)
+        if len(vs) != m or len(ws) != m:
+            raise ValueError("edge columns must have equal lengths")
+        if m and (
+            min(us) < 0
+            or min(vs) < 0
+            or max(us) >= n
+            or max(vs) >= n
+            or min(ws) < 1
+            or (not self.weighted and max(ws) != 1)
+            or any(map(operator.eq, us, vs))
+        ):
+            _first_bad_edge(n, us, vs, ws, self.weighted)
+            raise AssertionError("the columns break a rule that none of their edges breaks")
+
+    @classmethod
+    def _checked(cls, n: int, us: array, vs: array, ws: array, weighted: bool) -> "Graph":
+        """A graph of columns that already follow every rule ``__post_init__`` checks."""
+        g = object.__new__(cls)
+        _hold(g, n, us, vs, ws, weighted)
+        return g
 
     @classmethod
     def from_pairs(
@@ -92,14 +154,42 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.us)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in stream order, built afresh on each access."""
+        return tuple(map(Edge, self.us, self.vs, self.ws))
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
+        for u in self.us:
+            deg[u] += 1
+        for v in self.vs:
+            deg[v] += 1
         return deg
+
+
+def _hold(g: Graph, n: int, us: array, vs: array, ws: array, weighted: bool) -> None:
+    for name, value in (("n", n), ("us", us), ("vs", vs), ("ws", ws), ("weighted", weighted)):
+        object.__setattr__(g, name, value)
+
+
+def _first_bad_edge(
+    n: int, us: Sequence[int], vs: Sequence[int], ws: Sequence[int], weighted: bool
+) -> None:
+    """Raise the error of the first edge that breaks a rule, in stream order.
+
+    The rules are ``Edge``'s, then the range ``[0, n)``, then weight 1 on an
+    unweighted graph, so a graph built from columns fails as one built
+    from the same edges would.
+    """
+    for u, v, w in zip(us, vs, ws):
+        Edge(u, v, w)
+        if u >= n or v >= n:
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if not weighted and w != 1:
+            raise ValueError("unweighted graph cannot hold an edge of weight != 1")
 
 
 @dataclass(frozen=True)
@@ -194,11 +284,12 @@ def contract_edges(g: Graph, merge: Iterable[tuple[int, int]]) -> tuple[Graph, C
     the contracted graph is itself streamed.
     """
     cmap = components_contraction(g.n, merge)
-    target = cmap.target
-    kept = [
-        Edge(target[e.u], target[e.v], e.weight) for e in g.edges if target[e.u] != target[e.v]
-    ]
-    return Graph(cmap.n_new, tuple(kept), g.weighted), cmap
+    at = cmap.target.__getitem__
+    tus = array("q", map(at, g.us))
+    tvs = array("q", map(at, g.vs))
+    kept = bytes(map(operator.ne, tus, tvs))
+    us, vs, ws = (array("q", compress(col, kept)) for col in (tus, tvs, g.ws))
+    return Graph(cmap.n_new, us=us, vs=vs, ws=ws, weighted=g.weighted), cmap
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from heapq import heapify, heapreplace
 from itertools import compress, count, starmap
 
 from .graph import WORD_LIMIT, ContractionMap, Edge, Graph, Matching
-from .stream import EdgeStreamSource, StreamSession, read_fraction
+from .stream import Column, EdgeStreamSource, StreamSession, read_fraction
 
 
 class OracleLimitError(ValueError):
@@ -157,7 +157,7 @@ def streaming_max_matching(
     # matched.  If both rows are full it is dropped, as a pair kept alone
     # always is, since rows never shrink; otherwise it is in both rows, and
     # the shorter one, which holds fewer than ``6k``, is scanned for it.
-    def visit(_pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
+    def visit(_pos0: int, us: Column, vs: Column, ws: Column) -> None:
         words = 0
         for u, v, w in zip(us, vs, ws):
             a = target[u]
@@ -322,17 +322,20 @@ def streaming_max_weight_matching(
     and the same greedy sweep then makes the matching maximal within the
     kernel.
 
-    A table is a list of entries in arrival order plus the set of their
-    neighbours.  When it fills it becomes a heap whose head is the entry
-    the cap evicts, so no table is ever rescanned: an eviction is one
-    ``heapreplace``, and a heavier copy of a kept pair replaces its entry
-    and re-heapifies.  The head's weight is the table's floor, held where
-    the pass loop reads it, so an arriving end at or below it is dropped
-    with one comparison; that is exact, as a pair a full table keeps has a
-    copy at least as heavy as the head.  The pass charges 2 words per table
-    entry, and 1 word per full table for its floor, charged as the table
-    fills and released when the pass ends.  The run ends holding what it
-    began with; callers charge what they keep.
+    A table is a list of entries in arrival order plus a dict from their
+    neighbours to their weights, so a copy no heavier than the one held is
+    dropped in one lookup.  When the list fills it becomes a heap whose
+    head is the entry the cap evicts, so no table is ever rescanned: an
+    eviction is one ``heapreplace``, and a heavier copy of a kept pair
+    replaces its entry and re-heapifies.  The head's weight is the table's
+    floor, held where the pass loop reads it, so an arriving end at or
+    below it is dropped with one comparison; that is exact, as a pair a
+    full table keeps has a copy at least as heavy as the head.  The pass
+    charges 2 words per table entry, its neighbour and weight (the dict
+    repeats those two and is not charged again), and 1 word per full
+    table for its floor, charged as the table fills and released when the
+    pass ends.  The run ends holding what it began with; callers charge
+    what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list for the reason given in streaming_max_matching.
@@ -342,35 +345,38 @@ def streaming_max_weight_matching(
     cap = params.kernel_degree_cap
     # Per viewed vertex, its table: the entries (weight, -position,
     # neighbour, original end u, original end v) in arrival order, a heap
-    # from the moment the table fills, and the set of their neighbours.
-    # The first two fields are unique within a table, so a full table's
-    # head is the one entry the cap evicts: the lightest, and the latest
-    # among equal weights.
+    # from the moment the table fills, and a dict from each entry's
+    # neighbour to its weight.  The first two fields are unique within a
+    # table, so a full table's head is the one entry the cap evicts: the
+    # lightest, and the latest among equal weights.
     tables: list[list[_TableEntry]] = [[] for _ in range(n_view)]
-    nbrs: list[set[int]] = [set() for _ in range(n_view)]
+    nbrs: list[dict[int, int]] = [{} for _ in range(n_view)]
     # Per vertex: the head weight of its table once full, else 0, which
     # every weight (>= 1) beats.  A pair a full table keeps holds a copy at
     # least as heavy as the head, so an end at or below it changes nothing.
     floor = [0] * n_view
 
     # Positions only grow along a pass, so an arriving copy beats a kept
-    # entry exactly when it is strictly heavier.  The caller has checked
-    # that ``w`` beats the floor, so a new pair at a full table evicts the
-    # head.  A heavier copy moves its entry only away from the head.
+    # entry exactly when it is strictly heavier; the neighbour's weight in
+    # ``nbrs`` settles that in one lookup, and only a heavier copy looks
+    # for its entry in the table.  The caller has checked that ``w`` beats
+    # the floor, so a new pair at a full table evicts the head.  A heavier
+    # copy moves its entry only away from the head.
     def keep(x: int, y: int, w: int, npos: int, u: int, v: int) -> None:
         tab = tables[x]
         held = nbrs[x]
-        if y in held:
-            i = list(map(_NEIGHBOUR, tab)).index(y)
-            if w > tab[i][0]:
-                tab[i] = (w, npos, y, u, v)
+        best = held.get(y)
+        if best is not None:
+            if w > best:
+                held[y] = w
+                tab[list(map(_NEIGHBOUR, tab)).index(y)] = (w, npos, y, u, v)
                 if floor[x]:
                     heapify(tab)
                     floor[x] = tab[0][0]
             return
-        held.add(y)
+        held[y] = w
         if floor[x]:
-            held.discard(heapreplace(tab, (w, npos, y, u, v))[2])
+            del held[heapreplace(tab, (w, npos, y, u, v))[2]]
             floor[x] = tab[0][0]
             return
         tab.append((w, npos, y, u, v))
@@ -380,7 +386,7 @@ def streaming_max_weight_matching(
             floor[x] = tab[0][0]
             session.charge(1)
 
-    def table_visit(pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
+    def table_visit(pos0: int, us: Column, vs: Column, ws: Column) -> None:
         for pos, u, v, w in zip(count(-pos0, -1), us, vs, ws):
             a = target[u]
             b = target[v]

@@ -13,9 +13,11 @@ shrinks its retained state, with the conversion
 The session does not try to measure actual Python object sizes; the point
 is to certify the model's asymptotics, not CPython's allocator.
 
-A pass hands the engines blocks of plain int columns ``(us, vs, ws)``,
-one visit per block, so the per-edge work is the engine's own loop; an
-engine builds ``Edge`` objects only for the edges it returns.  Every line
+A pass hands the engines blocks of int columns ``(us, vs, ws)``, one
+visit per block, so the per-edge work is the engine's own loop; an engine
+builds ``Edge`` objects only for the edges it returns.  A graph in memory
+is already three ``array("q")`` columns, so its passes yield read-only
+windows of them and copy no edge; a file's blocks are lists.  Every line
 of an edge-list file is validated when the file is opened, each field a
 word below 2^63.  Each pass re-reads the file with the same block reader,
 which checks every line of a block before yielding it, so a file that
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 import operator
 import os
+from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .graph import WORD_LIMIT, Graph
 
@@ -44,7 +47,9 @@ class BudgetExceededError(RuntimeError):
     """Retained words exceeded the session budget (strict mode only)."""
 
 
-Block = tuple[list[int], list[int], list[int]]
+# One column of a block: a list from a file, a window of an array in memory.
+Column = Sequence[int]
+Block = tuple[Column, Column, Column]
 
 
 class EdgeStreamSource:
@@ -80,10 +85,10 @@ _SLICE_EDGES = 8192
 class InMemoryEdgeSource(EdgeStreamSource):
     """Streams a Graph held in memory.
 
-    The graph's endpoint and weight columns are built once, here, and each
-    pass yields them in slices of at most ``_SLICE_EDGES`` edges.  They are
-    not charged against any session budget: they play the role of the
-    external input.
+    Each pass yields read-only windows of the graph's own ``array("q")``
+    columns, at most ``_SLICE_EDGES`` edges each, so a source holds no copy
+    of the edges and a pass copies none.  The columns are not charged
+    against any session budget: they play the role of the external input.
     """
 
     def __init__(self, graph: Graph, name: str = "memory") -> None:
@@ -91,15 +96,11 @@ class InMemoryEdgeSource(EdgeStreamSource):
         self.n = graph.n
         self.m = graph.m
         self.weighted = graph.weighted
-        edges = graph.edges
-        self._columns = (
-            [e.u for e in edges],
-            [e.v for e in edges],
-            [e.weight for e in edges],
-        )
+        self._graph = graph
 
     def blocks(self) -> Iterator[Block]:
-        us, vs, ws = self._columns
+        g = self._graph
+        us, vs, ws = (memoryview(col).toreadonly() for col in (g.us, g.vs, g.ws))
         for i in range(0, self.m, _SLICE_EDGES):
             j = i + _SLICE_EDGES
             yield us[i:j], vs[i:j], ws[i:j]
@@ -292,20 +293,27 @@ def load_edge_list(path: str) -> Graph:
     """Read a whole edge-list file into a Graph (non-streaming convenience).
 
     The file is read once, with the checks and the error texts of a
-    ``FileEdgeSource`` open; the graph is built from the checked blocks.
+    ``FileEdgeSource`` open, and each checked block's columns are appended
+    to the graph's; no ``Edge`` is built and no edge is checked again.
     """
+    us, vs, ws = array("q"), array("q"), array("q")
     with open(path, "rb") as fh:
         n, m, weighted = _read_header(fh, path)
-        blocks = _read_blocks(fh, path, n, m, weighted, "")
-        return Graph.from_pairs(n, chain.from_iterable(zip(*b) for b in blocks), weighted)
+        for bus, bvs, bws in _read_blocks(fh, path, n, m, weighted, ""):
+            us.extend(bus)
+            vs.extend(bvs)
+            ws.extend(bws)
+    return Graph._checked(n, us, vs, ws, weighted)
 
 
 def save_edge_list(path: str, g: Graph) -> None:
     """Write ``g`` in the edge-list format, preserving edge order."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{g.n} {g.m} weighted\n" if g.weighted else f"{g.n} {g.m}\n")
-        for e in g.edges:
-            fh.write(f"{e.u} {e.v} {e.weight}\n" if g.weighted else f"{e.u} {e.v}\n")
+        if g.weighted:
+            fh.writelines(map("{} {} {}\n".format, g.us, g.vs, g.ws))
+        else:
+            fh.writelines(map("{} {}\n".format, g.us, g.vs))
 
 
 def default_words_budget(n: int, k: int) -> int:
@@ -404,7 +412,7 @@ class StreamSession:
             raise ValueError("releasing more words than are in use")
         self.words_in_use -= words
 
-    def run_pass(self, visit: Callable[[int, list[int], list[int], list[int]], None]) -> None:
+    def run_pass(self, visit: Callable[[int, Column, Column, Column], None]) -> None:
         """Stream the source through ``visit(pos0, us, vs, ws)`` once per block.
 
         A block is the source's int columns for the edges at stream

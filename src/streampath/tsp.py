@@ -10,9 +10,10 @@ cover is patched so at most one vertex is left uncovered, then the paths
 are concatenated.
 
 Each instance class is a ``Graph`` with ``weighted`` fixed, so the
-pipelines stream the instance itself and its edges are checked once, when
-it is built.  An instance is only its edges: a tour is costed by one sweep
-of them (``_cost_tour``), and a pair the instance does not list costs 2.
+pipelines stream the instance's own columns and its edges are checked
+once, when it is built.  An instance is only its columns: a tour is
+costed by one sweep of them (``_cost_tour``), and a pair the instance does
+not list costs 2.  No solve builds an ``Edge`` of the instance.
 
 The exact oracles (Held-Karp tours, branch-and-bound path cover) are
 deliberately small-instance: they exist to certify the streaming results
@@ -21,17 +22,19 @@ on test corpora, not to scale.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import accumulate, compress, count
+from typing import Sequence
 
 from .graph import Edge, Graph, Matching, PathCover, Tour, contract_edges, validate_path_cover
 from .matching import ApproxParams, OracleLimitError, oracle_max_weight_matching
 from .pathcover import MpcResult, two_phase_path_cover
-from .stream import InMemoryEdgeSource, StreamReport, open_session
+from .stream import Column, InMemoryEdgeSource, StreamReport, open_session
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tsp12Instance(Graph):
     """Symmetric TSP where every pair costs 1 or 2.
 
@@ -42,6 +45,17 @@ class Tsp12Instance(Graph):
 
     weighted: bool = field(default=False, init=False)
 
+    def __init__(
+        self,
+        n: int,
+        edges: Sequence[Edge] = (),
+        *,
+        us: Column | None = None,
+        vs: Column | None = None,
+        ws: Column | None = None,
+    ) -> None:
+        super().__init__(n, edges, False, us=us, vs=vs, ws=ws)
+
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_tour_pairs(self)
@@ -50,25 +64,35 @@ class Tsp12Instance(Graph):
     def from_graph(cls, g: Graph) -> "Tsp12Instance":
         """Use ``g``'s distinct pairs as the cost-1 pairs (first copy wins).
 
-        The instance holds ``g``'s own first copy of each pair, in stream
-        order, so a ``g`` with an edge of weight other than 1 is refused
-        with ``Graph``'s unit-weight error rather than reweighted.
+        The instance holds ``g``'s first copy of each pair, in stream order,
+        so a ``g`` with an edge of weight other than 1 is refused with
+        ``Graph``'s unit-weight error rather than reweighted.
         """
-        first: dict[int, Edge] = {}
-        for key, e in zip(_pair_keys(g), g.edges):
-            first.setdefault(key, e)
-        return cls(g.n, tuple(first.values()))
+        first = _repeats(g).translate(_FLIP)
+        us, vs, ws = (array("q", compress(col, first)) for col in (g.us, g.vs, g.ws))
+        return cls(g.n, us=us, vs=vs, ws=ws)
 
     def cheap_graph(self) -> Graph:
         """The cost-1 pairs as an unweighted graph: the instance itself."""
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MaxTspInstance(Graph):
     """Complete graph with positive integer weights, tour weight maximized."""
 
     weighted: bool = field(default=True, init=False)
+
+    def __init__(
+        self,
+        n: int,
+        edges: Sequence[Edge] = (),
+        *,
+        us: Column | None = None,
+        vs: Column | None = None,
+        ws: Column | None = None,
+    ) -> None:
+        super().__init__(n, edges, True, us=us, vs=vs, ws=ws)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -82,25 +106,63 @@ class MaxTspInstance(Graph):
         return self
 
 
-def _pair_keys(g: Graph) -> Iterator[int]:
-    """The key of each edge's pair, in stream order (``Graph`` has range-checked them)."""
-    n = g.n
-    return (e.u * n + e.v if e.u < e.v else e.v * n + e.u for e in g.edges)
+# Maps a repeat mask to a first-copy mask.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _repeats(g: Graph) -> bytearray:
+    """One byte per edge of ``g``: 1 where an earlier edge lists the same pair.
+
+    A counting sort by the smaller endpoint, stable in stream order, puts
+    the copies of a pair in one bucket in stream order.  Walking bucket
+    ``a`` stamps each larger endpoint with ``a + 1``, so a copy whose end
+    is stamped already repeats its pair.  Besides the mask it holds one int
+    per edge and a few per vertex, and no set of pairs.
+    """
+    us, vs = g.us, g.vs
+    m = len(us)
+    rep = bytearray(m)
+    if not m:
+        return rep
+    # Only the ends in use size the arrays, not n.
+    size = max(max(us), max(vs)) + 1
+    start = array("q", [0]) * (size + 1)
+    for u, v in zip(us, vs):
+        start[(u if u < v else v) + 1] += 1
+    start = array("q", accumulate(start))
+    # Stream positions by bucket; ``fill[a]`` is bucket a's next free slot.
+    order = array("q", [0]) * m
+    fill = array("q", start)
+    for i, u, v in zip(count(), us, vs):
+        a = u if u < v else v
+        k = fill[a]
+        order[k] = i
+        fill[a] = k + 1
+    del fill
+    mark = array("q", [0]) * size
+    for a in range(size):
+        stamp = a + 1
+        for i in order[start[a] : start[stamp]]:
+            b = us[i] + vs[i] - a
+            if mark[b] == stamp:
+                rep[i] = 1
+            else:
+                mark[b] = stamp
+    return rep
 
 
 def _check_tour_pairs(g: Graph) -> None:
     """A tour instance has at least 3 vertices and lists each pair once."""
     if g.n < 3:
         raise ValueError("need at least 3 vertices for a tour")
-    seen: set[int] = set()
-    for key, e in zip(_pair_keys(g), g.edges):
-        if key in seen:
-            raise ValueError(f"duplicate pair {e.pair}")
-        seen.add(key)
+    i = _repeats(g).find(1)
+    if i >= 0:
+        u, v = g.us[i], g.vs[i]
+        raise ValueError(f"duplicate pair {(u, v) if u < v else (v, u)}")
 
 
 def _cost_tour(inst: Tsp12Instance | MaxTspInstance, order: Sequence[int]) -> Tour:
-    """The tour through ``order``, costed by one sweep of the instance's edges.
+    """The tour through ``order``, costed by one sweep of the instance's columns.
 
     ``leg[u]`` costs the leg from ``u`` to ``succ[u]``.  A pair the instance
     does not list costs 2; a heavy instance lists every pair.
@@ -110,12 +172,11 @@ def _cost_tour(inst: Tsp12Instance | MaxTspInstance, order: Sequence[int]) -> To
     for i, v in enumerate(order):
         succ[order[i - 1]] = v
     leg = [2] * n
-    for e in inst.edges:
-        u, v = e.u, e.v
+    for u, v, w in zip(inst.us, inst.vs, inst.ws):
         if succ[u] == v:
-            leg[u] = e.weight
+            leg[u] = w
         if succ[v] == u:
-            leg[v] = e.weight
+            leg[v] = w
     return Tour.from_order(order, leg)
 
 
@@ -220,7 +281,7 @@ def approx_max_tsp(
         remaining = set(free)
         patch: list[Edge] = []
 
-        def patch_visit(pos0: int, us: list[int], vs: list[int], ws: list[int]) -> None:
+        def patch_visit(pos0: int, us: Column, vs: Column, ws: Column) -> None:
             for u, v, w in zip(us, vs, ws):
                 if u in remaining and v in remaining:
                     remaining.discard(u)
@@ -317,8 +378,8 @@ def _cost_matrix(inst: Tsp12Instance | MaxTspInstance) -> list[list[int]]:
     cost = [[2] * n for _ in range(n)]
     for v in range(n):
         cost[v][v] = 0
-    for e in inst.edges:
-        cost[e.u][e.v] = cost[e.v][e.u] = e.weight
+    for u, v, w in zip(inst.us, inst.vs, inst.ws):
+        cost[u][v] = cost[v][u] = w
     return cost
 
 
@@ -336,9 +397,9 @@ def _has_all_cheap_tour(inst: Tsp12Instance) -> bool:
     """Is there a Hamiltonian cycle using cost-1 pairs only?  Subset DP."""
     n = inst.n
     adj = [0] * n
-    for e in inst.edges:
-        adj[e.u] |= 1 << e.v
-        adj[e.v] |= 1 << e.u
+    for u, v in zip(inst.us, inst.vs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     size = 1 << n
     reach: list[int] = [0] * size  # bitmask of possible current vertices
     reach[1] = 1

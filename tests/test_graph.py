@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from streampath.graph import (
     validate_path_cover,
 )
 from streampath.prng import SplitMix64
+from streampath.stream import save_edge_list
 
 
 def _g(n, pairs, weighted=False):
@@ -105,6 +107,56 @@ def test_graph_rejects_out_of_range_vertices():
 def test_graph_degrees_counts_parallel_copies():
     g = _g(3, [(0, 1), (0, 1), (1, 2)])
     assert g.degrees() == [2, 3, 1]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_graph_from_edges_and_from_columns_agree(tmp_path, weighted):
+    rng = SplitMix64(4)
+    triples = [(0, 1, 1), (1, 0, 1), (4, 2, 1)]
+    triples += [(u, v, rng.randint(1, 9) if weighted else 1) for u, v in [(3, 1), (2, 3), (0, 4)]]
+    edges = tuple(Edge(*t) for t in triples)
+    by_edges = Graph(5, edges, weighted)
+    us, vs, ws = (list(col) for col in zip(*triples))
+    by_columns = Graph(5, us=us, vs=vs, ws=ws, weighted=weighted)
+    assert by_edges == by_columns
+    assert by_edges.edges == by_columns.edges == edges
+    assert by_edges.m == by_columns.m == 6
+    assert by_edges.degrees() == by_columns.degrees() == [3, 3, 2, 2, 2]
+    paths = [str(tmp_path / name) for name in ("edges.txt", "columns.txt")]
+    save_edge_list(paths[0], by_edges)
+    save_edge_list(paths[1], by_columns)
+    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_graph_holds_array_columns_as_given_and_builds_edges_on_demand():
+    us, vs, ws = array("q", [0, 2]), array("q", [1, 1]), array("q", [3, 4])
+    g = Graph(3, us=us, vs=vs, ws=ws, weighted=True)
+    assert g.us is us and g.vs is vs and g.ws is ws
+    assert g.edges == (Edge(0, 1, 3), Edge(2, 1, 4))
+    assert g.edges is not g.edges
+    with pytest.raises(TypeError):
+        Graph(3, (Edge(0, 1),), us=us, vs=vs, ws=ws)
+    with pytest.raises(TypeError):
+        Graph(3, us=us, vs=vs)
+
+
+@pytest.mark.parametrize(
+    ("us", "vs", "ws", "weighted", "message"),
+    [
+        ([0, 1], [1, 3], [1, 1], False, r"edge \(1, 3\) out of range for n=3"),
+        ([0, 2], [1, 2], [1, 1], False, "self-loop at vertex 2 is not allowed"),
+        ([0, -1], [1, 2], [1, 1], False, r"endpoints must be non-negative and below 2\^63"),
+        ([0, 2**63], [1, 2], [1, 1], False, r"endpoints must be non-negative and below 2\^63"),
+        ([0, 1], [1, 2], [1, 2], False, "unweighted graph cannot hold an edge of weight != 1"),
+        ([0, 1], [1, 2], [1, 0], True, "edge weight must be a positive int"),
+        ([0, 1], [1, 2], [1, 2**63], True, r"edge weight must be below 2\^63"),
+        ([0, 1], [1, 2], [1], True, "edge columns must have equal lengths"),
+    ],
+)
+def test_graph_columns_are_refused_as_their_first_bad_edge_would_be(us, vs, ws, weighted, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, us=us, vs=vs, ws=ws, weighted=weighted)
 
 
 # --- Matching --------------------------------------------------------------

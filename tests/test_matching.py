@@ -668,9 +668,10 @@ def _best_copy_kernel(
         for x in pair:
             ranked[x].append((w, -pos, pair))
     kept = {pair for row in ranked for _, _, pair in sorted(row, reverse=True)[:cap]}
+    edges = g.edges
     out = []
     for pair in sorted(kept, key=lambda p: best[p][1]):
-        e = g.edges[best[pair][1]]
+        e = edges[best[pair][1]]
         out.append((*pair, e.weight, (e.u, e.v, e.weight)))
     return out
 

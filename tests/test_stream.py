@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tracemalloc
 from itertools import count
 
 import pytest
@@ -210,6 +211,25 @@ def test_a_source_needs_only_its_header_and_its_passes():
         got.append(([(e.u, e.v, e.weight) for e in res.cover.edges], res.report.as_dict()))
     assert got[0] == got[1]
     assert got[0][0] and got[0][1]["words_budget"] == 64 * 30 * 3
+
+
+def test_an_in_memory_source_streams_the_graphs_own_columns():
+    # the source and each pass hold a few objects whatever m is: the
+    # blocks are read-only windows of the graph's arrays, not copies
+    g = gen_random_weighted_graph(300, 2, max_weight=1000)
+    assert g.m > 2 * stream._SLICE_EDGES
+    tracemalloc.start()
+    try:
+        src = InMemoryEdgeSource(g)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for us, _, _ in src.blocks():
+            assert us.readonly and us.obj is g.us
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 1024 and peak < 4096, (held, peak)
+    assert list(src.edges()) == [(e.u, e.v, e.weight) for e in g.edges]
 
 
 _ORIGINAL = "4 3\n0 1\n1 2\n2 3\n"

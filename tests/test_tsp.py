@@ -52,14 +52,28 @@ def test_tsp12_instance_validates():
 
 
 def test_tsp12_from_graph_dedupes():
-    # the instance holds g's own first copy of each pair, in stream order
+    # the instance holds g's first copy of each pair, in stream order and
+    # as g lists it
     g = Graph.from_pairs(4, [(1, 0), (2, 3), (0, 1), (3, 1)])
     inst = Tsp12Instance.from_graph(g)
     assert inst.m == 3
-    assert all(a is b for a, b in zip(inst.edges, (g.edges[0], g.edges[1], g.edges[3]), strict=True))
+    assert inst.edges == (Edge(1, 0), Edge(2, 3), Edge(3, 1))
     heavy = Graph.from_pairs(3, [(0, 1, 1), (1, 2, 2)], weighted=True)
     with pytest.raises(ValueError, match="unweighted graph cannot hold an edge of weight != 1"):
         Tsp12Instance.from_graph(heavy)
+
+
+def test_duplicate_pair_is_the_first_repeat_in_stream_order():
+    # the repeat at position 2 comes first in the stream, though the
+    # repeated pair (0, 1) has the smaller ends
+    edges = (Edge(3, 2), Edge(1, 0), Edge(2, 3), Edge(0, 1))
+    with pytest.raises(ValueError, match=r"^duplicate pair \(2, 3\)$"):
+        Tsp12Instance(4, edges)
+    us, vs = [3, 1, 2, 0, 0, 1], [2, 0, 3, 2, 3, 2]
+    with pytest.raises(ValueError, match=r"^duplicate pair \(2, 3\)$"):
+        MaxTspInstance(4, us=us, vs=vs, ws=[5] * 6)
+    g = Graph(4, edges)
+    assert Tsp12Instance.from_graph(g).edges == edges[:2]
 
 
 def test_max_tsp_instance_must_be_complete():
@@ -116,6 +130,7 @@ def test_tour_instances_are_graphs_that_replace_keeps():
         copy = dataclasses.replace(inst)
         assert type(copy) is type(inst) and copy.weighted is weighted
         assert copy == inst and copy is not inst
+        assert copy.us is inst.us and copy.vs is inst.vs and copy.ws is inst.ws
 
 
 def test_no_tour_instance_is_built_through_from_pairs():
@@ -125,6 +140,26 @@ def test_no_tour_instance_is_built_through_from_pairs():
         assert "from_pairs" not in vars(cls)
         with pytest.raises(TypeError):
             cls.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "make, solve",
+    [
+        (lambda: gen_random_max_tsp(9, 4), approx_max_tsp),
+        (lambda: gen_random_tsp12(12, 5), approx_tsp12),
+    ],
+    ids=["maxtsp", "tsp12"],
+)
+def test_a_tour_solve_builds_no_edge_of_the_instance(monkeypatch, make, solve):
+    inst = make()
+    want = solve(inst, _P13, strict=True)
+
+    def refuse(self):
+        raise AssertionError("a solve asked for the instance's edges")
+
+    monkeypatch.setattr(Graph, "edges", property(refuse))
+    got = solve(inst, _P13, strict=True)
+    assert got.tour == want.tour and got.report == want.report
 
 
 def test_a_tour_solve_streams_the_instance_it_was_handed(monkeypatch):
@@ -152,9 +187,11 @@ def test_a_tour_solve_streams_the_instance_it_was_handed(monkeypatch):
     ids=["maxtsp", "tsp12"],
 )
 def test_a_tour_solve_keeps_at_most_250_bytes_per_charged_word(make, solve):
-    # Python 3.10-3.13 read 136-157 (heavy) and 114-116 (1,2) bytes per
-    # charged word; a lookup over every pair of the instance, built to cost
-    # the n legs of the tour, reads 340-356 and 380-392
+    # Python 3.10-3.13 read 84.6-85.0 (heavy) and 18.1-18.2 (1,2) bytes per
+    # charged word; a list copy of the instance's columns, as the in-memory
+    # source once built, read 155 and 115, and a lookup over every pair of
+    # the instance, built to cost the n legs of the tour, 340-356 and
+    # 380-392
     inst = make()
     tracemalloc.start()
     try:
