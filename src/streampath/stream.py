@@ -17,18 +17,25 @@ A pass hands the engines blocks of int columns ``(us, vs, ws)``, one
 visit per block, so the per-edge work is the engine's own loop; an engine
 builds ``Edge`` objects only for the edges it returns.  A graph in memory
 is already three ``array("q")`` columns, so its passes yield read-only
-windows of them and copy no edge; a file's blocks are lists.  Every line
-of an edge-list file is validated when the file is opened, each field a
-word below 2^63.  Each pass re-reads the file with the same block reader,
-which checks every line of a block before yielding it, so a file that
-changed since it was opened fails with ``StreamFormatError`` instead of
-feeding the engines bad edges.
+windows of them and copy no edge.  Every line of an edge-list file is
+validated when the file is opened, each field a word below 2^63, and the
+parsed columns are spilled to a nameless temporary file (16 bytes per
+edge, 24 if weighted; ``TMPDIR`` must be writable).  Each pass re-reads
+the file with the same block reader: a block whose bytes have the crc32
+open recorded is read back from the spill, and any other block is
+checked line by line before it is yielded, so a file that changed since
+it was opened fails with ``StreamFormatError`` instead of feeding the
+engines bad edges.  A crc32 collision could only replay columns that
+open checked.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+import tempfile
+import weakref
+import zlib
 from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -47,7 +54,7 @@ class BudgetExceededError(RuntimeError):
     """Retained words exceeded the session budget (strict mode only)."""
 
 
-# One column of a block: a list from a file, a window of an array in memory.
+# One column of a block: a list or array from a file, a window of an array in memory.
 Column = Sequence[int]
 Block = tuple[Column, Column, Column]
 
@@ -231,14 +238,26 @@ class FileEdgeSource(EdgeStreamSource):
     64 KiB), turns each block into int columns with ``_parse_block``, the
     one parser of the edge-line rules (the field count of each line
     included), and checks that the file holds exactly ``m`` edge lines,
-    failing at the first line past them.  Opening parses the header and drains the reader once,
-    keeping no edges; a pass yields its blocks.  A block that fails is
-    parsed again line by line, so every format error names its
-    ``path:line``, and a pass's error is open's error after "file changed
-    since it was opened: ".  So an engine never sees an edge that the
-    validation at open would have rejected, even when the file is
-    rewritten after it was opened.  File timestamps are not consulted:
-    their resolution is coarse, so a check on them would depend on timing.
+    failing at the first line past them.  A block that fails is parsed
+    again line by line, so every format error names its ``path:line``,
+    and a pass's error is open's error after "file changed since it was
+    opened: ".
+
+    Opening parses the header and every block once.  It keeps, per block,
+    the ``zlib.crc32`` of the block's bytes and where the block starts in
+    the stream, and appends the block's columns to a spill: a nameless
+    temporary file (``tempfile.TemporaryFile``, so ``TMPDIR`` must name a
+    writable directory) of 8-byte ints, 16 bytes per edge, or 24 if the
+    file is weighted.  It keeps no edge in memory.  A pass reads the text
+    file again, cut into the same blocks.  A block whose bytes have open's
+    crc32 and line count is read back from the spill and not parsed; any
+    other block is parsed and checked as at open.  A crc32 match is safe:
+    even a collision could only replay columns that open checked, so an
+    engine never sees an edge that the validation at open would have
+    rejected, even when the file is rewritten after it was opened.  File
+    timestamps are not consulted: their resolution is coarse, so a check
+    on them would depend on timing.  The spill is closed when the source
+    is dropped.
     """
 
     def __init__(self, path: str) -> None:
@@ -246,15 +265,51 @@ class FileEdgeSource(EdgeStreamSource):
         self.name = os.path.basename(path)
         with open(path, "rb") as fh:
             self.n, self.m, self.weighted = _read_header(fh, path)
-            for _ in _read_blocks(fh, path, self.n, self.m, self.weighted, ""):
-                pass
+            self._width = 3 if self.weighted else 2  # columns spilled per block
+            try:
+                spill = tempfile.TemporaryFile()
+            except OSError as exc:
+                raise OSError(f"{path}: cannot make the spill its passes read: {exc}") from None
+            close = weakref.finalize(self, spill.close)
+            self._spill = spill
+            self._crcs = array("q")
+            self._starts = array("q", [0])
+            try:
+                for lines, cols in _read_blocks(fh, path, self.n, self.m, self.weighted, ""):
+                    self._crcs.append(zlib.crc32(b"".join(lines)))
+                    self._starts.append(self._starts[-1] + len(lines))
+                    for col in cols[: self._width]:
+                        array("q", col).tofile(spill)
+            except BaseException:
+                close()
+                raise
 
     def blocks(self) -> Iterator[Block]:
         with open(self.path, "rb") as fh:
             fh.readline()
-            yield from _read_blocks(
-                fh, self.path, self.n, self.m, self.weighted, "file changed since it was opened: "
-            )
+            for _, cols in _read_blocks(
+                fh, self.path, self.n, self.m, self.weighted,
+                "file changed since it was opened: ", self._replay,
+            ):
+                yield cols
+
+    def _replay(self, index: int, lines: list[bytes]) -> Block | None:
+        """Block ``index`` read back from the spill, or None if its bytes are not open's."""
+        if index >= len(self._crcs) or zlib.crc32(b"".join(lines)) != self._crcs[index]:
+            return None
+        start, end = self._starts[index], self._starts[index + 1]
+        if end - start != len(lines):
+            return None
+        # Passes may interleave, so each block seeks the shared handle.
+        self._spill.seek(start * self._width * 8)
+        cols = []
+        for _ in range(self._width):
+            col = array("q")
+            col.fromfile(self._spill, end - start)
+            cols.append(col)
+        if not self.weighted:
+            cols.append([1] * (end - start))
+        return tuple(cols)
 
 
 def _read_header(fh: BinaryIO, path: str) -> tuple[int, int, bool]:
@@ -268,21 +323,33 @@ def _read_header(fh: BinaryIO, path: str) -> tuple[int, int, bool]:
 
 
 def _read_blocks(
-    fh: BinaryIO, path: str, n: int, m: int, weighted: bool, prefix: str
-) -> Iterator[Block]:
-    """The checked blocks after the header; errors read ``path:line: <prefix><why>``."""
+    fh: BinaryIO,
+    path: str,
+    n: int,
+    m: int,
+    weighted: bool,
+    prefix: str,
+    replay: Callable[[int, list[bytes]], Block | None] = lambda index, lines: None,
+) -> Iterator[tuple[list[bytes], Block]]:
+    """Each block after the header: its lines and its checked columns.
+
+    ``replay(index, lines)`` may supply a block's columns, known checked,
+    in place of parsing it.  Errors read ``path:line: <prefix><why>``.
+    """
     count = 0
-    for block in iter(partial(fh.readlines, _BLOCK_BYTES), []):
-        cols = _parse_block(block, n, weighted)
-        if isinstance(cols, str):
-            lineno, why = _first_bad_line(block, count + 2, n, weighted)
-            raise StreamFormatError(f"{path}:{lineno}: {prefix}{why}")
-        count += len(block)
+    for index, lines in enumerate(iter(partial(fh.readlines, _BLOCK_BYTES), [])):
+        cols = replay(index, lines)
+        if cols is None:
+            cols = _parse_block(lines, n, weighted)
+            if isinstance(cols, str):
+                lineno, why = _first_bad_line(lines, count + 2, n, weighted)
+                raise StreamFormatError(f"{path}:{lineno}: {prefix}{why}")
+        count += len(lines)
         if count > m:
             raise StreamFormatError(
                 f"{path}:{m + 2}: {prefix}header promises {m} edges, file has more"
             )
-        yield cols
+        yield lines, cols
     if count != m:
         raise StreamFormatError(
             f"{path}:{count + 2}: {prefix}header promises {m} edges, file has {count}"
@@ -299,7 +366,7 @@ def load_edge_list(path: str) -> Graph:
     us, vs, ws = array("q"), array("q"), array("q")
     with open(path, "rb") as fh:
         n, m, weighted = _read_header(fh, path)
-        for bus, bvs, bws in _read_blocks(fh, path, n, m, weighted, ""):
+        for _, (bus, bvs, bws) in _read_blocks(fh, path, n, m, weighted, ""):
             us.extend(bus)
             vs.extend(bvs)
             ws.extend(bws)

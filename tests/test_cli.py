@@ -175,6 +175,22 @@ def test_memory_error_exits_one(tmp_path, capsys, monkeypatch):
     assert "too large" in capsys.readouterr().err
 
 
+def test_no_spill_file_exits_one(tmp_path, capsys, monkeypatch):
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    path = _fixture_file(tmp_path)
+    capsys.readouterr()  # drop the gen line
+    monkeypatch.setattr("tempfile.TemporaryFile", no_space)
+    assert main(["mpc", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"streampath: {path}: cannot make the spill its passes read: "
+        "[Errno 28] No space left on device\n"
+    )
+
+
 def test_strict_budget_exits_two(tmp_path, capsys):
     path = _fixture_file(tmp_path)
     assert main(["mpc", path, "--budget", "10", "--strict"]) == 2

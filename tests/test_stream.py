@@ -432,6 +432,122 @@ def test_path_cover_from_file_matches_memory(tmp_path, weighted):
     assert results[0][0]
 
 
+# --- the spill: passes replay the columns open checked ---------------------------
+
+
+def _count_parses(monkeypatch):
+    """A list that gets the line count of each ``_parse_block`` call from now on."""
+    parsed = []
+    parse = stream._parse_block
+
+    def counted(block, n, weighted):
+        parsed.append(len(block))
+        return parse(block, n, weighted)
+
+    monkeypatch.setattr(stream, "_parse_block", counted)
+    return parsed
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_open_parses_each_block_once_and_a_pass_parses_none(tmp_path, weighted, monkeypatch):
+    path, g, want = _multi_block_file(tmp_path, weighted)
+    parsed = _count_parses(monkeypatch)
+    src = FileEdgeSource(path)
+    blocks = len(parsed)
+    assert blocks > 1 and sum(parsed) == g.m
+    del parsed[:]
+    assert list(src.edges()) == want
+    assert list(src.edges()) == want
+    assert parsed == []
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_rewritten_block_alone_is_parsed_again(tmp_path, weighted, monkeypatch):
+    path, g, want = _multi_block_file(tmp_path, weighted)
+    src = FileEdgeSource(path)
+    sizes = [len(us) for us, _, _ in src.blocks()]
+    assert len(sizes) >= 3
+    middle = len(sizes) // 2
+    edge = sum(sizes[:middle]) + sizes[middle] // 2
+    with open(path) as fh:
+        lines = fh.readlines()
+    # swapping the ends keeps the line valid and its length, so the block cuts stay put
+    u, v, *w = lines[edge + 1].split()
+    lines[edge + 1] = " ".join([v, u, *w]) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    parsed = _count_parses(monkeypatch)
+    got = list(src.edges())
+    assert parsed == [sizes[middle]]
+    assert got[edge] == (want[edge][1], want[edge][0], want[edge][2])
+    assert got[:edge] + got[edge + 1 :] == want[:edge] + want[edge + 1 :]
+    assert got == list(FileEdgeSource(path).edges())
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_interleaved_passes_yield_equal_blocks(tmp_path, weighted):
+    path, g, want = _multi_block_file(tmp_path, weighted)
+    src = FileEdgeSource(path)
+    pairs = list(zip(src.blocks(), src.blocks()))
+    assert len(pairs) > 1
+    assert all(list(map(list, a)) == list(map(list, b)) for a, b in pairs)
+    assert [t for a, _ in pairs for t in zip(*a)] == want
+
+
+def test_open_holds_a_few_words_per_block_and_none_per_edge(tmp_path):
+    path, g, _ = _multi_block_file(tmp_path, True)
+    with open(path) as fh:
+        header, *lines = fh.readlines()
+    longer = _write(tmp_path, f"{g.n} {4 * g.m} weighted\n" + "".join(lines * 4), "x4.txt")
+    held = []
+    for p in (path, longer):
+        FileEdgeSource(p)  # warm-up, so lazily made module state is not counted
+        tracemalloc.start()
+        try:
+            src = FileEdgeSource(p)
+            held.append((tracemalloc.get_traced_memory()[0], len(src._crcs)))
+        finally:
+            tracemalloc.stop()
+    (small, blocks), (large, more_blocks) = held
+    assert more_blocks > blocks > 1
+    # 3 * g.m more edges would cost 3 * g.m bytes at one byte each
+    assert large - small < 48 * (more_blocks - blocks) < 3 * g.m, held
+    assert small < 64 * blocks + 8192, held
+
+
+def test_a_solve_leaves_the_temporary_directory_empty(tmp_path, monkeypatch):
+    import tempfile
+
+    path, g, _ = _multi_block_file(tmp_path, False)
+    spill_dir = tmp_path / "tmp"
+    spill_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    src = FileEdgeSource(path)
+    params = ApproxParams.parse("1/3")
+    res = two_phase_path_cover(src, params, open_session(src, k=params.k))
+    assert res.cover.edges and os.listdir(spill_dir) == []
+    del src
+    assert os.listdir(spill_dir) == []
+
+
+def test_dropping_a_source_emits_no_resource_warning(tmp_path):
+    import gc
+    import warnings
+
+    path, g, want = _multi_block_file(tmp_path, False)
+    bad = _write(tmp_path, "3 2\n0 1\n1 1\n", "bad.txt")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        src = FileEdgeSource(path)
+        next(src.blocks())  # a pass dropped part way
+        assert list(src.edges()) == want
+        del src
+        with pytest.raises(StreamFormatError):
+            FileEdgeSource(bad)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 # --- budgets -------------------------------------------------------------------
 
 
