@@ -28,7 +28,6 @@ from .corpus import (
     gen_random_tsp12,
     gen_random_weighted_graph,
 )
-from .graph import Graph
 from .matching import ApproxParams
 from .pathcover import cover_bound_holds, iterative_path_cover, two_phase_path_cover
 from .stream import (
@@ -134,9 +133,7 @@ def _cmd_mpc(args) -> int:
     src = FileEdgeSource(args.file)
     # The oracle runs first, on the graph read from the open source, so a
     # graph past its limit fails before the streaming run and not after it.
-    best = None
-    if args.oracle:
-        best = oracle_path_cover(Graph.from_pairs(src.n, src.edges(), src.weighted)).size
+    best = oracle_path_cover(src.graph()).size if args.oracle else None
     sess = open_session(src, k=params.k, words_budget=args.budget, strict=args.strict)
     if args.iterative:
         res = iterative_path_cover(src, params, sess)

@@ -20,13 +20,11 @@ is already three ``array("q")`` columns, so its passes yield read-only
 windows of them and copy no edge.  Every line of an edge-list file is
 validated when the file is opened, each field a word below 2^63, and the
 parsed columns are spilled to a nameless temporary file (16 bytes per
-edge, 24 if weighted; ``TMPDIR`` must be writable).  Each pass re-reads
-the file with the same block reader: a block whose bytes have the crc32
-open recorded is read back from the spill, and any other block is
-checked line by line before it is yielded, so a file that changed since
-it was opened fails with ``StreamFormatError`` instead of feeding the
-engines bad edges.  A crc32 collision could only replay columns that
-open checked.
+edge, 24 if weighted; ``TMPDIR`` must be writable).  A pass parses
+nothing: it reads the file's bytes again and yields the spilled columns
+of each block whose bytes have the crc32 open recorded, so a file that
+changed since it was opened fails the pass with ``StreamFormatError``
+instead of mixing two streams.
 """
 
 from __future__ import annotations
@@ -67,7 +65,9 @@ class EdgeStreamSource:
     as equal-length int columns ``(us, vs, ws)`` (``ws`` is all 1 on an
     unweighted stream).  ``blocks()`` must yield the same edge sequence
     every time it is called; where it cuts that sequence into blocks is
-    the source's choice.  A caller must not modify a block.
+    the source's choice.  A caller must not modify a block.  The file
+    source enforces this: a pass over a file rewritten since it was opened
+    raises ``StreamFormatError`` rather than yield another sequence.
     """
 
     name: str
@@ -149,6 +149,11 @@ def read_fraction(text: str) -> Fraction:
 
 
 def _parse_header(line: bytes, path: str) -> tuple[int, int, bool]:
+    """``n``, ``m`` and ``weighted`` from the first line of an edge-list file."""
+    if not line:
+        raise StreamFormatError(f"{path}:1: empty file")
+    if not line.isascii():
+        raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
     tokens = line.split()
     if len(tokens) == 2:
         weighted = False
@@ -233,38 +238,37 @@ class FileEdgeSource(EdgeStreamSource):
     field plain decimal digits below 2^63, ASCII only.  Line order is the
     stream's arrival order.
 
-    One reader, ``_read_blocks``, serves the check at open, every pass and
-    ``load_edge_list``.  It reads the file in blocks of whole lines (about
-    64 KiB), turns each block into int columns with ``_parse_block``, the
-    one parser of the edge-line rules (the field count of each line
-    included), and checks that the file holds exactly ``m`` edge lines,
-    failing at the first line past them.  A block that fails is parsed
-    again line by line, so every format error names its ``path:line``,
-    and a pass's error is open's error after "file changed since it was
-    opened: ".
+    Opening reads the file once with ``_read_blocks``, the reader it shares
+    with ``load_edge_list``: blocks of whole lines (about 64 KiB), each
+    turned into int columns by ``_parse_block``, the one parser of the
+    edge-line rules, and exactly ``m`` edge lines.  Every format error
+    names its ``path:line``.  Open keeps, for the header and for each
+    block, its byte count, its ``zlib.crc32`` and the line it starts on,
+    and appends each block's columns to a spill: a nameless temporary file
+    (``tempfile.TemporaryFile``, so ``TMPDIR`` must name a writable
+    directory) of 8-byte ints, 16 bytes per edge, or 24 if the file is
+    weighted.  It keeps no edge in memory.
 
-    Opening parses the header and every block once.  It keeps, per block,
-    the ``zlib.crc32`` of the block's bytes and where the block starts in
-    the stream, and appends the block's columns to a spill: a nameless
-    temporary file (``tempfile.TemporaryFile``, so ``TMPDIR`` must name a
-    writable directory) of 8-byte ints, 16 bytes per edge, or 24 if the
-    file is weighted.  It keeps no edge in memory.  A pass reads the text
-    file again, cut into the same blocks.  A block whose bytes have open's
-    crc32 and line count is read back from the spill and not parsed; any
-    other block is parsed and checked as at open.  A crc32 match is safe:
-    even a collision could only replay columns that open checked, so an
-    engine never sees an edge that the validation at open would have
-    rejected, even when the file is rewritten after it was opened.  File
-    timestamps are not consulted: their resolution is coarse, so a check
-    on them would depend on timing.  The spill is closed when the source
-    is dropped.
+    A pass parses nothing.  It reads the file again in open's byte counts
+    and yields each block's columns from the spill once the block's bytes
+    have open's crc32.  Anything else, a changed header or block, a short
+    read or bytes after the last edge line, raises ``StreamFormatError``
+    "path:LINE: file changed since it was opened", where LINE starts the
+    first piece that differs (1 for the header, m + 2 for bytes after the
+    last edge line); the blocks before it stream as open read them.  So
+    every pass yields the stream open validated, or fails.  A crc32
+    collision could only hide a change, and the pass would still yield
+    open's columns.  File timestamps are not consulted: their resolution
+    is coarse, so a check on them would depend on timing.  The spill is
+    closed when the source is dropped.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.name = os.path.basename(path)
         with open(path, "rb") as fh:
-            self.n, self.m, self.weighted = _read_header(fh, path)
+            header = fh.readline()
+            self.n, self.m, self.weighted = _parse_header(header, path)
             self._width = 3 if self.weighted else 2  # columns spilled per block
             try:
                 spill = tempfile.TemporaryFile()
@@ -272,12 +276,17 @@ class FileEdgeSource(EdgeStreamSource):
                 raise OSError(f"{path}: cannot make the spill its passes read: {exc}") from None
             close = weakref.finalize(self, spill.close)
             self._spill = spill
-            self._crcs = array("q")
-            self._starts = array("q", [0])
+            # Per piece of the file, the header and then each block: its byte
+            # count, its crc32 and its first line; ``_lines`` ends with m + 2.
+            self._sizes = array("q", [len(header)])
+            self._crcs = array("I", [zlib.crc32(header)])
+            self._lines = array("q", [1, 2])
             try:
-                for lines, cols in _read_blocks(fh, path, self.n, self.m, self.weighted, ""):
-                    self._crcs.append(zlib.crc32(b"".join(lines)))
-                    self._starts.append(self._starts[-1] + len(lines))
+                for lines, cols in _read_blocks(fh, path, self.n, self.m, self.weighted):
+                    data = b"".join(lines)
+                    self._sizes.append(len(data))
+                    self._crcs.append(zlib.crc32(data))
+                    self._lines.append(self._lines[-1] + len(lines))
                     for col in cols[: self._width]:
                         array("q", col).tofile(spill)
             except BaseException:
@@ -285,92 +294,71 @@ class FileEdgeSource(EdgeStreamSource):
                 raise
 
     def blocks(self) -> Iterator[Block]:
+        lines = self._lines
         with open(self.path, "rb") as fh:
-            fh.readline()
-            for _, cols in _read_blocks(
-                fh, self.path, self.n, self.m, self.weighted,
-                "file changed since it was opened: ", self._replay,
-            ):
-                yield cols
+            for piece, (size, crc) in enumerate(zip(self._sizes, self._crcs)):
+                data = fh.read(size)
+                if len(data) != size or zlib.crc32(data) != crc:
+                    break
+                if piece:  # piece 0 is the header
+                    start, end = lines[piece] - 2, lines[piece + 1] - 2
+                    # Passes may interleave, so each block seeks the shared handle.
+                    self._spill.seek(start * self._width * 8)
+                    cols = [array("q") for _ in range(self._width)]
+                    for col in cols:
+                        col.fromfile(self._spill, end - start)
+                    if not self.weighted:
+                        cols.append([1] * (end - start))
+                    yield tuple(cols)
+            else:
+                if not fh.read(1):
+                    return
+                piece = len(self._sizes)
+        raise StreamFormatError(f"{self.path}:{lines[piece]}: file changed since it was opened")
 
-    def _replay(self, index: int, lines: list[bytes]) -> Block | None:
-        """Block ``index`` read back from the spill, or None if its bytes are not open's."""
-        if index >= len(self._crcs) or zlib.crc32(b"".join(lines)) != self._crcs[index]:
-            return None
-        start, end = self._starts[index], self._starts[index + 1]
-        if end - start != len(lines):
-            return None
-        # Passes may interleave, so each block seeks the shared handle.
-        self._spill.seek(start * self._width * 8)
-        cols = []
-        for _ in range(self._width):
-            col = array("q")
-            col.fromfile(self._spill, end - start)
-            cols.append(col)
-        if not self.weighted:
-            cols.append([1] * (end - start))
-        return tuple(cols)
-
-
-def _read_header(fh: BinaryIO, path: str) -> tuple[int, int, bool]:
-    """``n``, ``m`` and ``weighted`` from the first line of an open edge-list file."""
-    header = fh.readline()
-    if not header:
-        raise StreamFormatError(f"{path}:1: empty file")
-    if not header.isascii():
-        raise StreamFormatError(f"{path}:1: non-ASCII byte in header")
-    return _parse_header(header, path)
+    def graph(self) -> Graph:
+        """The stream as a Graph held in memory, gathered by one pass."""
+        return _graph(self.n, self.weighted, self.blocks())
 
 
 def _read_blocks(
-    fh: BinaryIO,
-    path: str,
-    n: int,
-    m: int,
-    weighted: bool,
-    prefix: str,
-    replay: Callable[[int, list[bytes]], Block | None] = lambda index, lines: None,
+    fh: BinaryIO, path: str, n: int, m: int, weighted: bool
 ) -> Iterator[tuple[list[bytes], Block]]:
-    """Each block after the header: its lines and its checked columns.
-
-    ``replay(index, lines)`` may supply a block's columns, known checked,
-    in place of parsing it.  Errors read ``path:line: <prefix><why>``.
-    """
+    """Each block after the header: its lines and its checked columns."""
     count = 0
-    for index, lines in enumerate(iter(partial(fh.readlines, _BLOCK_BYTES), [])):
-        cols = replay(index, lines)
-        if cols is None:
-            cols = _parse_block(lines, n, weighted)
-            if isinstance(cols, str):
-                lineno, why = _first_bad_line(lines, count + 2, n, weighted)
-                raise StreamFormatError(f"{path}:{lineno}: {prefix}{why}")
+    for lines in iter(partial(fh.readlines, _BLOCK_BYTES), []):
+        cols = _parse_block(lines, n, weighted)
+        if isinstance(cols, str):
+            lineno, why = _first_bad_line(lines, count + 2, n, weighted)
+            raise StreamFormatError(f"{path}:{lineno}: {why}")
         count += len(lines)
         if count > m:
-            raise StreamFormatError(
-                f"{path}:{m + 2}: {prefix}header promises {m} edges, file has more"
-            )
+            raise StreamFormatError(f"{path}:{m + 2}: header promises {m} edges, file has more")
         yield lines, cols
     if count != m:
-        raise StreamFormatError(
-            f"{path}:{count + 2}: {prefix}header promises {m} edges, file has {count}"
-        )
+        raise StreamFormatError(f"{path}:{count + 2}: header promises {m} edges, file has {count}")
+
+
+def _graph(n: int, weighted: bool, blocks: Iterator[Block]) -> Graph:
+    """A Graph of checked blocks, their columns appended in stream order."""
+    us, vs, ws = array("q"), array("q"), array("q")
+    for bus, bvs, bws in blocks:
+        us.extend(bus)
+        vs.extend(bvs)
+        ws.extend(bws)
+    return Graph._checked(n, us, vs, ws, weighted)
 
 
 def load_edge_list(path: str) -> Graph:
     """Read a whole edge-list file into a Graph (non-streaming convenience).
 
     The file is read once, with the checks and the error texts of a
-    ``FileEdgeSource`` open, and each checked block's columns are appended
-    to the graph's; no ``Edge`` is built and no edge is checked again.
+    ``FileEdgeSource`` open; no ``Edge`` is built and no edge is checked
+    again.
     """
-    us, vs, ws = array("q"), array("q"), array("q")
     with open(path, "rb") as fh:
-        n, m, weighted = _read_header(fh, path)
-        for _, (bus, bvs, bws) in _read_blocks(fh, path, n, m, weighted, ""):
-            us.extend(bus)
-            vs.extend(bvs)
-            ws.extend(bws)
-    return Graph._checked(n, us, vs, ws, weighted)
+        n, m, weighted = _parse_header(fh.readline(), path)
+        return _graph(n, weighted, (cols for _, cols in _read_blocks(fh, path, n, m, weighted)))
 
 
 def save_edge_list(path: str, g: Graph) -> None:

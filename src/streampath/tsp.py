@@ -459,15 +459,11 @@ def oracle_path_cover(g: Graph) -> PathCover:
     Deterministic witness: the first maximum found by include-first search
     in stream order.
     """
-    seen: set[tuple[int, int]] = set()
-    items: list[Edge] = []
-    for e in g.edges:
-        if e.pair not in seen:
-            seen.add(e.pair)
-            items.append(e)
-    m = len(items)
+    first = _repeats(g).translate(_FLIP)  # 1 at the first copy of each pair
+    m = first.count(1)
     if m > 22:
         raise OracleLimitError(f"exact path cover handles <= 22 distinct edges, got {m}")
+    items = list(map(Edge, *(compress(col, first) for col in (g.us, g.vs, g.ws))))
     n = g.n
 
     deg = [0] * n

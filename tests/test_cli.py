@@ -12,6 +12,7 @@ import pytest
 
 from streampath import cli
 from streampath.cli import main
+from streampath.graph import Graph
 from streampath.stream import load_edge_list
 
 
@@ -189,6 +190,44 @@ def test_no_spill_file_exits_one(tmp_path, capsys, monkeypatch):
         f"streampath: {path}: cannot make the spill its passes read: "
         "[Errno 28] No space left on device\n"
     )
+
+
+def test_file_rewritten_between_passes_exits_one(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.txt"
+    path.write_text("6 3\n0 1\n2 3\n4 5\n")
+    passes = []
+    blocks = cli.FileEdgeSource.blocks
+
+    def rewrite_before_the_second_pass(self):
+        passes.append(len(passes) + 1)
+        if len(passes) == 2:
+            path.write_text("6 3\n1 2\n3 4\n0 5\n")
+        return blocks(self)
+
+    monkeypatch.setattr(cli.FileEdgeSource, "blocks", rewrite_before_the_second_pass)
+    assert main(["mpc", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"streampath: {path}:2: file changed since it was opened\n"
+    assert passes == [1, 2]
+
+
+def test_mpc_oracle_past_its_limit_fails_before_building_an_edge(tmp_path, capsys, monkeypatch):
+    # 23 distinct pairs, each listed many times: the oracle counts pairs
+    # from the columns and refuses before any Edge of the graph is built
+    pairs = [(i, i + 1) for i in range(23)] * 50
+    path = tmp_path / "g.txt"
+    path.write_text(f"24 {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the graph's edges were built")
+
+    monkeypatch.setattr(Graph, "edges", property(never))
+    monkeypatch.setattr("streampath.cli.two_phase_path_cover", never)
+    assert main(["mpc", str(path), "--oracle"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "streampath: exact path cover handles <= 22 distinct edges, got 23\n"
 
 
 def test_strict_budget_exits_two(tmp_path, capsys):
