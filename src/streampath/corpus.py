@@ -41,7 +41,6 @@ from .tsp import (
     max_tsp_bound_holds,
     oracle_max_tsp,
     oracle_path_cover,
-    oracle_tsp12,
     tsp12_bound_holds,
     tsp12_identity_check,
 )
@@ -475,7 +474,8 @@ def sweep_tsp12(trials: int = 300, seed: int = 4) -> SweepOutcome:
         inst = Tsp12Instance.from_graph(g)
         res = approx_tsp12(inst, params, strict=True)
         out.record_runs(params.k, res.report)
-        opt = oracle_tsp12(inst)
+        identity = tsp12_identity_check(inst)
+        opt = identity.optimum
         n = inst.n
         out.check(
             "tour-bound",
@@ -487,7 +487,6 @@ def sweep_tsp12(trials: int = 300, seed: int = 4) -> SweepOutcome:
             res.tour.cost <= 2 * n - res.mpc.cover.size,
             f"cost={res.tour.cost} cover={res.mpc.cover.size}",
         )
-        identity = tsp12_identity_check(inst)
         out.check(
             "cover-identity",
             identity.holds,

@@ -255,30 +255,31 @@ def _augmenting_path(
 
     One explicit stack, so the search depth is not bounded by Python's
     recursion limit, and one visited set, grown on descent and shrunk on
-    backtrack.
+    backtrack.  The visited set is the path itself: the free ``s`` and
+    matched pairs ``(v, partner[v])``.  So the tip's own partner is
+    visited, and the mate of an unvisited ``v`` is not; neither needs a
+    test of its own.
     """
     path = [s]
     visited = {s}
     # The rest of the row still to try at s and at each mate on the path.
     frames = [iter(rows[s])]
-    u = s
     remaining = length
     while True:
         for v in frames[-1]:
-            if v in visited or partner[u] == v:
+            if v in visited:
                 continue
             mate = partner[v]
             if mate is None:
                 path.append(v)
                 return path
-            if remaining == 1 or mate in visited:
+            if remaining == 1:
                 continue
             path.append(v)
             path.append(mate)
             visited.add(v)
             visited.add(mate)
             frames.append(iter(rows[mate]))
-            u = mate
             remaining -= 2
             break
         else:
@@ -287,12 +288,10 @@ def _augmenting_path(
                 return None
             visited.discard(path.pop())
             visited.discard(path.pop())
-            u = path[-1]
             remaining += 2
 
 
 _TableEntry = tuple[int, int, int, int, int]
-_NEIGHBOUR = operator.itemgetter(2)
 
 
 def streaming_max_weight_matching(
@@ -323,19 +322,19 @@ def streaming_max_weight_matching(
     kernel.
 
     A table is a list of entries in arrival order plus a dict from their
-    neighbours to their weights, so a copy no heavier than the one held is
+    neighbours to their entries, so a copy no heavier than the one held is
     dropped in one lookup.  When the list fills it becomes a heap whose
     head is the entry the cap evicts, so no table is ever rescanned: an
     eviction is one ``heapreplace``, and a heavier copy of a kept pair
-    replaces its entry and re-heapifies.  The head's weight is the table's
-    floor, held where the pass loop reads it, so an arriving end at or
-    below it is dropped with one comparison; that is exact, as a pair a
-    full table keeps has a copy at least as heavy as the head.  The pass
-    charges 2 words per table entry, its neighbour and weight (the dict
-    repeats those two and is not charged again), and 1 word per full
-    table for its floor, charged as the table fills and released when the
-    pass ends.  The run ends holding what it began with; callers charge
-    what they keep.
+    replaces its entry, found by identity, and re-heapifies.  The head's
+    weight is the table's floor, held where the pass loop reads it, so an
+    arriving end at or below it is dropped with one comparison; that is
+    exact, as a pair a full table keeps has a copy at least as heavy as
+    the head.  The pass charges 2 words per table entry, its neighbour and
+    weight (the dict holds one reference per entry and is not charged
+    again), and 1 word per full table for its floor, charged as the table
+    fills and released when the pass ends.  The run ends holding what it
+    began with; callers charge what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list for the reason given in streaming_max_matching.
@@ -346,40 +345,41 @@ def streaming_max_weight_matching(
     # Per viewed vertex, its table: the entries (weight, -position,
     # neighbour, original end u, original end v) in arrival order, a heap
     # from the moment the table fills, and a dict from each entry's
-    # neighbour to its weight.  The first two fields are unique within a
+    # neighbour to the entry.  The first two fields are unique within a
     # table, so a full table's head is the one entry the cap evicts: the
     # lightest, and the latest among equal weights.
     tables: list[list[_TableEntry]] = [[] for _ in range(n_view)]
-    nbrs: list[dict[int, int]] = [{} for _ in range(n_view)]
+    nbrs: list[dict[int, _TableEntry]] = [{} for _ in range(n_view)]
     # Per vertex: the head weight of its table once full, else 0, which
     # every weight (>= 1) beats.  A pair a full table keeps holds a copy at
     # least as heavy as the head, so an end at or below it changes nothing.
     floor = [0] * n_view
 
     # Positions only grow along a pass, so an arriving copy beats a kept
-    # entry exactly when it is strictly heavier; the neighbour's weight in
+    # entry exactly when it is strictly heavier; the neighbour's entry in
     # ``nbrs`` settles that in one lookup, and only a heavier copy looks
-    # for its entry in the table.  The caller has checked that ``w`` beats
-    # the floor, so a new pair at a full table evicts the head.  A heavier
-    # copy moves its entry only away from the head.
+    # for that entry in the table, where the scan stops at the same
+    # object, as no two entries of a table are equal.  The caller has
+    # checked that ``w`` beats the floor, so a new pair at a full table
+    # evicts the head.  A heavier copy moves its entry only away from the
+    # head.
     def keep(x: int, y: int, w: int, npos: int, u: int, v: int) -> None:
         tab = tables[x]
         held = nbrs[x]
-        best = held.get(y)
-        if best is not None:
-            if w > best:
-                held[y] = w
-                tab[list(map(_NEIGHBOUR, tab)).index(y)] = (w, npos, y, u, v)
+        old = held.get(y)
+        if old is not None:
+            if w > old[0]:
+                tab[tab.index(old)] = held[y] = (w, npos, y, u, v)
                 if floor[x]:
                     heapify(tab)
                     floor[x] = tab[0][0]
             return
-        held[y] = w
+        entry = held[y] = (w, npos, y, u, v)
         if floor[x]:
-            del held[heapreplace(tab, (w, npos, y, u, v))[2]]
+            del held[heapreplace(tab, entry)[2]]
             floor[x] = tab[0][0]
             return
-        tab.append((w, npos, y, u, v))
+        tab.append(entry)
         session.charge(2)
         if len(tab) == cap:
             heapify(tab)
@@ -552,12 +552,7 @@ def _pick_swaps(
     are at least 1.  Rows are heaviest first, so once an edge fails the
     bound every later edge at ``cur`` fails it too and the loop stops; a
     walk is extended through ``mate`` only if ``top[mate]`` passes it.
-    Since every add but a walk's first follows a drop, and a walk drops
-    each matched edge with no banned end at most once, a walk starts with
-    at most ``2 * pairs + 1`` edges of room over ``pairs`` such edges, one
-    fewer pair when its start drop took one.  That cap removes no walk
-    and tightens the bound when ``limit`` is long for the matching.  No
-    pruned branch could have reached a swap at or above the search's
+    No pruned branch could have reached a swap at or above the search's
     best, and the depth-first order is the unpruned one, so each level
     and each swap's first walk are what the unpruned search finds.
     """
@@ -565,8 +560,6 @@ def _pick_swaps(
     cut0 = thr_num // thr_mul
     top = [next((w for w, _, i in rows[x] if i != medge[x]), 0) for x in range(n_view)]
     step = max([0] + [top[x] - kentries[medge[x]][2] for x in range(n_view) if medge[x] >= 0])
-    # Matched edges with no banned end, which cap a walk's room.
-    pairs = sum(1 for x in range(n_view) if medge[x] >= 0) // 2
     picks: list[_Swap] = []
     banned = 0
     # The swap being built; record() copies it.
@@ -610,10 +603,13 @@ def _pick_swaps(
                     record(reach, visited | (1 << nxt))
                     adds.pop()
                 continue
+            if room < 2:
+                continue
+            # ``visited`` is ``banned`` plus this walk, and every walk holds
+            # each matched vertex on it with its mate, so ``mate`` is
+            # unvisited too.
             a, b, dw, _ = kentries[drop]
             mate = b if a == nxt else a
-            if room < 2 or (visited >> mate) & 1:
-                continue
             dropped = reach - dw
             # A record here lifts the cut to at most dropped - 1, which
             # top[mate] >= 0 still clears, so deeper stays as computed.
@@ -640,13 +636,13 @@ def _pick_swaps(
             drop = medge[s]
             if drop < 0:
                 close = -1
-                grow(s, banned | (1 << s), 0, min(limit, 2 * pairs + 1))
+                grow(s, banned | (1 << s), 0, limit)
             else:
                 a, b, dw, _ = kentries[drop]
                 mate = b if a == s else a
                 close = s
                 drops.append(drop)
-                grow(mate, banned | (1 << s) | (1 << mate), -dw, min(limit, 2 * pairs) - 1)
+                grow(mate, banned | (1 << s) | (1 << mate), -dw, limit - 1)
                 drops.pop()
         if not level:
             break
@@ -654,7 +650,6 @@ def _pick_swaps(
             swap_adds, swap_drops, mask = level[signature]
             if not mask & banned:
                 banned |= mask
-                pairs -= len(swap_drops)
                 picks.append((best, signature, swap_adds, swap_drops))
     # grow reaches itself through its closure.  Breaking that cycle frees
     # the scan's lists now; left to the cyclic collector, they

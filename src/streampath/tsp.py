@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, count
 from typing import Sequence
 
-from .graph import Edge, Graph, Matching, PathCover, Tour, contract_edges, validate_path_cover
+from .graph import Edge, Graph, Matching, PathCover, Tour, contract_edges
 from .matching import ApproxParams, OracleLimitError, oracle_max_weight_matching
 from .pathcover import MpcResult, two_phase_path_cover
 from .stream import Column, InMemoryEdgeSource, StreamReport, open_session
@@ -521,7 +521,14 @@ def extract_matching_from_cycle(edges: Sequence[Edge]) -> Matching:
     k = len(edges)
     if k < 3:
         raise ValueError("a simple cycle needs at least 3 edges")
-    order = _walk_closed(edges)
+    adj = _adjacency(edges)
+    if any(len(nbrs) != 2 for nbrs in adj.values()):
+        raise ValueError("not a cycle: some vertex does not have degree 2")
+    # Every vertex has two edges, so the walk takes k of them and returns
+    # to its start exactly when they are all different.
+    order = _walk(adj, min(adj), k)
+    if len(set(order)) != k:
+        raise ValueError("edges do not form one single cycle")
     drop_at = min(range(k), key=lambda i: (edges[order[i]].weight, i))
     path = order[drop_at + 1 :] + order[:drop_at]
     return _heavier_parity_class(edges, path)
@@ -543,23 +550,18 @@ def extract_matching_from_path_or_cycle(edges: Sequence[Edge]) -> Matching:
         return Matching((edges[0],))
     if k == 2 and edges[0].pair == edges[1].pair:
         return Matching((max(edges, key=lambda e: e.weight),))
-    pairs = [e.pair for e in edges]
-    if len(set(pairs)) != k:
+    if len({e.pair for e in edges}) != k:
         raise ValueError("parallel edges are only allowed as a two-edge cycle")
-    deg: dict[int, int] = {}
-    for e in edges:
-        deg[e.u] = deg.get(e.u, 0) + 1
-        deg[e.v] = deg.get(e.v, 0) + 1
-    if 1 not in deg.values():
+    adj = _adjacency(edges)
+    ends = [x for x, nbrs in adj.items() if len(nbrs) == 1]
+    if not ends:
         return extract_matching_from_cycle(edges)
-    check = validate_path_cover(max(deg) + 1, edges)
-    if not check.ok or len(check.paths) != 1:
+    # From the lower-id end, a walk with no vertex of degree 3 or more
+    # never comes back to a vertex, so it is one simple path exactly when
+    # it takes every edge.
+    path = _walk(adj, min(ends), k)
+    if len(path) != k or any(len(nbrs) > 2 for nbrs in adj.values()):
         raise ValueError("edges form neither a simple path nor a simple cycle")
-    # The walk starts at the lower-id end; pairs are distinct, so each step
-    # names one edge.
-    at = {pair: i for i, pair in enumerate(pairs)}
-    walk = check.paths[0]
-    path = [at[(a, b) if a < b else (b, a)] for a, b in zip(walk, walk[1:])]
     return _heavier_parity_class(edges, path)
 
 
@@ -571,21 +573,21 @@ def _adjacency(edges: Sequence[Edge]) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-def _walk_closed(edges: Sequence[Edge]) -> list[int]:
-    """Edge indices of a simple cycle in traversal order from its min vertex."""
-    adj = _adjacency(edges)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
-        raise ValueError("not a cycle: some vertex does not have degree 2")
-    start = min(adj)
+def _walk(adj: dict[int, list[tuple[int, int]]], start: int, steps: int) -> list[int]:
+    """Edge indices of a walk from ``start``, in order.
+
+    The walk never leaves a vertex by the edge it came in on.  It stops
+    after ``steps`` edges, or earlier at a vertex with no other edge.
+    """
     order: list[int] = []
     cur = start
     last_idx = -1
-    for _ in range(len(edges)):
-        nxt, idx = next((x, i) for x, i in adj[cur] if i != last_idx)
-        order.append(idx)
-        cur, last_idx = nxt, idx
-    if cur != start or len(set(order)) != len(edges):
-        raise ValueError("edges do not form one single cycle")
+    for _ in range(steps):
+        step = next(((x, i) for x, i in adj[cur] if i != last_idx), None)
+        if step is None:
+            break
+        cur, last_idx = step
+        order.append(last_idx)
     return order
 
 

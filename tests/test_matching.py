@@ -903,7 +903,7 @@ def _swap_kernel(n: int, seed: int, weights: tuple[int, int] = (1, 9)):
 
 
 def test_pruned_swap_search_matches_the_unpruned_reference():
-    free_ends = cycles = tied_picks = 0
+    free_ends = cycles = tied_picks = long_limits = 0
     # Random weights, then one weight everywhere: there many swaps tie at
     # the top gain, so levels of several picks and the signature
     # tie-break are exercised.
@@ -926,6 +926,9 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
                 medge[u] = medge[v] = idx
             weight = sum(kentries[idx][2] for idx in matched.values())
             for k in (2, 3, 4):
+                # No walk has more than 2 * len(matched) + 1 edges, so here
+                # the limit is longer than any walk can use.
+                long_limits += 2 * len(matched) + 1 < 2 * k - 1
                 # threshold 0, the engine's eps^2 w(M) / 4n at eps = 1/k, and
                 # a cut of 3 that prunes harder
                 for thr_num, thr_mul in ((0, 1), (weight, k * k * 4 * n), (3, 1)):
@@ -944,7 +947,7 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
                         dropped = {x for key in drops for x in key}
                         free_ends += len(adds) > len(drops)
                         cycles += bool(drops) and ends == dropped
-    assert free_ends and cycles and tied_picks
+    assert free_ends and cycles and tied_picks and long_limits
 
 
 # --- oracles ------------------------------------------------------------------------

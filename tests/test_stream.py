@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -596,12 +597,12 @@ def test_open_holds_a_few_words_per_block_and_none_per_edge(tmp_path):
     held = []
     for p in (path, longer):
         FileEdgeSource(p)  # warm-up, so lazily made module state is not counted
-        # Fill CPython's free list of list objects: a list made while tracing
-        # and dropped into that list would count as held, by test order.
-        [[] for _ in range(100)]
         tracemalloc.start()
         try:
             src = FileEdgeSource(p)
+            # Empty CPython's free lists, which would otherwise count objects
+            # freed while tracing as held, by test order.
+            gc.collect()
             held.append((tracemalloc.get_traced_memory()[0], len(src._crcs)))
         finally:
             tracemalloc.stop()
@@ -628,7 +629,6 @@ def test_a_solve_leaves_the_temporary_directory_empty(tmp_path, monkeypatch):
 
 
 def test_dropping_a_source_emits_no_resource_warning(tmp_path):
-    import gc
     import warnings
 
     path, g, want = _multi_block_file(tmp_path, False)

@@ -498,6 +498,9 @@ def test_path_extraction_cases():
     m = extract_matching_from_path_or_cycle(path)
     assert m.weight == 7
     assert 3 * m.weight >= 9
+    # a large vertex id: nothing is sized by it
+    m = extract_matching_from_path_or_cycle([Edge(0, 2**40, 3), Edge(2**40, 5, 1)])
+    assert m.edges == (Edge(0, 2**40, 3),)
     with pytest.raises(ValueError):
         extract_matching_from_path_or_cycle([Edge(0, 1), Edge(0, 2), Edge(0, 3)])
 
