@@ -116,6 +116,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         n, us, vs, ws = self.n, self.us, self.vs, self.ws
+        if not isinstance(n, int):
+            raise ValueError("vertex count must be an int")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if n >= WORD_LIMIT:

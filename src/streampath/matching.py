@@ -113,11 +113,12 @@ def streaming_max_matching(
     """Unweighted engine: one pass, then kernel augmentation.
 
     The pass builds the greedy maximal matching and, alongside it, a kernel
-    of distinct viewed pairs: a pair is kept if either end's row holds
-    fewer than ``6k``, so a row may pass ``6k`` but the kernel holds at
-    most ``6k * n_view``, and every pair is kept unless one arrives with
-    both rows full.  Augmenting paths are then eliminated offline on the
-    kernel.  Edge weights are ignored.
+    of distinct viewed pairs: a pair is kept if it is greedily matched or
+    either end's row holds fewer than ``6k``, so a row may pass ``6k`` but
+    the kernel holds at most ``6k * n_view + n_view // 2`` pairs, and every
+    pair is kept unless one arrives unmatched with both rows full.
+    Augmenting paths are then eliminated offline on the kernel.  Edge
+    weights are ignored.
     The engine reads the stream through ``view.target`` when a view is
     given: an edge with a banned end, or with both ends in one class, is
     dropped.  The returned edges are original stream edges (pre-view), in
@@ -125,10 +126,9 @@ def streaming_max_matching(
     endpoints need not be.  The pass keeps no set of pairs: a later copy
     of a kept pair is recognised from the rows, and each kept pair's
     first copy is held in 64-bit columns of original ends and weights.
-    Each kept pair is charged 3 words as a kernel edge and 3 more while
-    matched; only a greedy match kept alone that a flip drops stays held
-    uncharged.  The run ends holding what it began with; callers charge
-    what they keep.
+    Each kept pair is charged 3 words as a kernel edge, for as long as it
+    is held, and 3 more while matched.  The run ends holding what it
+    began with; callers charge what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list, not a range: indexing a range makes a new int per lookup, and
@@ -139,12 +139,10 @@ def streaming_max_matching(
     partner: list[int | None] = [None] * n_view
     session.charge(n_view)
     cap = params.kernel_degree_cap
-    # Kept pairs, in stream order: the kernel edges, and greedy matches that
-    # found both kernel rows full ("kept alone").  Their first copies'
-    # original ends and weights are held by value in three arrays of signed
-    # 64-bit slots, as every int of an instance is below 2^63; ``rows``
-    # lists each viewed vertex's kernel neighbours in arrival order, as
-    # ``target``'s own ints.
+    # The kernel edges, in stream order.  Their first copies' original ends
+    # and weights are held by value in three arrays of signed 64-bit slots,
+    # as every int of an instance is below 2^63; ``rows`` lists each viewed
+    # vertex's kernel neighbours in arrival order, as ``target``'s own ints.
     ku = array("q")
     kv = array("q")
     kw = array("q")
@@ -152,11 +150,11 @@ def streaming_max_matching(
 
     # The greedy matching and the kernel only grow during the pass, so each
     # ends as it would alone, and charging a block's growth at its end
-    # leaves every word peak as per-edge charging would.  A later copy of a
-    # kept pair is skipped.  Its ends are not both free, so it is not
-    # matched.  If both rows are full it is dropped, as a pair kept alone
-    # always is, since rows never shrink; otherwise it is in both rows, and
-    # the shorter one, which holds fewer than ``6k``, is scanned for it.
+    # leaves every word peak as per-edge charging would.  A pair with both
+    # ends free has not come before, as a matched vertex stays matched.
+    # Any other pair is skipped if the shorter row is full or holds it: a
+    # kept pair is in both rows, and a dropped one found both rows full,
+    # which they stay.  So only a row below ``6k`` is scanned.
     def visit(_pos0: int, us: Column, vs: Column, ws: Column) -> None:
         words = 0
         for u, v, w in zip(us, vs, ws):
@@ -164,23 +162,23 @@ def streaming_max_matching(
             b = target[v]
             if a == b or a < 0 or b < 0:
                 continue
-            matched = partner[a] is None and partner[b] is None
-            if matched:
-                partner[a] = b
-                partner[b] = a
-                words += 3
             row_a = rows[a]
             row_b = rows[b]
-            len_a = len(row_a)
-            len_b = len(row_b)
-            if len_a < cap or len_b < cap:
-                if not matched and (b in row_a if len_a <= len_b else a in row_b):
+            if partner[a] is None and partner[b] is None:
+                partner[a] = b
+                partner[b] = a
+                words += 6
+            else:
+                len_a = len(row_a)
+                len_b = len(row_b)
+                if len_a <= len_b:
+                    if len_a >= cap or b in row_a:
+                        continue
+                elif len_b >= cap or a in row_b:
                     continue
-                row_a.append(b)
-                row_b.append(a)
                 words += 3
-            elif not matched:
-                continue
+            row_a.append(b)
+            row_b.append(a)
             ku.append(u)
             kv.append(v)
             kw.append(w)
@@ -194,8 +192,7 @@ def streaming_max_matching(
     at = target.__getitem__
     chosen = map(operator.eq, map(partner.__getitem__, map(at, ku)), map(at, kv))
     edges = tuple(starmap(Edge, compress(zip(ku, kv, kw), chosen)))
-    # Each kernel edge appears in two rows.
-    session.release(3 * (sum(map(len, rows)) // 2 + len(edges)) + n_view)
+    session.release(3 * (len(ku) + len(edges)) + n_view)
     session.end_run()
     return Matching(edges)
 
@@ -216,12 +213,11 @@ def _augment_on_kernel(
     left after flips avoids all of them and was there before, and one
     sweep per length, with no vertex barred, leaves no augmenting path of
     length <= max_len among the retained edges, nor one shorter than L
-    while length L is swept.  A greedy match kept outside the kernel
-    leaves the graph when a flip drops it, which only removes paths.  No
-    simple path has more than ``len(rows) - 1`` edges, so the sweep stops
-    there; an empty row cannot start a path.  A flip re-partners the
-    path's vertex pairs, which drops the matched edges it ran along and
-    adds one edge of 3 words.
+    while length L is swept.  No simple path has more than
+    ``len(rows) - 1`` edges, so the sweep stops there; an empty row cannot
+    start a path.  A flip re-partners the path's vertex pairs, which drops
+    the matched edges it ran along, still kernel edges, and adds one
+    matched edge of 3 words.
     """
     n_view = len(rows)
     for length in range(3, min(max_len, n_view - 1) + 1, 2):
@@ -581,13 +577,13 @@ def _pick_swaps(
 
     def grow(cur: int, visited: int, gain: int, room: int) -> None:
         base = gain + (room - 1) // 2 * step
-        mine = medge[cur]
         for w, nxt, idx in rows[cur]:
             if w + base <= cut:
                 break
-            if idx == mine:
-                continue
             reach = gain + w
+            # ``cur``'s own matched edge leads back to a visited vertex, or,
+            # at the first step from a matched start, closes at the start
+            # with gain 0, which no cut (at least ``cut0 >= 0``) admits.
             if nxt == close:
                 if reach > cut:
                     adds.append(idx)

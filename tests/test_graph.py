@@ -24,6 +24,7 @@ from streampath.graph import (
 )
 from streampath.prng import SplitMix64
 from streampath.stream import save_edge_list
+from streampath.tsp import Tsp12Instance
 
 
 def _g(n, pairs, weighted=False):
@@ -102,6 +103,15 @@ def test_graph_rejects_out_of_range_vertices():
     assert Graph(2**63 - 1, ()).n == 2**63 - 1
     with pytest.raises(ValueError, match=r"vertex count must be below 2\^63"):
         Graph(2**63, ())
+    # a vertex count that is no int is refused as it is built, not at the
+    # first solve
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="vertex count must be an int"):
+            Graph(n, [Edge(0, 1)])
+        with pytest.raises(ValueError, match="vertex count must be an int"):
+            Graph(n, us=[0], vs=[1], ws=[1])
+        with pytest.raises(ValueError, match="vertex count must be an int"):
+            Tsp12Instance(n, (Edge(0, 1),))
 
 
 def test_graph_degrees_counts_parallel_copies():

@@ -194,11 +194,14 @@ def test_engine_run_ends_holding_what_it_began_with(engine):
     assert sess.words_in_use == 3 * m.size
 
 
-def test_greedy_match_kept_alone_is_returned_once():
+def test_greedy_match_with_both_rows_full_joins_the_kernel_once():
     # cap 12 at eps = 1/2: hubs 2..13 are matched to 14..25 first, then
     # vertices 0 and 1 fill their kernel rows with hub edges, so (0, 1) is
-    # greedily matched with both rows full and kept outside the kernel;
-    # its parallel copy, which arrives later, is not kept again
+    # greedily matched with both rows full and joins both rows, each then
+    # 13 long; its parallel copy, which arrives later, is not kept again.
+    # Peak words: 26 for partners, 3 for each of the 13 greedy matches and
+    # 3 for each of the 37 kernel edges, 176; charged only as a match,
+    # (0, 1) gave 173.
     triples = [(h, h + 12, 1) for h in range(2, 14)]
     triples += [(0, h, 1) for h in range(2, 14)] + [(1, h, 1) for h in range(2, 14)]
     triples += [(0, 1, 5), (1, 0, 7)]
@@ -209,8 +212,31 @@ def test_greedy_match_kept_alone_is_returned_once():
     m = streaming_max_matching(src, params, sess)
     assert m.size == 13
     assert m.edges[-1] == Edge(0, 1, 5)
-    assert sess.report().runs[-1].words_peak == 173
+    assert sess.report().runs[-1].words_peak == 176
     assert sess.words_in_use == 0
+
+
+def test_a_full_rows_match_a_flip_drops_carries_a_later_longer_path():
+    # cap 30 at eps = 1/5: hubs 10..39 are matched to 40..69, then x and y
+    # fill their rows with hub edges, so (x, y) is greedily matched with
+    # both rows full.  f0 is swept first and x heads its row, so the
+    # length-3 flip f0-x=y-f1 drops (x, y).  The only augmenting path left,
+    # g0-c=d-f0=x-y=f1-e=h-g1, runs through it with 9 edges, and flipping
+    # it matches the 10 of them perfectly; a kernel without (x, y) stops at
+    # 34 edges.  No shorter path can reach (x, y): its new partners f0 and
+    # f1 were free all pass, so no free vertex neighbours them.  Peak
+    # words: 70 for partners, 3 for each of the 33 greedy matches and 99
+    # kernel edges, and 3 for each of the 2 flips.
+    f0, f1, g0, g1, x, y, c, d, e, h = range(10)
+    hubs = range(10, 40)
+    pairs = [(hub, hub + 30) for hub in hubs] + [(c, d), (e, h)]
+    pairs += [(x, hub) for hub in hubs] + [(y, hub) for hub in hubs]
+    pairs += [(x, y), (f0, x), (y, f1), (d, f0), (g0, c), (f1, e), (h, g1)]
+    m, report = _run_unweighted(Graph.from_pairs(70, pairs), "1/5")
+    assert m.size == 35
+    flipped = [(x, y), (d, f0), (g0, c), (f1, e), (h, g1)]
+    assert [(edge.u, edge.v) for edge in m.edges[30:]] == flipped
+    assert report.runs[-1].words_peak == 472
 
 
 def test_kernel_keeps_a_pair_while_either_row_has_room():
@@ -240,21 +266,26 @@ def test_later_lengths_may_run_through_vertices_flipped_earlier():
 def _reference_max_matching(source, params, session, view=None, label="matching", events=None):
     """The unweighted engine with a set of kept pairs: the dedup reference.
 
-    ``events`` counts what the set decided: greedy matches kept alone, and
-    later copies of kept pairs by how many of their two rows were full.
+    ``events`` counts what the set decided: greedy matches made with both
+    rows full, and later copies of kept pairs by how many of their two
+    rows were full.  After the pass it checks that the run has charged its
+    partners, 3 words per kept pair and 3 more per greedy match.
     """
     n_view = view.n_new if view is not None else source.n
     target = view.target if view is not None else list(range(source.n))
     events = Counter() if events is None else events
+    held = session.words_in_use
     session.begin_run(label)
     partner = [None] * n_view
     session.charge(n_view)
     cap = params.kernel_degree_cap
     kept = set()
+    greedy = 0
     ku, kv, kw = [], [], []
     rows = [[] for _ in range(n_view)]
 
     def visit(_pos0, us, vs, ws):
+        nonlocal greedy
         words = 0
         for u, v, w in zip(us, vs, ws):
             a = target[u]
@@ -265,21 +296,21 @@ def _reference_max_matching(source, params, session, view=None, label="matching"
             if key in kept:
                 events[f"copy, {(len(rows[a]) >= cap) + (len(rows[b]) >= cap)} rows full"] += 1
                 continue
-            matched = partner[a] is None and partner[b] is None
-            if matched:
-                partner[a] = b
-                partner[b] = a
-                words += 3
             row_a = rows[a]
             row_b = rows[b]
-            if len(row_a) < cap or len(row_b) < cap:
-                row_a.append(b)
-                row_b.append(a)
+            full = len(row_a) >= cap and len(row_b) >= cap
+            if partner[a] is None and partner[b] is None:
+                partner[a] = b
+                partner[b] = a
+                greedy += 1
                 words += 3
-            elif not matched:
+                if full:
+                    events["matched with both rows full"] += 1
+            elif full:
                 continue
-            else:
-                events["kept alone"] += 1
+            row_a.append(b)
+            row_b.append(a)
+            words += 3
             kept.add(key)
             ku.append(u)
             kv.append(v)
@@ -288,9 +319,10 @@ def _reference_max_matching(source, params, session, view=None, label="matching"
             session.charge(words)
 
     session.run_pass(visit)
+    assert session.words_in_use - held == n_view + 3 * len(kept) + 3 * greedy
     _augment_on_kernel(partner, rows, params.max_swap_edges, session)
     edges = tuple(Edge(u, v, w) for u, v, w in zip(ku, kv, kw) if partner[target[u]] == target[v])
-    session.release(3 * (sum(map(len, rows)) // 2 + len(edges)) + n_view)
+    session.release(3 * (len(kept) + len(edges)) + n_view)
     session.end_run()
     return Matching(edges)
 
@@ -300,9 +332,9 @@ def _dedup_stream(seed: int) -> Graph:
 
     Two thirds of the non-hubs are matched first, and the three hubs meet
     only those, so a hub may fill its row while free and a hub-hub pair is
-    then a greedy match kept alone; random
-    edges follow, and about half as many copies of earlier edges again are
-    placed later in the stream, each copy with a weight of its own.
+    then greedily matched with both rows full; random edges follow, and
+    about half as many copies of earlier edges again are placed later in
+    the stream, each copy with a weight of its own.
     """
     rng = SplitMix64(seed)
     n = rng.randint(30, 60)
@@ -340,8 +372,8 @@ def test_dedup_from_the_rows_matches_the_kept_pair_set():
                 runs.append((engine(src, params, sess, view=view), sess.report()))
             assert runs[0] == runs[1], (seed, eps, view)
     # every case the set used to decide, at both caps and through the views
-    assert set(events) == {"kept alone", "copy, 0 rows full", "copy, 1 rows full",
-                           "copy, 2 rows full"}, events
+    assert set(events) == {"matched with both rows full", "copy, 0 rows full",
+                           "copy, 1 rows full", "copy, 2 rows full"}, events
     assert min(events.values()) >= 10, events
 
 
