@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import operator
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heapreplace
@@ -117,8 +118,12 @@ def streaming_max_matching(
     either end's row holds fewer than ``6k``, so a row may pass ``6k`` but
     the kernel holds at most ``6k * n_view + n_view // 2`` pairs, and every
     pair is kept unless one arrives unmatched with both rows full.
-    Augmenting paths are then eliminated offline on the kernel.  Edge
-    weights are ignored.
+    Augmenting paths are then eliminated offline on the kernel, shortest
+    first, until none of at most ``2k - 1`` edges is left or the matching
+    leaves no more free vertices than the kernel has odd components, which
+    makes it maximum on the kernel (Tutte-Berge).  A kernel with a Tutte
+    obstruction, such as two pendant vertices on one vertex, never meets
+    that stop, and its sweep runs every length.  Edge weights are ignored.
     The engine reads the stream through ``view.target`` when a view is
     given: an edge with a banned end, or with both ends in one class, is
     dropped.  The returned edges are original stream edges (pre-view), in
@@ -218,12 +223,33 @@ def _augment_on_kernel(
     start a path.  A flip re-partners the path's vertex pairs, which drops
     the matched edges it ran along, still kernel edges, and adds one
     matched edge of 3 words.
+
+    The sweep also stops once the matching is provably maximum on the
+    kernel: by the Tutte-Berge formula with U empty, a matching that leaves
+    no more free vertices than the kernel has components of odd order
+    leaves no augmenting path of any length, so every later search would
+    fail.  The free vertices with a kernel edge are counted as the sweep
+    goes, two fewer per flip; the odd components are counted once, before
+    length 7, so a run at epsilon >= 1/3, which sweeps no length past 5,
+    never pays for the count.  The stop cannot fire when a Tutte
+    obstruction is present: a nonempty vertex set U whose removal leaves
+    more than ``|U|`` odd components beyond the kernel's own, as two
+    pendant vertices on one vertex do.  Then even a maximum matching leaves
+    more free vertices than the count, and the sweep runs every length.
     """
     n_view = len(rows)
+    # The free vertices with a kernel edge: every matched vertex has one.
+    free = sum(map(bool, rows)) - (n_view - partner.count(None))
+    # Below every count of free vertices: no stop until length 7 counts.
+    odd = -1
     for length in range(3, min(max_len, n_view - 1) + 1, 2):
+        if length == 7:
+            odd = _odd_components(rows)
         for s in range(n_view):
             if partner[s] is not None or not rows[s]:
                 continue
+            if free <= odd:
+                return
             path = _augmenting_path(s, length, partner, rows)
             if path is None:
                 continue
@@ -232,6 +258,32 @@ def _augment_on_kernel(
                 partner[a] = b
                 partner[b] = a
             session.charge(3)
+            free -= 2
+
+
+def _odd_components(rows: list[list[int]]) -> int:
+    """How many components of the kernel have an odd number of vertices.
+
+    Only vertices with a kernel edge count: one with an empty row is free
+    whatever the matching, and ``_augment_on_kernel`` does not count it
+    among the free vertices either.  One depth-first walk over the rows.
+    """
+    seen = bytearray(len(rows))
+    odd = 0
+    for s, row in enumerate(rows):
+        if seen[s] or not row:
+            continue
+        seen[s] = 1
+        stack = [s]
+        size = 0
+        while stack:
+            size += 1
+            for y in rows[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        odd += size & 1
+    return odd
 
 
 def _augmenting_path(
@@ -536,17 +588,22 @@ def _pick_swaps(
     it does.  Every search starts from the threshold's cut, and the picks
     end with a search that finds nothing above it.
 
+    Each search is depth first over explicit frames, one per tip the walk
+    has left, so a walk's length is not bounded by Python's recursion
+    limit.  A frame holds the rest of its tip's row, so backing up resumes
+    that row where the walk left it.
+
     Each search is pruned by a bound, and the pruning is exact.  Let
     ``top[x]`` be the heaviest kernel edge at ``x`` that is not matched, and
     ``step`` the largest ``top[x] - w(x's matched edge)`` over matched
-    ``x``, or 0 if that is larger.  A walk at ``cur`` with gain ``g`` and
+    ``x``, or 0 if that is larger.  A walk at tip ``t`` with gain ``g`` and
     ``room`` edges left that adds an edge of weight ``w`` next can record
     no gain above ``g + w + ((room - 1) // 2) * step``: after that add,
     each further add first drops the matched edge at its tail ``x`` and
     then adds an unmatched edge at ``x`` (a net of at most ``step``, for
     two units of room), and a final drop only subtracts, because weights
     are at least 1.  Rows are heaviest first, so once an edge fails the
-    bound every later edge at ``cur`` fails it too and the loop stops; a
+    bound every later edge at ``t`` fails it too and ``t``'s frame ends; a
     walk is extended through ``mate`` only if ``top[mate]`` passes it.
     No pruned branch could have reached a swap at or above the search's
     best, and the depth-first order is the unpruned one, so each level
@@ -558,69 +615,10 @@ def _pick_swaps(
     step = max([0] + [top[x] - kentries[medge[x]][2] for x in range(n_view) if medge[x] >= 0])
     picks: list[_Swap] = []
     banned = 0
-    # The swap being built; record() copies it.
-    adds: list[int] = []
-    drops: list[int] = []
-    # The vertex a walk may close a cycle at: its start, if that was matched.
-    close = -1
-
-    def record(gain: int, walk: int) -> None:
-        nonlocal cut, best, level
-        if gain > best:
-            level = {}
-            best = gain
-            cut = gain - 1
-        signature = tuple(sorted(adds + drops))
-        if signature not in level:
-            # A walk's visited mask holds the banned vertices too.
-            level[signature] = (tuple(adds), tuple(drops), walk ^ banned)
-
-    def grow(cur: int, visited: int, gain: int, room: int) -> None:
-        base = gain + (room - 1) // 2 * step
-        for w, nxt, idx in rows[cur]:
-            if w + base <= cut:
-                break
-            reach = gain + w
-            # ``cur``'s own matched edge leads back to a visited vertex, or,
-            # at the first step from a matched start, closes at the start
-            # with gain 0, which no cut (at least ``cut0 >= 0``) admits.
-            if nxt == close:
-                if reach > cut:
-                    adds.append(idx)
-                    record(reach, visited)
-                    adds.pop()
-                continue
-            if (visited >> nxt) & 1:
-                continue
-            drop = medge[nxt]
-            if drop < 0:
-                if reach > cut:
-                    adds.append(idx)
-                    record(reach, visited | (1 << nxt))
-                    adds.pop()
-                continue
-            if room < 2:
-                continue
-            # ``visited`` is ``banned`` plus this walk, and every walk holds
-            # each matched vertex on it with its mate, so ``mate`` is
-            # unvisited too.
-            a, b, dw, _ = kentries[drop]
-            mate = b if a == nxt else a
-            dropped = reach - dw
-            # A record here lifts the cut to at most dropped - 1, which
-            # top[mate] >= 0 still clears, so deeper stays as computed.
-            deeper = room >= 3 and dropped + top[mate] + (room - 3) // 2 * step > cut
-            if dropped > cut or deeper:
-                adds.append(idx)
-                drops.append(drop)
-                walk = visited | (1 << nxt) | (1 << mate)
-                if dropped > cut:
-                    record(dropped, walk)
-                if deeper:
-                    grow(mate, walk, dropped, room - 2)
-                adds.pop()
-                drops.pop()
-
+    # A frame per tip a walk has left, to resume once the tip's own row is
+    # done: the rest of the tip's row, the visited mask (``banned`` plus the
+    # walk), the gain and the room.  Every start leaves it empty.
+    frames: list[tuple[Iterator[tuple[int, int, int]], int, int, int]] = []
     while True:
         # This search: its cut, its best gain, and the swaps at that gain by
         # signature, with their adds, drops and vertex mask.
@@ -629,17 +627,84 @@ def _pick_swaps(
         for s in range(n_view):
             if (banned >> s) & 1:
                 continue
+            # The walk from ``s``: its adds and drops, and the vertex it may
+            # close a cycle at, which is ``s`` if that was matched; then the
+            # walk's first drop is the start's own.
             drop = medge[s]
             if drop < 0:
-                close = -1
-                grow(s, banned | (1 << s), 0, limit)
+                adds, drops, close = [], [], -1
+                tip, visited, gain, room = s, banned | (1 << s), 0, limit
             else:
                 a, b, dw, _ = kentries[drop]
-                mate = b if a == s else a
-                close = s
-                drops.append(drop)
-                grow(mate, banned | (1 << s) | (1 << mate), -dw, limit - 1)
-                drops.pop()
+                tip = b if a == s else a
+                adds, drops, close = [], [drop], s
+                visited, gain, room = banned | (1 << s) | (1 << tip), -dw, limit - 1
+            row = iter(rows[tip])
+            while True:
+                # The bound's step terms at this tip and at the next one.
+                base = gain + (room - 1) // 2 * step
+                ahead = (room - 3) // 2 * step
+                deeper = False
+                for w, nxt, idx in row:
+                    if w + base <= cut:
+                        break
+                    reach = gain + w
+                    # The tip's own matched edge leads back to a visited
+                    # vertex, or, at the first step from a matched start,
+                    # closes at the start with gain 0, which no cut (at
+                    # least ``cut0 >= 0``) admits.
+                    if (visited >> nxt) & 1:
+                        if nxt != close:
+                            continue
+                        drop = -1
+                        walk = visited
+                    else:
+                        drop = medge[nxt]
+                        if drop < 0:
+                            walk = visited | (1 << nxt)
+                        elif room < 2:
+                            continue
+                        else:
+                            # ``visited`` is ``banned`` plus this walk, and
+                            # every walk holds each matched vertex on it with
+                            # its mate, so ``mate`` is unvisited too.
+                            a, b, dw, _ = kentries[drop]
+                            mate = b if a == nxt else a
+                            reach -= dw
+                            # A record here lifts the cut to at most reach - 1,
+                            # which top[mate] >= 0 still clears, so deeper
+                            # stays as computed.
+                            deeper = room >= 3 and reach + top[mate] + ahead > cut
+                            if reach <= cut and not deeper:
+                                continue
+                            walk = visited | (1 << nxt) | (1 << mate)
+                    if reach > cut:
+                        if reach > best:
+                            level = {}
+                            best = reach
+                            cut = reach - 1
+                        swap_adds = (*adds, idx)
+                        swap_drops = (*drops, drop) if drop >= 0 else tuple(drops)
+                        signature = tuple(sorted(swap_adds + swap_drops))
+                        # The first walk of a signature is kept; its visited
+                        # mask holds the banned vertices too.
+                        if signature not in level:
+                            level[signature] = (swap_adds, swap_drops, walk ^ banned)
+                    if deeper:
+                        adds.append(idx)
+                        drops.append(drop)
+                        frames.append((row, visited, gain, room))
+                        row, visited, gain, room = iter(rows[mate]), walk, reach, room - 2
+                        break
+                # ``deeper`` ends set only after a push, as an edge that sets
+                # it pushes.  Otherwise the tip's row is done, and the walk
+                # backs up to the tip before it.
+                if not deeper:
+                    if not frames:
+                        break
+                    row, visited, gain, room = frames.pop()
+                    adds.pop()
+                    drops.pop()
         if not level:
             break
         for signature in sorted(level):
@@ -647,10 +712,6 @@ def _pick_swaps(
             if not mask & banned:
                 banned |= mask
                 picks.append((best, signature, swap_adds, swap_drops))
-    # grow reaches itself through its closure.  Breaking that cycle frees
-    # the scan's lists now; left to the cyclic collector, they
-    # pile up across scans and raise the process's peak memory.
-    del grow
     return picks
 
 

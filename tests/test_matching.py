@@ -37,6 +37,7 @@ from streampath.matching import (
     streaming_max_matching,
     streaming_max_weight_matching,
 )
+from streampath.pathcover import two_phase_path_cover
 from streampath.prng import SplitMix64
 from streampath.stream import FileEdgeSource, InMemoryEdgeSource, open_session
 
@@ -261,6 +262,65 @@ def test_later_lengths_may_run_through_vertices_flipped_earlier():
         m, report = _run_unweighted(g, eps)
         assert [(e.u, e.v) for e in m.edges] == [(0, 6), (4, 5), (1, 2), (3, 7)], eps
         assert report.runs[-1].words_peak == 50
+
+
+def _searched_lengths(monkeypatch, longest: int | None = None) -> list[int]:
+    """The lengths ``_augmenting_path`` is asked for, as it is called; a
+    call for more than ``longest`` edges fails fast."""
+    from streampath import matching
+
+    lengths = []
+    search = matching._augmenting_path
+
+    def guarded(s, length, *rest):
+        if longest is not None and length > longest:
+            raise AssertionError(f"searched length {length}")
+        lengths.append(length)
+        return search(s, length, *rest)
+
+    monkeypatch.setattr(matching, "_augmenting_path", guarded)
+    return lengths
+
+
+def test_sweep_stops_once_the_matching_is_maximum_as_the_full_sweep_finds(monkeypatch):
+    # A counter of -1 never stops the sweep, so it runs every length: the
+    # stop must leave the same matching, with fewer searches.
+    from streampath import matching
+
+    lengths = _searched_lengths(monkeypatch)
+    count_odd = matching._odd_components
+    saved = 0
+    for seed, k in product(range(12), range(4, 9)):
+        n = 15 + 2 * (seed % 6)
+        g = gen_random_graph(n, seed, Fraction(3, n))
+        lengths.clear()
+        m, _ = _run_unweighted(g, f"1/{k}")
+        stopped = len(lengths)
+        monkeypatch.setattr(matching, "_odd_components", lambda rows: -1)
+        lengths.clear()
+        full, _ = _run_unweighted(g, f"1/{k}")
+        monkeypatch.setattr(matching, "_odd_components", count_odd)
+        assert m == full, (seed, k)
+        saved += len(lengths) - stopped
+    assert saved > 0
+
+
+def test_sweep_at_small_epsilon_stops_before_length_9(monkeypatch):
+    # gnm_pairs(501, 2,500, 1) in memory: each search past length 7 walks
+    # about d^(k-1) alternating walks and finds nothing, so the sweep must
+    # stop at 7 once the matching leaves one free vertex per odd component
+    from perfbench.gen import gnm_pairs
+
+    _searched_lengths(monkeypatch, longest=7)
+    g = Graph.from_pairs(501, gnm_pairs(501, 2500, 1))
+    covers = []
+    for eps in ("1/6", "1/16"):
+        params = ApproxParams.parse(eps)
+        src = InMemoryEdgeSource(g)
+        res = two_phase_path_cover(src, params, open_session(src, k=params.k, strict=True))
+        assert (res.first_matching.size, res.second_matching.size) == (250, 125), eps
+        covers.append(res.cover.edges)
+    assert covers[0] == covers[1]
 
 
 def _reference_max_matching(source, params, session, view=None, label="matching", events=None):
@@ -571,6 +631,16 @@ def test_weighted_tier_against_oracle():
             tier = Fraction(k, k + 1) / (1 + eps / 4)
             assert Fraction(m.weight) >= tier * opt, (seed, eps_text, m.weight, opt)
             assert m.weight <= opt
+
+
+def test_long_weighted_swap_needs_no_recursion():
+    # pairs (1,2), (3,4), ... arrive first and the greedy sweep takes them;
+    # the one improving swap then runs the whole 2,601-edge path from 0 to
+    # n - 1, past 1,000 nested drops
+    n = 2602
+    pairs = [(v, v + 1, 1) for v in range(1, n - 1, 2)] + [(v, v + 1, 1) for v in range(0, n - 1, 2)]
+    m = _run_weighted(Graph.from_pairs(n, pairs, weighted=True), "1/1302")
+    assert m.size == n // 2 == 1301
 
 
 @given(st.integers(0, 10_000))
