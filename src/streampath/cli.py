@@ -156,7 +156,7 @@ def _cmd_mpc(args) -> int:
             "m": src.m,
             "cover_size": cover.size,
             "path_lengths": sorted(cover.path_lengths),
-            "cover_edges": [[e.u, e.v] for e in cover.edges],
+            "cover_edges": [[u, v] for u, v in zip(cover.us, cover.vs)],
         }
     )
     lines = [

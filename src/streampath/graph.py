@@ -4,10 +4,14 @@ All types here are immutable value objects.  Algorithms never mutate a
 Graph; operations like contraction return a fresh Graph plus a mapping
 object describing where each original vertex went.  A ``Graph`` holds its
 edges as three ``array("q")`` columns, endpoints and weights, 24 bytes per
-edge, because dense and complete instances list every pair; the columns
-are checked once, when the graph is built, by column-wide minima and
-maxima.  An ``Edge`` is built only when something asks for one, and keeps
-its three ints in slots, with no instance dict.
+edge, because dense and complete instances list every pair; a
+``Matching`` and a ``PathCover`` hold theirs the same way, so an engine
+returns its matching, and a driver its cover, with no ``Edge`` built.
+Columns are checked once, when the value is built, by column-wide minima
+and maxima and other C-level passes; a matching's disjointness check
+sorts its ends and builds no set of them.  An ``Edge`` is built only when
+something asks for one (``edges`` builds a fresh tuple on each read), and
+keeps its three ints in slots, with no instance dict.
 
 Conventions used throughout the package:
 
@@ -25,8 +29,8 @@ from __future__ import annotations
 
 import operator
 from array import array
-from dataclasses import dataclass, field
-from itertools import compress, starmap
+from dataclasses import dataclass
+from itertools import chain, compress, islice, starmap
 from typing import Iterable, Iterator, Sequence
 
 # Each place an int of an instance, or k, comes in refuses one past a word.
@@ -70,8 +74,36 @@ def _column(values: Sequence[int]) -> array:
     return array("q", values)
 
 
+class _EdgeColumns:
+    """Edges held as three int columns ``us``, ``vs``, ``ws``, in order.
+
+    Shared by ``Graph``, ``Matching`` and ``PathCover``; each sets the
+    columns once, when it is built, and checks them.
+    """
+
+    us: array
+    vs: array
+    ws: array
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in column order, built afresh on each access."""
+        return tuple(map(Edge, self.us, self.vs, self.ws))
+
+    @property
+    def size(self) -> int:
+        return len(self.us)
+
+    @property
+    def weight(self) -> int:
+        return sum(self.ws)
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self.edges)
+
+
 @dataclass(frozen=True, init=False)
-class Graph:
+class Graph(_EdgeColumns):
     """An edge-sequence multigraph held as three int columns.
 
     Edge ``i`` of the stream is ``(us[i], vs[i], ws[i])``, so replaying the
@@ -98,20 +130,8 @@ class Graph:
         vs: Sequence[int] | None = None,
         ws: Sequence[int] | None = None,
     ) -> None:
-        if us is None and vs is None and ws is None:
-            us = array("q", [e.u for e in edges])
-            vs = array("q", [e.v for e in edges])
-            ws = array("q", [e.weight for e in edges])
-        elif edges or us is None or vs is None or ws is None:
-            raise TypeError("give a graph its edges or all three columns")
-        else:
-            try:
-                us, vs, ws = _column(us), _column(vs), _column(ws)
-            except (OverflowError, TypeError):
-                # A value is no int or is past a word: name its edge.
-                _first_bad_edge(n, us, vs, ws, weighted)
-                raise
-        _hold(self, n, us, vs, ws, weighted)
+        us, vs, ws = _edge_columns(edges, us, vs, ws, n, weighted)
+        _hold(self, n=n, us=us, vs=vs, ws=ws, weighted=weighted)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -122,26 +142,13 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if n >= WORD_LIMIT:
             raise ValueError("vertex count must be below 2^63")
-        m = len(us)
-        if len(vs) != m or len(ws) != m:
-            raise ValueError("edge columns must have equal lengths")
-        if m and (
-            min(us) < 0
-            or min(vs) < 0
-            or max(us) >= n
-            or max(vs) >= n
-            or min(ws) < 1
-            or (not self.weighted and max(ws) != 1)
-            or any(map(operator.eq, us, vs))
-        ):
-            _first_bad_edge(n, us, vs, ws, self.weighted)
-            raise AssertionError("the columns break a rule that none of their edges breaks")
+        _check_edges(us, vs, ws, n, self.weighted)
 
     @classmethod
     def _checked(cls, n: int, us: array, vs: array, ws: array, weighted: bool) -> "Graph":
         """A graph of columns that already follow every rule ``__post_init__`` checks."""
         g = object.__new__(cls)
-        _hold(g, n, us, vs, ws, weighted)
+        _hold(g, n=n, us=us, vs=vs, ws=ws, weighted=weighted)
         return g
 
     @classmethod
@@ -158,11 +165,6 @@ class Graph:
     def m(self) -> int:
         return len(self.us)
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges in stream order, built afresh on each access."""
-        return tuple(map(Edge, self.us, self.vs, self.ws))
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for u in self.us:
@@ -172,9 +174,64 @@ class Graph:
         return deg
 
 
-def _hold(g: Graph, n: int, us: array, vs: array, ws: array, weighted: bool) -> None:
-    for name, value in (("n", n), ("us", us), ("vs", vs), ("ws", ws), ("weighted", weighted)):
-        object.__setattr__(g, name, value)
+def _hold(obj: object, **fields: object) -> None:
+    """Set the fields of a frozen value object."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+def _edge_columns(
+    edges: Sequence[Edge],
+    us: Sequence[int] | None,
+    vs: Sequence[int] | None,
+    ws: Sequence[int] | None,
+    n: int = WORD_LIMIT,
+    weighted: bool = True,
+) -> tuple[array, array, array]:
+    """The columns of ``edges``, or the given columns as ``array("q")``.
+
+    A value that no column can hold (no int, or past a word) is named by
+    the error of its edge, as ``_first_bad_edge`` finds it.
+    """
+    if us is None and vs is None and ws is None:
+        return (
+            array("q", [e.u for e in edges]),
+            array("q", [e.v for e in edges]),
+            array("q", [e.weight for e in edges]),
+        )
+    if edges or us is None or vs is None or ws is None:
+        raise TypeError("give the edges or all three columns")
+    try:
+        return _column(us), _column(vs), _column(ws)
+    except (OverflowError, TypeError):
+        _first_bad_edge(n, us, vs, ws, weighted)
+        raise
+
+
+def _check_edges(
+    us: array, vs: array, ws: array, n: int = WORD_LIMIT, weighted: bool = True
+) -> None:
+    """Refuse columns of unequal lengths, or with an edge that breaks a rule.
+
+    Column-wide minima and maxima, and one C-level comparison of the ends,
+    find whether an edge breaks one; only then is the first such edge
+    looked for, by ``_first_bad_edge``.  With the defaults the rules are
+    ``Edge``'s alone.
+    """
+    m = len(us)
+    if len(vs) != m or len(ws) != m:
+        raise ValueError("edge columns must have equal lengths")
+    if m and (
+        min(us) < 0
+        or min(vs) < 0
+        or max(us) >= n
+        or max(vs) >= n
+        or min(ws) < 1
+        or (not weighted and max(ws) != 1)
+        or any(map(operator.eq, us, vs))
+    ):
+        _first_bad_edge(n, us, vs, ws, weighted)
+        raise AssertionError("the columns break a rule that none of their edges breaks")
 
 
 def _first_bad_edge(
@@ -194,30 +251,43 @@ def _first_bad_edge(
             raise ValueError("unweighted graph cannot hold an edge of weight != 1")
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of vertex-disjoint edges, kept in the order they were chosen."""
+@dataclass(frozen=True, init=False)
+class Matching(_EdgeColumns):
+    """A set of vertex-disjoint edges, kept in the order they were chosen.
 
-    edges: tuple[Edge, ...] = ()
+    Held as three int columns, as a ``Graph`` is, and built from ``Edge``
+    objects, ``Matching(edges)``, or from columns, ``Matching(us=...,
+    vs=..., ws=...)``; an ``array("q")`` column is held as given.  The
+    columns are checked once, by ``Edge``'s rules, and no two edges may
+    share an end; ``edges`` builds the ``Edge`` objects afresh on each
+    access.
+    """
 
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for e in self.edges:
-            if e.u in seen or e.v in seen:
-                raise ValueError(f"edges share vertex: ({e.u}, {e.v}) overlaps earlier edge")
-            seen.add(e.u)
-            seen.add(e.v)
+    us: array
+    vs: array
+    ws: array
 
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    @property
-    def weight(self) -> int:
-        return sum(e.weight for e in self.edges)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
+    def __init__(
+        self,
+        edges: Sequence[Edge] = (),
+        *,
+        us: Sequence[int] | None = None,
+        vs: Sequence[int] | None = None,
+        ws: Sequence[int] | None = None,
+    ) -> None:
+        us, vs, ws = _edge_columns(edges, us, vs, ws)
+        _check_edges(us, vs, ws)
+        # Sorted, the ends hold a repeat only next to itself: C-level
+        # passes, and no set of every end.
+        ends = sorted(chain(us, vs))
+        if any(map(operator.eq, ends, islice(ends, 1, None))):
+            seen: set[int] = set()
+            for u, v in zip(us, vs):
+                if u in seen or v in seen:
+                    raise ValueError(f"edges share vertex: ({u}, {v}) overlaps earlier edge")
+                seen.add(u)
+                seen.add(v)
+        _hold(self, us=us, vs=vs, ws=ws)
 
 
 @dataclass(frozen=True)
@@ -276,7 +346,7 @@ def components_contraction(
 
 def matching_contraction(n: int, matching: Matching) -> ContractionMap:
     """Contraction map that merges the two endpoints of every matching edge."""
-    return components_contraction(n, [e.pair for e in matching])
+    return components_contraction(n, zip(matching.us, matching.vs))
 
 
 def contract_edges(g: Graph, merge: Iterable[tuple[int, int]]) -> tuple[Graph, ContractionMap]:
@@ -307,26 +377,47 @@ class CoverCheck:
         return tuple(len(p) - 1 for p in self.paths)
 
 
-def validate_path_cover(n: int, edges: Sequence[Edge]) -> CoverCheck:
+def validate_path_cover(
+    n: int,
+    edges: Sequence[Edge] = (),
+    *,
+    us: Sequence[int] | None = None,
+    vs: Sequence[int] | None = None,
+) -> CoverCheck:
     """Check that ``edges`` form vertex-disjoint simple paths in [0, n).
 
-    On success the paths are returned sorted by smallest contained vertex,
-    each oriented from its lower-id endpoint.  Isolated vertices are legal
-    (a path cover may leave vertices uncovered by edges; they are trivial
-    zero-length paths) and are not listed.
+    The edges are ``Edge`` objects, or the columns ``us`` and ``vs`` of
+    their ends, in order; columns of unequal lengths, or with a negative
+    end or a self-loop, which no ``Edge`` can hold, are not a cover.  On
+    success the paths are returned sorted by
+    smallest contained vertex, each oriented from its lower-id endpoint.
+    Isolated vertices are legal (a path cover may leave vertices uncovered
+    by edges; they are trivial zero-length paths) and are not listed.
     """
+    if us is None and vs is None:
+        us = [e.u for e in edges]
+        vs = [e.v for e in edges]
+    elif edges or us is None or vs is None:
+        raise TypeError("give the edges or both end columns")
+    elif len(us) != len(vs):
+        return CoverCheck(False, "edge columns must have equal lengths", ())
+    elif us and (min(us) < 0 or min(vs) < 0 or any(map(operator.eq, us, vs))):
+        for u, v in zip(us, vs):
+            if u < 0 or v < 0:
+                return CoverCheck(False, f"edge ({u}, {v}) has a negative end", ())
+            if u == v:
+                return CoverCheck(False, f"self-loop at vertex {u}", ())
     deg = [0] * n
     # Vertex x's first two neighbours, in slots 2x and 2x + 1.
     nbrs = [0] * (2 * n)
     # Each pair a < b as the int a * n + b.
     seen_pairs: set[int] = set()
-    for e in edges:
-        u, v = e.u, e.v
+    for u, v in zip(us, vs):
         if u >= n or v >= n:
             return CoverCheck(False, f"edge ({u}, {v}) out of range for n={n}", ())
         key = u * n + v if u < v else v * n + u
         if key in seen_pairs:
-            a, b = e.pair
+            a, b = (u, v) if u < v else (v, u)
             return CoverCheck(False, f"parallel edges between {a} and {b}", ())
         seen_pairs.add(key)
         du, dv = deg[u], deg[v]
@@ -341,8 +432,7 @@ def validate_path_cover(n: int, edges: Sequence[Edge]) -> CoverCheck:
     # O(m) steps past the two allocations above.  The first over-degree
     # vertex is reported in order of first appearance.
     ends: list[int] = []
-    for e in edges:
-        u, v = e.u, e.v
+    for u, v in zip(us, vs):
         du, dv = deg[u], deg[v]
         if du > 2:
             return CoverCheck(False, f"vertex {u} has degree {du}", ())
@@ -377,8 +467,8 @@ def validate_path_cover(n: int, edges: Sequence[Edge]) -> CoverCheck:
         paths.append(tuple(walk))
         walked += len(walk) - 1
 
-    if walked < len(edges):
-        on_cycle = min(x for e in edges for x in (e.u, e.v) if deg[x])
+    if walked < len(us):
+        on_cycle = min(x for x in chain(us, vs) if deg[x])
         return CoverCheck(False, f"cycle through vertex {on_cycle}", ())
 
     # Each walk began at the first degree-1 vertex met in increasing order,
@@ -387,27 +477,37 @@ def validate_path_cover(n: int, edges: Sequence[Edge]) -> CoverCheck:
     return CoverCheck(True, None, tuple(paths))
 
 
-@dataclass(frozen=True)
-class PathCover:
-    """A validated path cover: vertex-disjoint simple paths."""
+@dataclass(frozen=True, init=False)
+class PathCover(_EdgeColumns):
+    """A validated path cover: vertex-disjoint simple paths.
+
+    Held as three int columns and built from ``Edge`` objects or columns,
+    as a ``Matching`` is; the columns are checked by ``Edge``'s rules, then
+    by ``validate_path_cover``.  ``edges`` builds the ``Edge`` objects
+    afresh on each access.
+    """
 
     n: int
-    edges: tuple[Edge, ...]
-    paths: tuple[tuple[int, ...], ...] = field(init=False)
+    us: array
+    vs: array
+    ws: array
+    paths: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        check = validate_path_cover(self.n, self.edges)
+    def __init__(
+        self,
+        n: int,
+        edges: Sequence[Edge] = (),
+        *,
+        us: Sequence[int] | None = None,
+        vs: Sequence[int] | None = None,
+        ws: Sequence[int] | None = None,
+    ) -> None:
+        us, vs, ws = _edge_columns(edges, us, vs, ws)
+        _check_edges(us, vs, ws)
+        check = validate_path_cover(n, us=us, vs=vs)
         if not check.ok:
             raise ValueError(f"not a path cover: {check.reason}")
-        object.__setattr__(self, "paths", check.paths)
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    @property
-    def weight(self) -> int:
-        return sum(e.weight for e in self.edges)
+        _hold(self, n=n, us=us, vs=vs, ws=ws, paths=check.paths)
 
     @property
     def path_lengths(self) -> tuple[int, ...]:
@@ -416,9 +516,6 @@ class PathCover:
     @property
     def covered(self) -> frozenset[int]:
         return frozenset(v for p in self.paths for v in p)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
 
 
 @dataclass(frozen=True)

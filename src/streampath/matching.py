@@ -48,6 +48,8 @@ case for a hard O(n k) memory bound, which is the model being simulated.
 Matched edges are charged (3 words each) while an engine holds them and
 released just before its run ends: a run ends holding what it began with,
 which ``StreamSession.end_run`` checks; callers charge what they keep.
+Both engines return their matching as int columns, with no ``Edge``
+built.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heapreplace
-from itertools import compress, count, starmap
+from itertools import compress, count
 
 from .graph import WORD_LIMIT, ContractionMap, Edge, Graph, Matching
 from .stream import Column, EdgeStreamSource, StreamSession, read_fraction
@@ -127,10 +129,13 @@ def streaming_max_matching(
     The engine reads the stream through ``view.target`` when a view is
     given: an edge with a banned end, or with both ends in one class, is
     dropped.  The returned edges are original stream edges (pre-view), in
-    arrival order; their *viewed* endpoints are disjoint, the original
-    endpoints need not be.  The pass keeps no set of pairs: a later copy
-    of a kept pair is recognised from the rows, and each kept pair's
-    first copy is held in 64-bit columns of original ends and weights.
+    arrival order; their viewed endpoints are disjoint, and so are their
+    original ones, as each original vertex has one viewed id.  The pass
+    keeps no set of pairs: a later copy of a kept pair is recognised from
+    the rows, and each kept pair's first copy is held in 64-bit columns of
+    original ends and weights.  The rows are dropped once the offline
+    phase is done, and the matching is returned as the entries of those
+    columns whose viewed ends are partners, so no ``Edge`` is built.
     Each kept pair is charged 3 words as a kernel edge, for as long as it
     is held, and 3 more while matched.  The run ends holding what it
     began with; callers charge what they keep.
@@ -192,14 +197,17 @@ def streaming_max_matching(
 
     session.run_pass(visit)
     _augment_on_kernel(partner, rows, params.max_swap_edges, session)
-    # Every matched pair is kept, and the columns are in stream order; the
-    # kept pairs whose viewed ends are partners are selected in C.
+    # Nothing reads the rows from here on, so they go before the result is
+    # built.  Every matched pair is kept, and the columns are in stream
+    # order; the indices of the kept pairs whose viewed ends are partners
+    # are marked in C, and each column keeps its entries at those indices.
+    del rows
     at = target.__getitem__
-    chosen = map(operator.eq, map(partner.__getitem__, map(at, ku)), map(at, kv))
-    edges = tuple(starmap(Edge, compress(zip(ku, kv, kw), chosen)))
-    session.release(3 * (len(ku) + len(edges)) + n_view)
+    chosen = bytes(map(operator.eq, map(partner.__getitem__, map(at, ku)), map(at, kv)))
+    us, vs, ws = (array("q", compress(col, chosen)) for col in (ku, kv, kw))
+    session.release(3 * (len(ku) + len(us)) + n_view)
     session.end_run()
-    return Matching(edges)
+    return Matching(us=us, vs=vs, ws=ws)
 
 
 def _augment_on_kernel(
@@ -381,8 +389,9 @@ def streaming_max_weight_matching(
     the head.  The pass charges 2 words per table entry, its neighbour and
     weight (the dict holds one reference per entry and is not charged
     again), and 1 word per full table for its floor, charged as the table
-    fills and released when the pass ends.  The run ends holding what it
-    began with; callers charge what they keep.
+    fills and released when the pass ends.  The matched entries are
+    returned as int columns.  The run ends holding what it began with;
+    callers charge what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list for the reason given in streaming_max_matching.
@@ -540,10 +549,16 @@ def streaming_max_weight_matching(
                 match(idx)
     match_free()
 
-    edges = tuple(Edge(*t) for idx, (u, _, _, t) in enumerate(kentries) if medge[u] == idx)
-    session.release(3 * (len(kentries) + len(edges)) + n_view)
+    # The matched entries' original triples, in stream order.
+    us, vs, ws = array("q"), array("q"), array("q")
+    for idx, (x, _, _, (u, v, w)) in enumerate(kentries):
+        if medge[x] == idx:
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    session.release(3 * (len(kentries) + len(us)) + n_view)
     session.end_run()
-    return Matching(edges)
+    return Matching(us=us, vs=vs, ws=ws)
 
 
 _Swap = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]

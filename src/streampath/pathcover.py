@@ -20,12 +20,13 @@ which fixes the word budget and whether an overrun is fatal.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from typing import Callable, Iterable
 
-from .graph import ContractionMap, Edge, Matching, PathCover, components_contraction
+from .graph import ContractionMap, Matching, PathCover, components_contraction
 from .matching import (
     ApproxParams,
     streaming_max_matching,
@@ -107,12 +108,13 @@ def _cover_rounds(
     """
     n = source.n
     rounds: list[Matching] = []
-    union: tuple[Edge, ...] = ()
+    # The union of the kept matchings, as columns of ends and weights.
+    us, vs, ws = array("q"), array("q"), array("q")
     for label in labels:
         if not rounds:
             view, words = None, 0
         else:
-            view, words = _contract_cover(n, union)
+            view, words = _contract_cover(n, us, vs)
             session.charge(words)
         got = engine(source, params, session, view=view, label=label)
         session.release(words)
@@ -120,12 +122,14 @@ def _cover_rounds(
             break
         session.charge(3 * got.size)
         rounds.append(got)
-        union += got.edges
+        us += got.us
+        vs += got.vs
+        ws += got.ws
         if len(rounds) > n:
             raise AssertionError("more matching rounds than vertices")
-    session.release(3 * len(union))
+    session.release(3 * len(us))
     try:
-        cover = PathCover(n, union)
+        cover = PathCover(n, us=us, vs=vs, ws=ws)
     except ValueError as err:
         raise AssertionError(f"union of {len(rounds)} rounds is {err}") from None
     longest = max(cover.path_lengths, default=0)
@@ -134,15 +138,13 @@ def _cover_rounds(
     return MpcResult(cover, tuple(rounds), session.report())
 
 
-def _contract_cover(n: int, union: tuple[Edge, ...]) -> tuple[ContractionMap, int]:
-    """``union`` with each path one vertex and its interior banned; and its words.
+def _contract_cover(n: int, us: array, vs: array) -> tuple[ContractionMap, int]:
+    """The cover ``us``-``vs`` with each path one vertex, its interior banned; and its words.
 
     Nothing else built here outlives the call into the run that reads the map.
     """
     deg = [0] * n
-    for e in union:
-        deg[e.u] += 1
-        deg[e.v] += 1
+    for x in chain(us, vs):
+        deg[x] += 1
     interior = [v for v, d in enumerate(deg) if d > 1]
-    return components_contraction(n, [e.pair for e in union], interior), n + len(interior)
-
+    return components_contraction(n, zip(us, vs), interior), n + len(interior)

@@ -279,14 +279,17 @@ def approx_max_tsp(
     free = sorted(set(range(inst.n)) - cover.covered)
     if len(free) >= 2:
         remaining = set(free)
-        patch: list[Edge] = []
+        # The patch edges' ends and weights.
+        pus, pvs, pws = array("q"), array("q"), array("q")
 
         def patch_visit(pos0: int, us: Column, vs: Column, ws: Column) -> None:
             for u, v, w in zip(us, vs, ws):
                 if u in remaining and v in remaining:
                     remaining.discard(u)
                     remaining.discard(v)
-                    patch.append(Edge(u, v, w))
+                    pus.append(u)
+                    pvs.append(v)
+                    pws.append(w)
                     sess.charge(3)
 
         # The pass carries the two-phase cover, 3 words an edge.
@@ -294,11 +297,13 @@ def approx_max_tsp(
         sess.begin_run("leftover-patch")
         sess.charge(len(free))
         sess.run_pass(patch_visit)
-        sess.release(len(free) + 3 * len(patch))
+        sess.release(len(free) + 3 * len(pus))
         sess.end_run()
         sess.release(3 * cover.size)
-        second = Matching(second.edges + tuple(patch))
-        cover = PathCover(inst.n, first.edges + second.edges)
+        second = Matching(us=second.us + pus, vs=second.vs + pvs, ws=second.ws + pws)
+        cover = PathCover(
+            inst.n, us=first.us + second.us, vs=first.vs + second.vs, ws=first.ws + second.ws
+        )
         free = sorted(set(range(inst.n)) - cover.covered)
     if len(free) > 1:
         raise AssertionError("complete instance left more than one vertex uncovered")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +359,8 @@ def test_validate_path_cover_matches_the_reference_on_seeded_edge_sets():
 def test_validate_path_cover_reason_precedence(n, pairs, reason):
     edges = [Edge(u, v) for u, v in pairs]
     assert validate_path_cover(n, edges) == CoverCheck(False, reason, ())
+    us, vs = (array("q", col) for col in zip(*pairs))
+    assert validate_path_cover(n, us=us, vs=vs) == CoverCheck(False, reason, ())
     assert _reference_validate_path_cover(n, edges) == CoverCheck(False, reason, ())
 
 
@@ -372,6 +375,111 @@ def test_path_cover_orientation_and_lengths():
 def test_path_cover_rejects_non_cover():
     with pytest.raises(ValueError):
         PathCover(3, (Edge(0, 1), Edge(1, 2), Edge(0, 2)))
+
+
+# --- matchings and covers as columns ---------------------------------------
+
+
+def _columns(triples):
+    return {name: [t[i] for t in triples] for i, name in enumerate(("us", "vs", "ws"))}
+
+
+@pytest.mark.parametrize(
+    ("make", "triples"),
+    [
+        (Matching, [(4, 0, 7), (1, 2, 1), (5, 3, 2**63 - 1)]),
+        (Matching, []),
+        (partial(PathCover, 7), [(5, 6, 3), (2, 1, 1), (2, 3, 9)]),
+        (partial(PathCover, 7), []),
+    ],
+    ids=["matching", "empty-matching", "cover", "empty-cover"],
+)
+def test_edges_and_columns_build_equal_matchings_and_covers(make, triples):
+    from_edges = make([Edge(*t) for t in triples])
+    from_columns = make(**_columns(triples))
+    assert from_edges == from_columns
+    assert from_edges.edges == from_columns.edges == tuple(Edge(*t) for t in triples)
+    assert from_edges.size == from_columns.size == len(triples)
+    assert from_edges.weight == from_columns.weight == sum(t[2] for t in triples)
+    assert list(from_columns) == list(from_columns.edges)
+    assert getattr(from_edges, "paths", None) == getattr(from_columns, "paths", None)
+    if triples:  # a fresh tuple on each read, as Graph.edges is
+        assert from_columns.edges is not from_columns.edges
+
+
+def test_column_matchings_and_covers_hold_array_columns_as_given():
+    us, vs, ws = array("q", [0, 2]), array("q", [1, 3]), array("q", [4, 5])
+    for make in (Matching, partial(PathCover, 4)):
+        value = make(us=us, vs=vs, ws=ws)
+        assert value.us is us and value.vs is vs and value.ws is ws
+        with pytest.raises(TypeError):
+            make([Edge(0, 1)], us=us, vs=vs, ws=ws)
+        with pytest.raises(TypeError):
+            make(us=us, vs=vs)
+
+
+# Edge's own rules, which a matching and a cover break with one message.
+_EDGE_RULE_ERRORS = [
+    ([(0, 1, 1), (2, 2, 1)], "self-loop at vertex 2 is not allowed"),
+    ([(0, 1, 1), (2, 3, 0)], "edge weight must be a positive int"),
+    ([(0, 1, 1), (2, 3, 2**63)], "edge weight must be below 2^63"),
+    ([(0, 1, 1), (-1, 3, 1)], "endpoints must be non-negative and below 2^63"),
+    ([(0, 1, 1), (2, 2**63, 1)], "endpoints must be non-negative and below 2^63"),
+]
+
+_MATCHING_ERRORS = _EDGE_RULE_ERRORS + [
+    ([(0, 1, 1), (2, 3, 1), (3, 1, 1)], "edges share vertex: (3, 1) overlaps earlier edge"),
+    ([(0, 1, 1), (1, 0, 1)], "edges share vertex: (1, 0) overlaps earlier edge"),
+    ([(0, 1, 1), (1, 2, 1), (2, 0, 1)], "edges share vertex: (1, 2) overlaps earlier edge"),
+]
+
+_COVER_ERRORS = _EDGE_RULE_ERRORS + [
+    ([(0, 1, 1), (0, 2, 1), (0, 3, 1)], "not a path cover: vertex 0 has degree 3"),
+    ([(0, 1, 1), (2, 4, 1)], "not a path cover: edge (2, 4) out of range for n=4"),
+    ([(0, 1, 1), (1, 0, 1)], "not a path cover: parallel edges between 0 and 1"),
+    ([(0, 1, 1), (1, 2, 1), (2, 0, 1)], "not a path cover: cycle through vertex 0"),
+]
+
+
+def _error(build):
+    with pytest.raises(ValueError) as err:
+        build()
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    ("make", "triples", "message"),
+    [(Matching, t, m) for t, m in _MATCHING_ERRORS]
+    + [(partial(PathCover, 4), t, m) for t, m in _COVER_ERRORS],
+)
+def test_edges_and_columns_are_refused_with_one_message(make, triples, message):
+    # the Edge form fails where its first bad Edge is built, or as a whole
+    by_edges = _error(lambda: make([Edge(*t) for t in triples]))
+    by_columns = _error(lambda: make(**_columns(triples)))
+    assert by_edges == by_columns == message
+
+
+@pytest.mark.parametrize("make", [Matching, partial(PathCover, 4)])
+def test_columns_of_unequal_lengths_are_refused(make):
+    assert _error(lambda: make(us=[0, 2], vs=[1, 3], ws=[1])) == "edge columns must have equal lengths"
+
+
+@pytest.mark.parametrize(
+    ("us", "vs", "reason"),
+    [
+        ([0, -1], [1, 0], "edge (-1, 0) has a negative end"),
+        ([0, 2], [1, -3], "edge (2, -3) has a negative end"),
+        ([0, 1], [2, 1], "self-loop at vertex 1"),
+        ([1], [1], "self-loop at vertex 1"),
+        ([0, 1], [1], "edge columns must have equal lengths"),
+    ],
+)
+def test_validate_path_cover_columns_are_refused_what_no_edge_can_hold(us, vs, reason):
+    # no Edge has a negative end or is a loop, so only the column form can
+    # carry one; a loop would leave its vertex's walk without an end
+    for col in (list, partial(array, "q")):
+        got = validate_path_cover(3, us=col(us), vs=col(vs))
+        assert got == CoverCheck(False, reason, ())
 
 
 # --- tours -------------------------------------------------------------------

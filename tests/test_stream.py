@@ -398,12 +398,20 @@ def test_strict_overrun_fires_inside_the_pass_that_crosses_the_budget(tmp_path, 
         raise AssertionError("the offline phase ran after an overrun")
 
     monkeypatch.setattr(matching, "_augment_on_kernel", offline)
-    path, g, _ = _multi_block_file(tmp_path, False)
+    monkeypatch.setattr(matching, "_pick_swaps", offline)
     params = ApproxParams.parse("1/3")
-    # The partner table costs n words up front; the kernel and the greedy
-    # matching then grow by 3 words per kept edge and cross this budget
-    # about two thirds of the way through the first pass.
-    budget = g.n + 3 * g.m
+    for weighted in (False, True):
+        _overrun_inside_the_pass(tmp_path, monkeypatch, params, weighted)
+
+
+def _overrun_inside_the_pass(tmp_path, monkeypatch, params, weighted):
+    path, g, _ = _multi_block_file(tmp_path, weighted)
+    # Unweighted, the partner table costs n words up front; the kernel and
+    # the greedy matching then grow by 3 words per kept edge and cross
+    # n + 3m about two thirds of the way through the first pass.  Weighted,
+    # each edge adds a 2-word entry to the table at each end, and no table
+    # fills, so 4 words an edge cross 3m three quarters of the way through.
+    budget = 3 * g.m if weighted else g.n + 3 * g.m
     for src in (FileEdgeSource(path), InMemoryEdgeSource(g)):
         blocks = list(src.blocks())
         visited = []
@@ -416,10 +424,10 @@ def test_strict_overrun_fires_inside_the_pass_that_crosses_the_budget(tmp_path, 
         monkeypatch.setattr(src, "blocks", replay)
         sess = open_session(src, words_budget=budget, strict=True)
         with pytest.raises(BudgetExceededError) as err:
-            two_phase_path_cover(src, params, sess)
+            two_phase_path_cover(src, params, sess, weighted=weighted)
         assert any(entry.name == "run_pass" for entry in err.traceback)
         assert sess.passes_used == 1
-        assert 1 < len(visited) < len(blocks)
+        assert 1 < len(visited) < len(blocks), weighted
         assert sess.words_in_use > budget
 
 
@@ -435,6 +443,34 @@ def test_path_cover_from_file_matches_memory(tmp_path, weighted):
         results.append((res.cover.edges, res.first_matching, res.second_matching, report))
     assert results[0] == results[1]
     assert results[0][0]
+
+
+def test_a_file_solve_builds_no_edge_until_its_cover_is_read(tmp_path, monkeypatch):
+    path, g, want = _multi_block_file(tmp_path, False)
+    params = ApproxParams.parse("1/3")
+    mem = InMemoryEdgeSource(g)
+    in_memory = two_phase_path_cover(mem, params, open_session(mem, k=params.k, strict=True))
+    built = []
+    check = Edge.__post_init__
+
+    def counted(edge):
+        built.append(edge)
+        check(edge)
+
+    monkeypatch.setattr(Edge, "__post_init__", counted)
+    src = FileEdgeSource(path)
+    res = two_phase_path_cover(src, params, open_session(src, k=params.k, strict=True))
+    assert built == []
+    edges = res.cover.edges
+    assert built == list(edges) and len(edges) == res.cover.size > 0
+    assert edges == in_memory.cover.edges
+    # Each round's edges come in stream order, first round first.
+    first = {}
+    for pos, triple in enumerate(want):
+        first.setdefault(triple, pos)
+    at = [first[e.u, e.v, e.weight] for e in edges]
+    split = res.first_matching.size
+    assert at[:split] == sorted(at[:split]) and at[split:] == sorted(at[split:])
 
 
 # --- the spill: passes replay the columns open checked ---------------------------
