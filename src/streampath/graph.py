@@ -410,23 +410,46 @@ def validate_path_cover(
     deg = [0] * n
     # Vertex x's first two neighbours, in slots 2x and 2x + 1.
     nbrs = [0] * (2 * n)
-    # Each pair a < b as the int a * n + b.
-    seen_pairs: set[int] = set()
+    # While no degree passes 2, a repeated pair shows in the slots: both its
+    # ends have degree 1 and are each other's only neighbour.  So a cover
+    # keeps no set of pairs.  An edge that would lift a degree past 2 ends
+    # that; the edges are then read again from the first, each pair checked
+    # against a set of the pairs before it, so every message and its
+    # precedence are the same either way.
+    capped = True
     for u, v in zip(us, vs):
         if u >= n or v >= n:
             return CoverCheck(False, f"edge ({u}, {v}) out of range for n={n}", ())
-        key = u * n + v if u < v else v * n + u
-        if key in seen_pairs:
+        du, dv = deg[u], deg[v]
+        if du > 1 or dv > 1:
+            capped = False
+            break
+        if du and nbrs[2 * u] == v:
             a, b = (u, v) if u < v else (v, u)
             return CoverCheck(False, f"parallel edges between {a} and {b}", ())
-        seen_pairs.add(key)
-        du, dv = deg[u], deg[v]
-        if du < 2:
-            nbrs[2 * u + du] = v
-        if dv < 2:
-            nbrs[2 * v + dv] = u
+        nbrs[2 * u + du] = v
+        nbrs[2 * v + dv] = u
         deg[u] = du + 1
         deg[v] = dv + 1
+    if not capped:
+        deg = [0] * n
+        # Each pair a < b as the int a * n + b.
+        seen_pairs: set[int] = set()
+        for u, v in zip(us, vs):
+            if u >= n or v >= n:
+                return CoverCheck(False, f"edge ({u}, {v}) out of range for n={n}", ())
+            key = u * n + v if u < v else v * n + u
+            if key in seen_pairs:
+                a, b = (u, v) if u < v else (v, u)
+                return CoverCheck(False, f"parallel edges between {a} and {b}", ())
+            seen_pairs.add(key)
+            du, dv = deg[u], deg[v]
+            if du < 2:
+                nbrs[2 * u + du] = v
+            if dv < 2:
+                nbrs[2 * v + dv] = u
+            deg[u] = du + 1
+            deg[v] = dv + 1
 
     # Only the edges' ends are scanned, so a sparse cover of a large n costs
     # O(m) steps past the two allocations above.  The first over-degree

@@ -347,7 +347,8 @@ def _augmenting_path(
             remaining += 2
 
 
-_TableEntry = tuple[int, int, int, int, int]
+# A table entry: (heap key, weight, original end u, original end v).
+_TableEntry = tuple[int, int, int, int]
 
 
 def streaming_max_weight_matching(
@@ -377,21 +378,28 @@ def streaming_max_weight_matching(
     and the same greedy sweep then makes the matching maximal within the
     kernel.
 
-    A table is a list of entries in arrival order plus a dict from their
-    neighbours to their entries, so a copy no heavier than the one held is
-    dropped in one lookup.  When the list fills it becomes a heap whose
-    head is the entry the cap evicts, so no table is ever rescanned: an
-    eviction is one ``heapreplace``, and a heavier copy of a kept pair
-    replaces its entry, found by identity, and re-heapifies.  The head's
-    weight is the table's floor, held where the pass loop reads it, so an
-    arriving end at or below it is dropped with one comparison; that is
-    exact, as a pair a full table keeps has a copy at least as heavy as
-    the head.  The pass charges 2 words per table entry, its neighbour and
-    weight (the dict holds one reference per entry and is not charged
-    again), and 1 word per full table for its floor, charged as the table
-    fills and released when the pass ends.  The matched entries are
-    returned as int columns.  The run ends holding what it began with;
-    callers charge what they keep.
+    A table is a list of int heap keys in arrival order plus a dict from
+    the neighbours to their entries, so a copy no heavier than the one
+    held is dropped in one lookup.  A key packs an entry's weight, its
+    stream position counted down from a bound on the source's ``m``, and
+    its neighbour, so keys order as (weight, -position) do and the heap
+    compares plain ints.  When the list fills it becomes a heap whose head
+    is the entry the cap evicts, so no table is ever rescanned: an
+    eviction is one ``heapreplace``, whose key names the neighbour to drop
+    from the dict, and a heavier copy of a kept pair replaces its key and
+    re-heapifies.  The head's weight is the table's floor, held where the
+    pass loop reads it, so an arriving end at or below it is dropped with
+    one comparison; that is exact, as a pair a full table keeps has a copy
+    at least as heavy as the head.  The pass charges 2 words per table
+    entry, its neighbour and weight (the dict holds one reference per
+    entry and is not charged again), and 1 word per full table for its
+    floor.  Like the unweighted engine, it sums a block's growth and
+    charges it once, when it has visited the block, so a strict overrun
+    fires at the end of the block that crosses the budget; the tables
+    only grow during the pass, so every word peak is what charging each
+    entry as it arrives would give.  The floors are released when the
+    pass ends.  The matched entries are returned as int columns.  The run
+    ends holding what it began with; callers charge what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list for the reason given in streaming_max_matching.
@@ -399,13 +407,21 @@ def streaming_max_weight_matching(
 
     session.begin_run(label)
     cap = params.kernel_degree_cap
-    # Per viewed vertex, its table: the entries (weight, -position,
-    # neighbour, original end u, original end v) in arrival order, a heap
-    # from the moment the table fills, and a dict from each entry's
-    # neighbour to the entry.  The first two fields are unique within a
-    # table, so a full table's head is the one entry the cap evicts: the
-    # lightest, and the latest among equal weights.
-    tables: list[list[_TableEntry]] = [[] for _ in range(n_view)]
+    # A heap key is ((w << p_bits | last - pos) << y_bits) | y for the copy
+    # at stream position pos with weight w, in the table of a vertex whose
+    # neighbour is y.  Positions are below the source's m, so every field
+    # fits its bits, and the keys of a table differ in y: a full table's
+    # head is the one entry the cap evicts, the lightest, and the latest
+    # among equal weights.
+    y_bits = n_view.bit_length()
+    p_bits = source.m.bit_length()
+    w_shift = p_bits + y_bits
+    y_mask = (1 << y_bits) - 1
+    last = (1 << p_bits) - 1
+    # Per viewed vertex, its table: the keys, a heap from the moment the
+    # table fills, and a dict from each entry's neighbour to the entry
+    # (key, weight, original end u, original end v).
+    tables: list[list[int]] = [[] for _ in range(n_view)]
     nbrs: list[dict[int, _TableEntry]] = [{} for _ in range(n_view)]
     # Per vertex: the head weight of its table once full, else 0, which
     # every weight (>= 1) beats.  A pair a full table keeps holds a copy at
@@ -414,74 +430,81 @@ def streaming_max_weight_matching(
 
     # Positions only grow along a pass, so an arriving copy beats a kept
     # entry exactly when it is strictly heavier; the neighbour's entry in
-    # ``nbrs`` settles that in one lookup, and only a heavier copy looks
-    # for that entry in the table, where the scan stops at the same
-    # object, as no two entries of a table are equal.  The caller has
-    # checked that ``w`` beats the floor, so a new pair at a full table
-    # evicts the head.  A heavier copy moves its entry only away from the
-    # head.
-    def keep(x: int, y: int, w: int, npos: int, u: int, v: int) -> None:
-        tab = tables[x]
-        held = nbrs[x]
-        old = held.get(y)
-        if old is not None:
-            if w > old[0]:
-                tab[tab.index(old)] = held[y] = (w, npos, y, u, v)
-                if floor[x]:
-                    heapify(tab)
-                    floor[x] = tab[0][0]
-            return
-        entry = held[y] = (w, npos, y, u, v)
-        if floor[x]:
-            del held[heapreplace(tab, entry)[2]]
-            floor[x] = tab[0][0]
-            return
-        tab.append(entry)
-        session.charge(2)
-        if len(tab) == cap:
-            heapify(tab)
-            floor[x] = tab[0][0]
-            session.charge(1)
-
+    # ``nbrs`` settles that in one lookup, which files a new pair's entry
+    # in the same call, and only a heavier copy looks for that entry's key
+    # in the table.  An end at or below its table's floor is dropped first,
+    # so a new pair at a full table evicts the head.  A heavier copy moves
+    # its key only away from the head.
     def table_visit(pos0: int, us: Column, vs: Column, ws: Column) -> None:
-        for pos, u, v, w in zip(count(-pos0, -1), us, vs, ws):
+        if pos0 + len(us) > source.m:
+            raise ValueError(f"stream {source.name!r} yields more than its {source.m} edges")
+        words = 0
+        for r, u, v, w in zip(count(last - pos0, -1), us, vs, ws):
             a = target[u]
             b = target[v]
-            if a == b or a < 0 or b < 0:
+            if a == b or a < 0 or b < 0 or (w <= floor[a] and w <= floor[b]):
                 continue
-            if w > floor[a]:
-                keep(a, b, w, pos, u, v)
-            if w > floor[b]:
-                keep(b, a, w, pos, u, v)
+            high = (w << p_bits | r) << y_bits
+            for x, y in ((a, b), (b, a)):
+                if w <= floor[x]:
+                    continue
+                key = high | y
+                entry = (key, w, u, v)
+                held = nbrs[x]
+                old = held.setdefault(y, entry)
+                tab = tables[x]
+                if old is not entry:
+                    if w > old[1]:
+                        tab[tab.index(old[0])] = key
+                        held[y] = entry
+                        if floor[x]:
+                            heapify(tab)
+                            floor[x] = tab[0] >> w_shift
+                    continue
+                if floor[x]:
+                    del held[heapreplace(tab, key) & y_mask]
+                    floor[x] = tab[0] >> w_shift
+                    continue
+                tab.append(key)
+                words += 2
+                if len(tab) == cap:
+                    heapify(tab)
+                    floor[x] = tab[0] >> w_shift
+                    words += 1
+        if words:
+            session.charge(words)
 
     session.run_pass(table_visit)
     session.release(sum(map(bool, floor)))
-    del floor
+    # The kernel is read from the dicts, whose entries hold every key.
+    del floor, tables
 
     # Kernel entries (a, b, w, original triple) with a < b, one per pair,
     # taken from its lower end's table or from the only table that holds
     # it (both hold its best copy), in stream order, so an entry's index
     # orders it as its stream position does; from here on a kernel edge is
-    # named only by its index.
+    # named only by its index.  Each pair is sorted on its position
+    # counted down, which is unique.
     picked = [
-        (x, entry)
-        for x in range(n_view)
-        for entry in tables[x]
-        if x < entry[2] or x not in nbrs[entry[2]]
+        (key >> y_bits & last, x, y, w, u, v)
+        for x, held in enumerate(nbrs)
+        for y, (key, w, u, v) in held.items()
+        if x < y or x not in nbrs[y]
     ]
-    picked.sort(key=lambda xe: -xe[1][1])
+    table_words = 2 * sum(map(len, nbrs))
+    del nbrs
+    picked.sort(key=operator.itemgetter(0), reverse=True)
     kentries = [
         (x, y, w, (u, v, w)) if x < y else (y, x, w, (u, v, w))
-        for x, (w, _, y, u, v) in picked
+        for _, x, y, w, u, v in picked
     ]
+    del picked
     session.charge(3 * len(kentries))
-    for tab in tables:
-        session.release(2 * len(tab))
-    del tables, nbrs, picked
+    session.release(table_words)
 
     # Entry indices heaviest first; the sort is stable, so earliest first
     # on ties.  Per vertex: (weight, other end, entry index) in that order.
-    order = sorted(range(len(kentries)), key=lambda i: -kentries[i][2])
+    order = sorted(range(len(kentries)), key=[-e[2] for e in kentries].__getitem__)
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n_view)]
     for idx in order:
         u, v, w, _ = kentries[idx]
@@ -588,7 +611,7 @@ def _pick_swaps(
     ``kentries[i]`` is ``(a, b, w, original triple)``; ``rows[x]`` lists
     the kernel edges at ``x`` as ``(weight, other end, entry index)``,
     heaviest first and earliest first on ties; ``medge[x]`` is the entry
-    index of ``x``'s matched edge, or -1.  Vertex sets are bitmasks.
+    index of ``x``'s matched edge, or -1.
 
     The result is the greedy pick over all improving swaps sorted by
     ``(-gain, signature)``: a swap is taken unless it shares a vertex with
@@ -606,55 +629,82 @@ def _pick_swaps(
     Each search is depth first over explicit frames, one per tip the walk
     has left, so a walk's length is not bounded by Python's recursion
     limit.  A frame holds the rest of its tip's row, so backing up resumes
-    that row where the walk left it.
+    that row where the walk left it.  One flag per vertex marks the banned
+    vertices and the walk's own: a walk sets its vertices' flags as it
+    extends and clears them as it backs up, so no per-walk set is built.
 
     Each search is pruned by a bound, and the pruning is exact.  Let
-    ``top[x]`` be the heaviest kernel edge at ``x`` that is not matched, and
-    ``step`` the largest ``top[x] - w(x's matched edge)`` over matched
-    ``x``, or 0 if that is larger.  A walk at tip ``t`` with gain ``g`` and
-    ``room`` edges left that adds an edge of weight ``w`` next can record
-    no gain above ``g + w + ((room - 1) // 2) * step``: after that add,
+    ``top[x]`` be the heaviest kernel edge at ``x`` that is not matched,
+    read from the head of ``x``'s row: a row is heaviest first and holds
+    ``x``'s matched edge at most once, so ``top[x]`` is the weight of
+    ``row[0]``, or of ``row[1]`` when ``row[0]`` is the matched edge, or 0
+    when the row has nothing else.  Let ``step`` be the largest
+    ``top[x] - w(x's matched edge)`` over matched ``x``, or 0 if that is
+    larger.  A walk at tip ``t`` with gain ``g`` and ``room`` edges left
+    that adds an edge of weight ``w`` next can record no gain above
+    ``g + w + ((room - 1) // 2) * step``: after that add,
     each further add first drops the matched edge at its tail ``x`` and
     then adds an unmatched edge at ``x`` (a net of at most ``step``, for
     two units of room), and a final drop only subtracts, because weights
     are at least 1.  Rows are heaviest first, so once an edge fails the
     bound every later edge at ``t`` fails it too and ``t``'s frame ends; a
     walk is extended through ``mate`` only if ``top[mate]`` passes it.
-    No pruned branch could have reached a swap at or above the search's
-    best, and the depth-first order is the unpruned one, so each level
-    and each swap's first walk are what the unpruned search finds.
+    Each matched vertex's mate, its matched weight, and its mate's ``top``
+    less that weight are read once per call into plain lists.  No pruned
+    branch could have reached a swap at or above the search's best, and
+    the depth-first order is the unpruned one, so each level and each
+    swap's first walk are what the unpruned search finds.
     """
     n_view = len(rows)
     cut0 = thr_num // thr_mul
-    top = [next((w for w, _, i in rows[x] if i != medge[x]), 0) for x in range(n_view)]
-    step = max([0] + [top[x] - kentries[medge[x]][2] for x in range(n_view) if medge[x] >= 0])
+    # Per matched vertex: its mate and its matched edge's weight.
+    mates = [-1] * n_view
+    mw = [0] * n_view
+    for x, i in enumerate(medge):
+        if i >= 0:
+            a, b, mw[x], _ = kentries[i]
+            mates[x] = b if a == x else a
+    # ``top`` from each row's first two entries, as the docstring says.
+    top = [0] * n_view
+    for x, row in enumerate(rows):
+        if row:
+            if row[0][2] != medge[x]:
+                top[x] = row[0][0]
+            elif len(row) > 1:
+                top[x] = row[1][0]
+    step = max([0] + [top[x] - mw[x] for x in range(n_view) if mates[x] >= 0])
+    # Per matched vertex x: the mate's ``top`` less x's matched weight, the
+    # most a walk that drops x's matched edge gains by its next add.
+    lift = [top[y] - w if y >= 0 else 0 for y, w in zip(mates, mw)]
     picks: list[_Swap] = []
-    banned = 0
+    # 1 for a vertex no walk may enter: a banned one or, while a walk is
+    # out, one of the walk's own.
+    seen = [0] * n_view
     # A frame per tip a walk has left, to resume once the tip's own row is
-    # done: the rest of the tip's row, the visited mask (``banned`` plus the
-    # walk), the gain and the room.  Every start leaves it empty.
-    frames: list[tuple[Iterator[tuple[int, int, int]], int, int, int]] = []
+    # done: the rest of the tip's row, the gain and the room.  Every start
+    # leaves it empty.
+    frames: list[tuple[Iterator[tuple[int, int, int]], int, int]] = []
     while True:
         # This search: its cut, its best gain, and the swaps at that gain by
-        # signature, with their adds, drops and vertex mask.
+        # signature, with their adds and drops.
         cut = best = cut0
-        level: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        level: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for s in range(n_view):
-            if (banned >> s) & 1:
+            if seen[s]:
                 continue
             # The walk from ``s``: its adds and drops, and the vertex it may
             # close a cycle at, which is ``s`` if that was matched; then the
-            # walk's first drop is the start's own.
+            # walk's first drop is the start's own, and its first tip is the
+            # start's mate.
             drop = medge[s]
             if drop < 0:
                 adds, drops, close = [], [], -1
-                tip, visited, gain, room = s, banned | (1 << s), 0, limit
+                first, gain, room = s, 0, limit
             else:
-                a, b, dw, _ = kentries[drop]
-                tip = b if a == s else a
                 adds, drops, close = [], [drop], s
-                visited, gain, room = banned | (1 << s) | (1 << tip), -dw, limit - 1
-            row = iter(rows[tip])
+                first, gain, room = mates[s], -mw[s], limit - 1
+            seen[s] = seen[first] = 1
+            row = iter(rows[first])
             while True:
                 # The bound's step terms at this tip and at the next one.
                 base = gain + (room - 1) // 2 * step
@@ -664,35 +714,29 @@ def _pick_swaps(
                     if w + base <= cut:
                         break
                     reach = gain + w
-                    # The tip's own matched edge leads back to a visited
-                    # vertex, or, at the first step from a matched start,
+                    # The tip's own matched edge leads back to a vertex on the
+                    # walk, or, at the first step from a matched start,
                     # closes at the start with gain 0, which no cut (at
                     # least ``cut0 >= 0``) admits.
-                    if (visited >> nxt) & 1:
+                    if seen[nxt]:
                         if nxt != close:
                             continue
                         drop = -1
-                        walk = visited
                     else:
                         drop = medge[nxt]
-                        if drop < 0:
-                            walk = visited | (1 << nxt)
-                        elif room < 2:
-                            continue
-                        else:
-                            # ``visited`` is ``banned`` plus this walk, and
-                            # every walk holds each matched vertex on it with
-                            # its mate, so ``mate`` is unvisited too.
-                            a, b, dw, _ = kentries[drop]
-                            mate = b if a == nxt else a
-                            reach -= dw
-                            # A record here lifts the cut to at most reach - 1,
+                        if drop >= 0:
+                            if room < 2:
+                                continue
+                            # Every walk and every banned set holds each
+                            # matched vertex on it with its mate, so the
+                            # mate of an unseen ``nxt`` is unseen too.  A
+                            # record here lifts the cut to at most reach - 1,
                             # which top[mate] >= 0 still clears, so deeper
                             # stays as computed.
-                            deeper = room >= 3 and reach + top[mate] + ahead > cut
+                            deeper = room >= 3 and reach + lift[nxt] + ahead > cut
+                            reach -= mw[nxt]
                             if reach <= cut and not deeper:
                                 continue
-                            walk = visited | (1 << nxt) | (1 << mate)
                     if reach > cut:
                         if reach > best:
                             level = {}
@@ -701,32 +745,38 @@ def _pick_swaps(
                         swap_adds = (*adds, idx)
                         swap_drops = (*drops, drop) if drop >= 0 else tuple(drops)
                         signature = tuple(sorted(swap_adds + swap_drops))
-                        # The first walk of a signature is kept; its visited
-                        # mask holds the banned vertices too.
+                        # The first walk of a signature is kept.
                         if signature not in level:
-                            level[signature] = (swap_adds, swap_drops, walk ^ banned)
+                            level[signature] = (swap_adds, swap_drops)
                     if deeper:
                         adds.append(idx)
                         drops.append(drop)
-                        frames.append((row, visited, gain, room))
-                        row, visited, gain, room = iter(rows[mate]), walk, reach, room - 2
+                        frames.append((row, gain, room))
+                        mate = mates[nxt]
+                        seen[nxt] = seen[mate] = 1
+                        row, gain, room = iter(rows[mate]), reach, room - 2
                         break
                 # ``deeper`` ends set only after a push, as an edge that sets
                 # it pushes.  Otherwise the tip's row is done, and the walk
-                # backs up to the tip before it.
+                # backs up to the tip before it, leaving the ends of the
+                # matched edge it dropped to reach this tip.
                 if not deeper:
                     if not frames:
                         break
-                    row, visited, gain, room = frames.pop()
+                    row, gain, room = frames.pop()
                     adds.pop()
-                    drops.pop()
+                    a, b, _, _ = kentries[drops.pop()]
+                    seen[a] = seen[b] = 0
+            seen[s] = seen[first] = 0
         if not level:
             break
+        # A swap's vertices are the ends of its edges.
         for signature in sorted(level):
-            swap_adds, swap_drops, mask = level[signature]
-            if not mask & banned:
-                banned |= mask
-                picks.append((best, signature, swap_adds, swap_drops))
+            ends = {x for i in signature for x in kentries[i][:2]}
+            if not any(seen[x] for x in ends):
+                for x in ends:
+                    seen[x] = 1
+                picks.append((best, signature, *level[signature]))
     return picks
 
 

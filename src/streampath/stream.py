@@ -63,7 +63,8 @@ class EdgeStreamSource:
     A source is its header, ``name``, ``n``, ``m`` and ``weighted``, and
     its passes, ``blocks()``: an iterator of non-empty blocks of the stream
     as equal-length int columns ``(us, vs, ws)`` (``ws`` is all 1 on an
-    unweighted stream).  ``blocks()`` must yield the same edge sequence
+    unweighted stream), ``m`` edges in all; the weighted engine refuses a
+    pass that yields more.  ``blocks()`` must yield the same edge sequence
     every time it is called; where it cuts that sequence into blocks is
     the source's choice.  A caller must not modify a block.  The file
     source enforces this: a pass over a file rewritten since it was opened
@@ -83,9 +84,9 @@ class EdgeStreamSource:
         return chain.from_iterable(zip(*block) for block in self.blocks())
 
 
-# Edges per block of an in-memory pass.  The unweighted engine charges the
-# words it retains once per block, so this also sets how far into a pass
-# its strict overrun can run before it fires.
+# Edges per block of an in-memory pass.  Both engines charge the words
+# they retain once per block, so this also sets how far into a pass a
+# strict overrun can run before it fires.
 _SLICE_EDGES = 8192
 
 
@@ -415,9 +416,9 @@ class StreamSession:
 
     In strict mode the first ``charge`` that pushes retained state past the
     budget raises ``BudgetExceededError``; otherwise the overrun is only
-    recorded in the report.  The unweighted engine charges a pass's growth
-    once per block, so its overrun fires at the end of the block that
-    crosses the budget, inside that pass.  ``begin_run``/``end_run``
+    recorded in the report.  Both engines charge a pass's growth once per
+    block, so an overrun fires at the end of the block that crosses the
+    budget, inside that pass.  ``begin_run``/``end_run``
     bracket one engine invocation so multi-run pipelines can attribute
     resources per phase.  A run ends holding what it began with, or
     ``end_run`` raises; callers charge what they carry between runs.
@@ -441,10 +442,11 @@ class StreamSession:
     def charge(self, words: int) -> None:
         """Add ``words`` of retained state; in strict mode, fail past the budget.
 
-        The check runs once per call.  An engine that sums a block's
-        growth and charges it at the end of the block therefore overruns
-        at the end of the block that crosses the budget; its peaks are
-        unchanged as long as its state only grows during the pass.
+        The check runs once per call.  Both engines sum a block's growth
+        and charge it at the end of the block, so each overruns at the end
+        of the block that crosses the budget; their peaks are those of
+        charging each entry as it arrives, as their state only grows
+        during the pass.
         """
         if words < 0:
             raise ValueError("cannot charge negative words")

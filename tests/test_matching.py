@@ -39,7 +39,14 @@ from streampath.matching import (
 )
 from streampath.pathcover import two_phase_path_cover
 from streampath.prng import SplitMix64
-from streampath.stream import FileEdgeSource, InMemoryEdgeSource, open_session
+from streampath import stream
+from streampath.stream import (
+    BudgetExceededError,
+    EdgeStreamSource,
+    FileEdgeSource,
+    InMemoryEdgeSource,
+    open_session,
+)
 
 
 def _run_unweighted(g: Graph, eps: str) -> tuple[Matching, object]:
@@ -868,6 +875,88 @@ def test_scan_cap_takes_its_weight_bits_from_the_kernel(monkeypatch):
     assert len(scans) == 64 + 8 * n_view * k * k * (3 + n_view.bit_length() + 4) == 2008
 
 
+class _CountedSource(EdgeStreamSource):
+    """Another source's stream, counting the blocks its passes have read."""
+
+    def __init__(self, inner: EdgeStreamSource) -> None:
+        self.name, self.n, self.m, self.weighted = inner.name, inner.n, inner.m, inner.weighted
+        self.inner = inner
+        self.read = 0
+
+    def blocks(self):
+        for block in self.inner.blocks():
+            self.read += 1
+            yield block
+
+
+def _multi_block_weighted(n: int, seed: int) -> Graph:
+    """A seeded weighted multigraph of three in-memory blocks on ``n`` vertices."""
+    rng = SplitMix64(seed)
+    triples = []
+    while len(triples) < 3 * stream._SLICE_EDGES:
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            triples.append((u, v, rng.randint(1, 1000)))
+    return Graph.from_pairs(n, triples, weighted=True)
+
+
+def test_weighted_strict_overrun_fires_at_the_end_of_the_first_block():
+    # The pass sums a block's growth and charges it once, so a budget the
+    # first few edges cross fails when that block is done, before the
+    # second is read, and the ledger then holds the block's whole growth:
+    # 2 words per table entry and 1 per full table.  After a prefix of the
+    # stream, a table holds min(cap, distinct neighbours in it) entries.
+    g = _multi_block_weighted(1000, 5)
+    assert g.m > 2 * stream._SLICE_EDGES
+    params = ApproxParams.parse("1/3")
+    cap = params.kernel_degree_cap
+    first = stream._SLICE_EDGES
+    pairs = {(min(e.u, e.v), max(e.u, e.v)) for e in g.edges[:first]}
+    degree = Counter(x for pair in pairs for x in pair)
+    grown = sum(2 * min(d, cap) + (d >= cap) for d in degree.values())
+    assert any(d >= cap for d in degree.values())
+    src = _CountedSource(InMemoryEdgeSource(g))
+    sess = open_session(src, words_budget=50, strict=True)
+    with pytest.raises(BudgetExceededError) as err:
+        streaming_max_weight_matching(src, params, sess)
+    assert src.read == 1
+    assert str(err.value) == f"retained {grown} words, budget 50"
+    assert sess.words_in_use == grown
+
+
+def test_weighted_engine_refuses_a_stream_longer_than_its_m():
+    # a table's heap keys hold a copy's position in the bits the source's m
+    # needs, so a stream past m would misorder them
+    g = Graph.from_pairs(4, [(0, 1, 5), (1, 2, 6), (2, 3, 7)], weighted=True)
+    params = ApproxParams.parse("1/3")
+    src = InMemoryEdgeSource(g)
+    src.m = 2
+    with pytest.raises(ValueError, match="yields more than its 2 edges"):
+        streaming_max_weight_matching(src, params, open_session(src, k=params.k))
+
+
+@pytest.mark.parametrize(
+    "n, seed, eps, words_peak, size, weight",
+    [
+        (300, 1, "1/3", 20016, 150, 147968),
+        (300, 2, "1/2", 13494, 150, 147744),
+        (3000, 3, "1/3", 164853, 1495, 1314038),
+    ],
+)
+def test_weighted_multi_block_runs_keep_their_peaks(n, seed, eps, words_peak, size, weight):
+    # Charging once per block leaves every peak where charging each table
+    # entry as it arrived put it; pinned from the per-entry engine.
+    g = _multi_block_weighted(n, seed)
+    params = ApproxParams.parse(eps)
+    src = InMemoryEdgeSource(g)
+    sess = open_session(src, k=params.k)
+    m = streaming_max_weight_matching(src, params, sess)
+    report = sess.report()
+    assert report.runs == (stream.RunRecord("weighted-matching", 1, words_peak),)
+    assert (report.words_peak, report.budget_exceeded) == (words_peak, False)
+    assert (m.size, m.weight) == (size, weight)
+
+
 # --- the pruned swap search ------------------------------------------------------
 
 
@@ -1006,14 +1095,46 @@ def _swap_kernel(n: int, seed: int, weights: tuple[int, int] = (1, 9)):
     return kentries, adj, [{key: index[key] for key in keys} for keys in matchings]
 
 
+def _fixed_kernel(n: int, triples: list[tuple[int, int, int]], matched: list[tuple[int, int]]):
+    """``_swap_kernel``'s layout for the given edges, with an empty matching
+    and the one given."""
+    kentries = [(u, v, w, pos, (u, v, w)) for pos, (u, v, w) in enumerate(triples)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for idx, (u, v, _, _, _) in enumerate(kentries):
+        adj[u].append(idx)
+        adj[v].append(idx)
+    for lst in adj:
+        lst.sort(key=lambda i: (-kentries[i][2], kentries[i][3]))
+    index = {(u, v): idx for idx, (u, v, _, _, _) in enumerate(kentries)}
+    return kentries, adj, [{}, {key: index[key] for key in matched}]
+
+
 def test_pruned_swap_search_matches_the_unpruned_reference():
     free_ends = cycles = tied_picks = long_limits = 0
+    # Vertices whose row holds only their matched edge, so ``top`` is 0,
+    # and whose matched edge heads a longer row, so ``top`` is row[1].
+    top_zero = top_second = 0
     # Random weights, then one weight everywhere: there many swaps tie at
     # the top gain, so levels of several picks and the signature
     # tie-break are exercised.
-    for weights, seed in product(((1, 9), (5, 5)), range(27)):
-        n = 6 + seed % 9
-        kentries, adj, matchings = _swap_kernel(n, seed, weights)
+    kernels = [
+        _swap_kernel(6 + seed % 9, seed, weights)
+        for weights, seed in product(((1, 9), (5, 5)), range(27))
+    ]
+    # A star matched at a leaf, and a path whose matched edges are the
+    # heaviest at their ends, with one improving augmenting path of 7 edges.
+    kernels.append(
+        _fixed_kernel(7, [(0, x, w) for x, w in zip(range(1, 7), (3, 5, 2, 5, 4, 1))], [(0, 2)])
+    )
+    kernels.append(
+        _fixed_kernel(
+            8,
+            [(0, 1, 8), (1, 2, 9), (2, 3, 8), (3, 4, 9), (4, 5, 8), (5, 6, 9), (6, 7, 8)],
+            [(1, 2), (3, 4), (5, 6)],
+        )
+    )
+    for kentries, adj, matchings in kernels:
+        n = len(adj)
         rows = [
             [(kentries[i][2], kentries[i][1] if kentries[i][0] == x else kentries[i][0], i)
              for i in adj[x]]
@@ -1028,6 +1149,10 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
             for (u, v), idx in matched.items():
                 partner[u], partner[v] = v, u
                 medge[u] = medge[v] = idx
+            for x, row in enumerate(rows):
+                if row and row[0][2] == medge[x]:
+                    top_zero += len(row) == 1
+                    top_second += len(row) > 1
             weight = sum(kentries[idx][2] for idx in matched.values())
             for k in (2, 3, 4):
                 # No walk has more than 2 * len(matched) + 1 edges, so here
@@ -1044,7 +1169,7 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
                     assert got == [
                         (gain, sig, adds, tuple(matched[key] for key in drops))
                         for gain, sig, adds, drops in want
-                    ], (weights, seed, sorted(matched), k, thr_num)
+                    ], (kentries, sorted(matched), k, thr_num)
                     tied_picks += sum(a[0] == b[0] for a, b in zip(want, want[1:]))
                     for _, _, adds, drops in every:
                         ends = {x for i in adds for x in kentries[i][:2]}
@@ -1052,6 +1177,7 @@ def test_pruned_swap_search_matches_the_unpruned_reference():
                         free_ends += len(adds) > len(drops)
                         cycles += bool(drops) and ends == dropped
     assert free_ends and cycles and tied_picks and long_limits
+    assert top_zero and top_second
 
 
 # --- oracles ------------------------------------------------------------------------
