@@ -6,13 +6,11 @@ of incident kernel edges per vertex, and all further improvement happens
 offline on those rows.
 
 * ``streaming_max_matching`` builds the greedy maximal matching in the
-  same pass, then eliminates augmenting paths of length 3 to 2k - 1 inside
-  the kernel, in increasing length order, flipping each path when found.
-  One sweep per length suffices with no vertex barred: after a shortest
-  augmenting path is flipped, any that meets it is longer (Hopcroft-Karp).
-  The pass keeps no set of pairs, as the rows tell a repeated pair, and
-  holds the kept pairs' original ends and weights in 64-bit arrays, so
-  what it keeps is the rows, the partners and those columns.
+  same pass, then makes it maximum on the kernel with one Edmonds blossom
+  search from each free vertex.  The pass keeps no set of pairs, as the
+  rows tell a repeated pair, and holds the kept pairs' original ends and
+  weights in 64-bit arrays, so it keeps the rows, the partners and those
+  columns.
 * ``streaming_max_weight_matching`` keeps per-vertex tables of the
   heaviest incident edges, each a heap once full, so an eviction never
   rescans a table and a losing edge costs one comparison against the
@@ -27,12 +25,13 @@ Guarantee tiers, stated precisely because the kernel cap matters:
 
 * Whenever the kernel retains every distinct endpoint pair (in particular
   whenever the deduplicated degree is at most the cap of 6k; each engine's
-  docstring gives its exact keep rule), the unweighted engine returns at
-  least k/(k+1) >= 1 - epsilon of the maximum matching, and the weighted
-  engine at least (k/(k+1)) / (1 + epsilon/4) >= 1 - epsilon of the
-  maximum weight matching.
-* Unconditionally, the unweighted result is a maximal matching (>= 1/2 of
-  optimum) and the weighted result is locally optimal within the kernel.
+  docstring gives its exact keep rule), the unweighted engine returns a
+  maximum matching of the viewed graph, a fortiori at least k/(k+1) >= 1 -
+  epsilon of it, and the weighted engine at least (k/(k+1)) / (1 +
+  epsilon/4) >= 1 - epsilon of the maximum weight matching.
+* Unconditionally, the unweighted result is a maximum matching of the
+  kernel and a maximal one of the viewed graph (>= 1/2 of optimum), and
+  the weighted result is locally optimal within the kernel.
 
 The cap binds whenever some vertex has more than 6k distinct neighbours in
 the viewed stream.  The oracle-checked sweeps stay below it, but complete
@@ -75,9 +74,9 @@ class ApproxParams:
     """Quality knob shared by the engines.
 
     ``epsilon`` is an exact Fraction in (0, 1); ``k = ceil(1/epsilon)`` is
-    derived and below 2^63.  The engines remove augmenting structures of
-    up to ``2k - 1`` edges, which is what buys the k/(k+1) fraction of
-    optimum.
+    derived and below 2^63.  The weighted engine removes augmenting
+    structures of up to ``2k - 1`` edges, which is what buys its k/(k+1)
+    fraction of optimum; the unweighted engine needs ``k`` only for its cap.
     """
 
     epsilon: Fraction
@@ -120,25 +119,22 @@ def streaming_max_matching(
     either end's row holds fewer than ``6k``, so a row may pass ``6k`` but
     the kernel holds at most ``6k * n_view + n_view // 2`` pairs, and every
     pair is kept unless one arrives unmatched with both rows full.
-    Augmenting paths are then eliminated offline on the kernel, shortest
-    first, until none of at most ``2k - 1`` edges is left or the matching
-    leaves no more free vertices than the kernel has odd components, which
-    makes it maximum on the kernel (Tutte-Berge).  A kernel with a Tutte
-    obstruction, such as two pendant vertices on one vertex, never meets
-    that stop, and its sweep runs every length.  Edge weights are ignored.
+    Offline, ``_augment_on_kernel`` makes the matching maximum on the
+    kernel, so on the viewed graph whenever the kernel kept every pair, in
+    work that does not grow with ``k``.  Edge weights are ignored.
     The engine reads the stream through ``view.target`` when a view is
     given: an edge with a banned end, or with both ends in one class, is
     dropped.  The returned edges are original stream edges (pre-view), in
     arrival order; their viewed endpoints are disjoint, and so are their
-    original ones, as each original vertex has one viewed id.  The pass
-    keeps no set of pairs: a later copy of a kept pair is recognised from
-    the rows, and each kept pair's first copy is held in 64-bit columns of
-    original ends and weights.  The rows are dropped once the offline
-    phase is done, and the matching is returned as the entries of those
-    columns whose viewed ends are partners, so no ``Edge`` is built.
-    Each kept pair is charged 3 words as a kernel edge, for as long as it
-    is held, and 3 more while matched.  The run ends holding what it
-    began with; callers charge what they keep.
+    original ones, as each original vertex has one viewed id.  A later
+    copy of a kept pair is recognised from the rows, and each kept pair's
+    first copy is held in 64-bit columns of original ends and weights.
+    The rows are dropped once the offline phase is done, and the matching
+    is returned as the entries of those columns whose viewed ends are
+    partners, so no ``Edge`` is built.  Each kept pair is charged 3 words
+    as a kernel edge, for as long as it is held, and 3 more while matched;
+    the offline phase charges 3 words per viewed vertex while it runs.
+    The run ends holding what it began with; callers charge what they keep.
     """
     n_view = view.n_new if view is not None else source.n
     # A list, not a range: indexing a range makes a new int per lookup, and
@@ -196,7 +192,7 @@ def streaming_max_matching(
             session.charge(words)
 
     session.run_pass(visit)
-    _augment_on_kernel(partner, rows, params.max_swap_edges, session)
+    _augment_on_kernel(partner, rows, session)
     # Nothing reads the rows from here on, so they go before the result is
     # built.  Every matched pair is kept, and the columns are in stream
     # order; the indices of the kept pairs whose viewed ends are partners
@@ -213,138 +209,140 @@ def streaming_max_matching(
 def _augment_on_kernel(
     partner: list[int | None],
     rows: list[list[int]],
-    max_len: int,
     session: StreamSession,
 ) -> None:
-    """Flip augmenting paths as they are found, shortest lengths first.
+    """Flip augmenting paths until the matching is maximum on the kernel.
 
-    Each length 3, 5, ..., max_len tries every free vertex once; length 1
-    would find nothing, as the pass matched each pair arriving with both
-    ends free and unset no partner.  By the lemma of Hopcroft and Karp
-    (1973), flipping a shortest augmenting path P makes no path shorter,
-    and any that then meets P has >= |P| + 2 edges.  So a length-L path
-    left after flips avoids all of them and was there before, and one
-    sweep per length, with no vertex barred, leaves no augmenting path of
-    length <= max_len among the retained edges, nor one shorter than L
-    while length L is swept.  No simple path has more than
-    ``len(rows) - 1`` edges, so the sweep stops there; an empty row cannot
-    start a path.  A flip re-partners the path's vertex pairs, which drops
-    the matched edges it ran along, still kernel edges, and adds one
-    matched edge of 3 words.
-
-    The sweep also stops once the matching is provably maximum on the
-    kernel: by the Tutte-Berge formula with U empty, a matching that leaves
-    no more free vertices than the kernel has components of odd order
-    leaves no augmenting path of any length, so every later search would
-    fail.  The free vertices with a kernel edge are counted as the sweep
-    goes, two fewer per flip; the odd components are counted once, before
-    length 7, so a run at epsilon >= 1/3, which sweeps no length past 5,
-    never pays for the count.  The stop cannot fire when a Tutte
-    obstruction is present: a nonempty vertex set U whose removal leaves
-    more than ``|U|`` odd components beyond the kernel's own, as two
-    pendant vertices on one vertex do.  Then even a maximum matching leaves
-    more free vertices than the count, and the sweep runs every length.
+    One Edmonds search (Edmonds, "Paths, trees, and flowers", 1965) runs
+    from each free vertex with a kernel edge, in vertex order, and flips
+    the augmenting path it finds, of any length.  A free vertex with no
+    augmenting path gains none after later flips (Lovasz and Plummer,
+    *Matching Theory*, 1986), and no augmenting path, now or later, meets
+    the Hungarian tree such a search grew, so its vertices are dead for
+    every later search.  The searches stop once fewer than two live free
+    vertices are left.  The search's three per-vertex arrays are charged a
+    word per slot while held, and a flip adds a matched edge of 3 words;
+    a search's lists hold each vertex and row entry it reads at most once.
     """
     n_view = len(rows)
-    # The free vertices with a kernel edge: every matched vertex has one.
+    # The live free vertices with a kernel edge: every matched vertex has one.
     free = sum(map(bool, rows)) - (n_view - partner.count(None))
-    # Below every count of free vertices: no stop until length 7 counts.
-    odd = -1
-    for length in range(3, min(max_len, n_view - 1) + 1, 2):
-        if length == 7:
-            odd = _odd_components(rows)
-        for s in range(n_view):
-            if partner[s] is not None or not rows[s]:
-                continue
-            if free <= odd:
-                return
-            path = _augmenting_path(s, length, partner, rows)
-            if path is None:
-                continue
-            ends = iter(path)
-            for a, b in zip(ends, ends):
-                partner[a] = b
-                partner[b] = a
-            session.charge(3)
-            free -= 2
-
-
-def _odd_components(rows: list[list[int]]) -> int:
-    """How many components of the kernel have an odd number of vertices.
-
-    Only vertices with a kernel edge count: one with an empty row is free
-    whatever the matching, and ``_augment_on_kernel`` does not count it
-    among the free vertices either.  One depth-first walk over the rows.
-    """
-    seen = bytearray(len(rows))
-    odd = 0
-    for s, row in enumerate(rows):
-        if seen[s] or not row:
+    label = [0] * n_view
+    parent = [-1] * n_view
+    link = [-1] * n_view
+    session.charge(3 * n_view)
+    for s in range(n_view):
+        if free < 2:
+            break
+        if partner[s] is not None or not rows[s]:
             continue
-        seen[s] = 1
-        stack = [s]
-        size = 0
-        while stack:
-            size += 1
-            for y in rows[stack.pop()]:
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-        odd += size & 1
-    return odd
+        free -= 1
+        if _blossom_search(s, partner, rows, label, parent, link):
+            session.charge(3)
+            free -= 1
+    session.release(3 * n_view)
 
 
-def _augmenting_path(
+# A vertex's label in ``_blossom_search``: 0 for a live vertex outside the tree.
+_ODD, _EVEN, _SCANNED, _DEAD = 1, 2, 3, 4
+
+
+def _base(link: list[int], x: int) -> int:
+    """The base of the blossom that holds ``x``, halving the path to it."""
+    while link[x] >= 0:
+        if link[link[x]] >= 0:
+            link[x] = link[link[x]]
+        x = link[x]
+    return x
+
+
+def _blossom_search(
     s: int,
-    length: int,
     partner: list[int | None],
     rows: list[list[int]],
-) -> list[int] | None:
-    """First augmenting path of at most ``length`` edges starting at free ``s``.
+    label: list[int],
+    parent: list[int],
+    link: list[int],
+) -> bool:
+    """Flip an augmenting path from free ``s``, or mark its tree dead.
 
-    Deterministic: neighbors are tried in arrival order.  Returns the
-    path's vertices from ``s`` to a free end, or None; its pairs at
-    positions (0, 1), (2, 3), ... are the kernel edges to match, and the
-    pairs in between are matched edges.  No vertex is barred, and the path
-    has exactly ``length`` edges, as none shorter is left when the sweep
-    calls this; see ``_augment_on_kernel``.
-
-    One explicit stack, so the search depth is not bounded by Python's
-    recursion limit, and one visited set, grown on descent and shrunk on
-    backtrack.  The visited set is the path itself: the free ``s`` and
-    matched pairs ``(v, partner[v])``.  So the tip's own partner is
-    visited, and the mate of an unvisited ``v`` is not; neither needs a
-    test of its own.
+    The tree grows breadth first, reading each even vertex's row in
+    arrival order.  ``parent`` is the even vertex that reached an odd one
+    and is written before it is read, so it is never reset; ``link`` leads
+    each vertex to its blossom's base in a union-find forest, -1 at a base.
+    An edge between two even vertices is only recorded, when its second
+    end is scanned, as most searches reach a free vertex first.  Once no
+    even vertex is left to scan, each recorded edge between two blossoms
+    is contracted, and the odd vertices that join a blossom are scanned as
+    even ones.  As in e-maxx's ``mark_path``, a contraction walks from both
+    ends to the common base, pointing each walked even vertex's ``parent``
+    back along the cycle, and merges the bases it met only after both
+    walks, lest one stop at a base the other merged.
     """
-    path = [s]
-    visited = {s}
-    # The rest of the row still to try at s and at each mate on the path.
-    frames = [iter(rows[s])]
-    remaining = length
+    queue = [s]
+    pending: list[tuple[int, int]] = []
+    label[s] = _EVEN
+    head = 0
     while True:
-        for v in frames[-1]:
-            if v in visited:
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            label[v] = _SCANNED
+            for w in rows[v]:
+                if label[w]:
+                    if label[w] == _SCANNED:
+                        pending.append((v, w))
+                    continue
+                parent[w] = v
+                mate = partner[w]
+                if mate is None:
+                    # Flip the path back to s, then reset the tree: each odd
+                    # vertex is now the partner of an even one.
+                    x: int | None = w
+                    while x is not None:
+                        y = parent[x]
+                        partner[x], partner[y], x = y, x, partner[y]
+                    for x in queue:
+                        label[x] = label[partner[x]] = 0
+                        link[x] = -1
+                    return True
+                label[w] = _ODD
+                label[mate] = _EVEN
+                queue.append(mate)
+        for v, w in pending:
+            a = _base(link, v)
+            b = _base(link, w)
+            if a == b:
                 continue
-            mate = partner[v]
-            if mate is None:
-                path.append(v)
-                return path
-            if remaining == 1:
-                continue
-            path.append(v)
-            path.append(mate)
-            visited.add(v)
-            visited.add(mate)
-            frames.append(iter(rows[mate]))
-            remaining -= 2
-            break
-        else:
-            frames.pop()
-            if not frames:
-                return None
-            visited.discard(path.pop())
-            visited.discard(path.pop())
-            remaining += 2
+            # The common base: the first base up from b that is up from a.
+            up = {a}
+            while partner[a] is not None:
+                a = _base(link, parent[partner[a]])
+                up.add(a)
+            while b not in up:
+                b = _base(link, parent[partner[b]])
+            merged = []
+            for x, child in ((v, w), (w, v)):
+                while (y := _base(link, x)) != b:
+                    mate = partner[x]
+                    merged += (y, _base(link, mate))
+                    parent[x] = child
+                    if label[mate] == _ODD:
+                        label[mate] = _EVEN
+                        queue.append(mate)
+                    child = mate
+                    x = parent[mate]
+            for y in merged:
+                if y != b:
+                    link[y] = b
+        pending.clear()
+        if head == len(queue):
+            # Each odd vertex is the partner of an even one other than s.
+            label[s] = _DEAD
+            for x in queue[1:]:
+                label[x] = label[partner[x]] = _DEAD
+            return False
+
 
 
 # A table entry: (heap key, weight, original end u, original end v).

@@ -147,44 +147,25 @@ def test_long_augmenting_path_needs_no_recursion():
 
 def test_searches_start_only_at_vertices_with_kernel_edges(monkeypatch):
     # a header n far above the touched vertices: a vertex with an empty
-    # kernel row cannot start an augmenting path, so it is never searched
+    # kernel row cannot start an augmenting path, so it is never searched.
+    # Greedy leaves 0, 3, 12 and 13 free.  The search from 0 flips
+    # 0-1=2-3; the one from 12 fails, and with 13 the only live free vertex
+    # left, no search starts from it.
     from streampath import matching
 
     calls = []
-    search = matching._augmenting_path
+    search = matching._blossom_search
 
     def counted(s, *rest):
         calls.append(s)
         return search(s, *rest)
 
-    monkeypatch.setattr(matching, "_augmenting_path", counted)
+    monkeypatch.setattr(matching, "_blossom_search", counted)
     n = 20_000
-    g = Graph.from_pairs(n, [(1, 2), (0, 1), (2, 3), (7, 8), (n - 2, n - 1)])
-    touched = {v for e in g.edges for v in e.pair}
-    params = ApproxParams.parse("1/3")
-    m, _ = _run_unweighted(g, "1/3")
-    assert m.size == 4
-    assert 0 < len(calls) <= len(touched) * params.k
-    assert set(calls) <= touched
-
-
-def test_tiny_epsilon_sweeps_no_length_past_the_longest_simple_path(monkeypatch):
-    # k = 10^4 allows augmenting paths of 19,999 edges, but on n vertices
-    # no simple path has more than n - 1
-    from streampath import matching
-
-    calls = []
-    search = matching._augmenting_path
-
-    def counted(s, *rest):
-        calls.append(s)
-        return search(s, *rest)
-
-    monkeypatch.setattr(matching, "_augmenting_path", counted)
-    g = Graph.from_pairs(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    m, _ = _run_unweighted(g, f"1/{10**4}")
-    assert m.size == 1
-    assert 0 < len(calls) <= g.n * g.n
+    pairs = [(1, 2), (0, 1), (2, 3), (7, 8), (10, 11), (10, 12), (10, 13), (n - 2, n - 1)]
+    m, _ = _run_unweighted(Graph.from_pairs(n, pairs), "1/3")
+    assert m.size == 5
+    assert calls == [0, 12]
 
 
 @pytest.mark.parametrize("engine", [streaming_max_matching, streaming_max_weight_matching])
@@ -208,8 +189,8 @@ def test_greedy_match_with_both_rows_full_joins_the_kernel_once():
     # greedily matched with both rows full and joins both rows, each then
     # 13 long; its parallel copy, which arrives later, is not kept again.
     # Peak words: 26 for partners, 3 for each of the 13 greedy matches and
-    # 3 for each of the 37 kernel edges, 176; charged only as a match,
-    # (0, 1) gave 173.
+    # 3 for each of the 37 kernel edges, 176, and 3 per vertex for the
+    # offline search, 254; charged only as a match, (0, 1) gave 251.
     triples = [(h, h + 12, 1) for h in range(2, 14)]
     triples += [(0, h, 1) for h in range(2, 14)] + [(1, h, 1) for h in range(2, 14)]
     triples += [(0, 1, 5), (1, 0, 7)]
@@ -220,21 +201,20 @@ def test_greedy_match_with_both_rows_full_joins_the_kernel_once():
     m = streaming_max_matching(src, params, sess)
     assert m.size == 13
     assert m.edges[-1] == Edge(0, 1, 5)
-    assert sess.report().runs[-1].words_peak == 176
+    assert sess.report().runs[-1].words_peak == 254
     assert sess.words_in_use == 0
 
 
 def test_a_full_rows_match_a_flip_drops_carries_a_later_longer_path():
     # cap 30 at eps = 1/5: hubs 10..39 are matched to 40..69, then x and y
     # fill their rows with hub edges, so (x, y) is greedily matched with
-    # both rows full.  f0 is swept first and x heads its row, so the
-    # length-3 flip f0-x=y-f1 drops (x, y).  The only augmenting path left,
-    # g0-c=d-f0=x-y=f1-e=h-g1, runs through it with 9 edges, and flipping
-    # it matches the 10 of them perfectly; a kernel without (x, y) stops at
-    # 34 edges.  No shorter path can reach (x, y): its new partners f0 and
-    # f1 were free all pass, so no free vertex neighbours them.  Peak
-    # words: 70 for partners, 3 for each of the 33 greedy matches and 99
-    # kernel edges, and 3 for each of the 2 flips.
+    # both rows full.  f0 is searched first and x heads its row, so its
+    # search flips f0-x=y-f1, which drops (x, y).  The only augmenting path
+    # left, g0-c=d-f0=x-y=f1-e=h-g1, runs through it with 9 edges, and
+    # flipping it matches the 10 of them perfectly; a kernel without (x, y)
+    # stops at 34 edges.  Peak words: 70 for partners, 3 for each of the 33
+    # greedy matches and 99 kernel edges, 3 for each of the 2 flips, and
+    # 3 per vertex for the offline search.
     f0, f1, g0, g1, x, y, c, d, e, h = range(10)
     hubs = range(10, 40)
     pairs = [(hub, hub + 30) for hub in hubs] + [(c, d), (e, h)]
@@ -244,90 +224,34 @@ def test_a_full_rows_match_a_flip_drops_carries_a_later_longer_path():
     assert m.size == 35
     flipped = [(x, y), (d, f0), (g0, c), (f1, e), (h, g1)]
     assert [(edge.u, edge.v) for edge in m.edges[30:]] == flipped
-    assert report.runs[-1].words_peak == 472
+    assert report.runs[-1].words_peak == 682
 
 
 def test_kernel_keeps_a_pair_while_either_row_has_room():
     # cap 12 at eps = 1/2: the centre's row passes 12, since each leaf's
     # row still has room, so all 20 pairs are kept.  Peak words: 21 for
     # partners, 3 for the one greedy match, 3 for each of the 20 kernel
-    # edges; rows that stopped at 12 would give 21 + 3 + 36 = 60.
+    # edges and 63 for the offline search; rows that stopped at 12 would
+    # give 21 + 3 + 36 + 63 = 123.
     g = Graph.from_pairs(21, [(0, leaf) for leaf in range(1, 21)])
     m, report = _run_unweighted(g, "1/2")
     assert m.size == 1
-    assert report.runs[-1].words_peak == 84
+    assert report.runs[-1].words_peak == 147
 
 
 def test_later_lengths_may_run_through_vertices_flipped_earlier():
-    # the length-3 flip 0-6=4-1 re-partners 4 and 1, and the length-5 path
-    # 5-4=1-2=3-7 then runs through both; a search that bars the vertices
-    # of earlier flips stops at 3 edges, below k/(k+1) of the optimum 4
+    # the search from 0 flips 0-6=4-1, which re-partners 4 and 1, and the
+    # one from 5 then flips 5-4=1-2=3-7 through both; a search that bars
+    # the vertices of earlier flips stops at 3 edges, below k/(k+1) of the
+    # optimum 4.  Peak words: 8 for partners, 3 for each of the 10 kernel
+    # edges, 2 greedy matches and 2 flips, and 24 for the offline search.
     pairs = [(4, 6), (6, 7), (0, 6), (1, 4), (4, 5), (2, 3), (1, 2), (3, 6), (3, 7), (2, 6)]
     g = Graph.from_pairs(8, pairs)
     assert oracle_max_matching(g).size == 4
     for eps in ("1/3", "1/4", "1/5"):
         m, report = _run_unweighted(g, eps)
         assert [(e.u, e.v) for e in m.edges] == [(0, 6), (4, 5), (1, 2), (3, 7)], eps
-        assert report.runs[-1].words_peak == 50
-
-
-def _searched_lengths(monkeypatch, longest: int | None = None) -> list[int]:
-    """The lengths ``_augmenting_path`` is asked for, as it is called; a
-    call for more than ``longest`` edges fails fast."""
-    from streampath import matching
-
-    lengths = []
-    search = matching._augmenting_path
-
-    def guarded(s, length, *rest):
-        if longest is not None and length > longest:
-            raise AssertionError(f"searched length {length}")
-        lengths.append(length)
-        return search(s, length, *rest)
-
-    monkeypatch.setattr(matching, "_augmenting_path", guarded)
-    return lengths
-
-
-def test_sweep_stops_once_the_matching_is_maximum_as_the_full_sweep_finds(monkeypatch):
-    # A counter of -1 never stops the sweep, so it runs every length: the
-    # stop must leave the same matching, with fewer searches.
-    from streampath import matching
-
-    lengths = _searched_lengths(monkeypatch)
-    count_odd = matching._odd_components
-    saved = 0
-    for seed, k in product(range(12), range(4, 9)):
-        n = 15 + 2 * (seed % 6)
-        g = gen_random_graph(n, seed, Fraction(3, n))
-        lengths.clear()
-        m, _ = _run_unweighted(g, f"1/{k}")
-        stopped = len(lengths)
-        monkeypatch.setattr(matching, "_odd_components", lambda rows: -1)
-        lengths.clear()
-        full, _ = _run_unweighted(g, f"1/{k}")
-        monkeypatch.setattr(matching, "_odd_components", count_odd)
-        assert m == full, (seed, k)
-        saved += len(lengths) - stopped
-    assert saved > 0
-
-
-def test_sweep_at_small_epsilon_stops_before_length_9(monkeypatch):
-    # gnm_pairs(501, 2,500, 1) in memory: each search past length 7 walks
-    # about d^(k-1) alternating walks and finds nothing, so the sweep must
-    # stop at 7 once the matching leaves one free vertex per odd component
-    from perfbench.gen import gnm_pairs
-
-    _searched_lengths(monkeypatch, longest=7)
-    g = Graph.from_pairs(501, gnm_pairs(501, 2500, 1))
-    covers = []
-    for eps in ("1/6", "1/16"):
-        params = ApproxParams.parse(eps)
-        src = InMemoryEdgeSource(g)
-        res = two_phase_path_cover(src, params, open_session(src, k=params.k, strict=True))
-        assert (res.first_matching.size, res.second_matching.size) == (250, 125), eps
-        covers.append(res.cover.edges)
-    assert covers[0] == covers[1]
+        assert report.runs[-1].words_peak == 74
 
 
 def _reference_max_matching(source, params, session, view=None, label="matching", events=None):
@@ -387,7 +311,7 @@ def _reference_max_matching(source, params, session, view=None, label="matching"
 
     session.run_pass(visit)
     assert session.words_in_use - held == n_view + 3 * len(kept) + 3 * greedy
-    _augment_on_kernel(partner, rows, params.max_swap_edges, session)
+    _augment_on_kernel(partner, rows, session)
     edges = tuple(Edge(u, v, w) for u, v, w in zip(ku, kv, kw) if partner[target[u]] == target[v])
     session.release(3 * (len(kept) + len(edges)) + n_view)
     session.end_run()
@@ -456,8 +380,9 @@ def test_star_sent_twice_stays_linear():
     m = streaming_max_matching(src, params, sess)
     assert time.perf_counter() - start < 20
     assert m.edges == (Edge(0, 1),)
-    # partners, one greedy match, and each distinct pair once in the kernel
-    assert sess.report().runs[-1].words_peak == (leaves + 1) + 3 + 3 * leaves
+    # partners, one greedy match, each distinct pair once in the kernel,
+    # and 3 per vertex for the offline search
+    assert sess.report().runs[-1].words_peak == (leaves + 1) + 3 + 3 * leaves + 3 * (leaves + 1)
 
 
 @pytest.mark.parametrize("top", [None, 1000, 2**63 - 1], ids=["unweighted", "w1000", "w2^63"])
@@ -466,9 +391,10 @@ def test_unweighted_pass_keeps_at_most_24_bytes_per_charged_word(tmp_path, top):
     # [1, top]: the engine may keep its rows, partners and the kept pairs'
     # original ends and weights as words, but no pair set and no ints the
     # parser made, and it drops its rows before it builds its matching as
-    # columns; it measures 19.9-20.5 on Python 3.10-3.13, and 27-28 when
-    # the matching is built as Edge objects, checked by a set of its ends,
-    # while the rows are still held
+    # columns; it measures 18.5-19.9 on Python 3.10-3.13 with the offline
+    # search's 3 words per viewed vertex charged, 19.9-20.6 before they
+    # were, and 27-28 when the matching is built as Edge objects, checked
+    # by a set of its ends, while the rows are still held
     rng = SplitMix64(7)
     n, m = 10**4, 5 * 10**4
     lines = [f"{n} {m}" if top is None else f"{n} {m} weighted"]
@@ -563,17 +489,120 @@ def test_no_short_augmenting_path_is_left_when_the_kernel_is_the_graph():
     assert checked > 1900
 
 
-def test_unweighted_tier_against_oracle():
+def _oracle_graphs() -> list[Graph]:
     graphs = [gen_random_graph(3 + seed % 8, seed, Fraction(1, 2)) for seed in range(120)]
     # sparse graphs with at most 16 active vertices, where degrees stay
     # within the cap and augmenting paths run long
-    graphs += [_sparse_simple_graph(seed) for seed in range(1000, 1060)]
-    for i, g in enumerate(graphs):
+    return graphs + [_sparse_simple_graph(seed) for seed in range(1000, 1060)]
+
+
+def test_unweighted_tier_against_oracle():
+    for i, g in enumerate(_oracle_graphs()):
         mu = oracle_max_matching(g).size
         for eps, k in (("1/2", 2), ("1/3", 3), ("1/4", 4)):
             m, _ = _run_unweighted(g, eps)
             assert (k + 1) * m.size >= k * mu, (i, eps, m.size, mu)
             assert m.size <= mu
+
+
+def _assert_maximum_while_the_kernel_is_the_graph(g: Graph) -> int:
+    """Check the engine against the oracle at each epsilon whose 6k cap is
+    at least g's largest degree; returns how many such runs there were."""
+    if g.m == 0 or len({v for e in g.edges for v in e.pair}) > 16:
+        return 0
+    mu = oracle_max_matching(g).size
+    runs = 0
+    for eps in ("1/2", "1/3", "1/5"):
+        if max(g.degrees()) <= ApproxParams.parse(eps).kernel_degree_cap:
+            m, _ = _run_unweighted(g, eps)
+            assert m.size == mu, (g, eps, m.size, mu)
+            runs += 1
+    return runs
+
+
+def test_unweighted_engine_is_exact_when_the_kernel_is_the_graph():
+    # The offline phase is exact on the kernel, and with every degree
+    # within the cap the kernel is the graph, so the engine finds a maximum
+    # matching at every epsilon, not only k/(k+1) of one.
+    assert sum(map(_assert_maximum_while_the_kernel_is_the_graph, _oracle_graphs())) > 500
+
+
+@st.composite
+def _small_graphs(draw) -> Graph:
+    n = draw(st.integers(2, 16))
+    end = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(end, end).filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    return Graph.from_pairs(n, pairs)
+
+
+@given(_small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_unweighted_engine_is_exact_on_drawn_graphs(g):
+    _assert_maximum_while_the_kernel_is_the_graph(g)
+
+
+def test_blossom_walks_merge_their_bases_after_both_walks():
+    # Merging the bases met on the first walk before the second walk makes
+    # the second stop early, and a later search misses its path: 24 edges.
+    g = gen_random_graph(56, 86, Fraction(3, 56))
+    m, _ = _run_unweighted(g, "1/56")
+    assert m.size == 25
+
+
+def _reads_of_the_offline_phase(monkeypatch, per_entry: int) -> list[tuple[int, int]]:
+    """Wrap the offline phase so its rows count the entries read.
+
+    Each call records its kernel's row entries and the entries it read, and
+    raises as soon as it reads more than ``per_entry`` times the entries.
+    """
+    from streampath import matching
+
+    calls = []
+    offline = matching._augment_on_kernel
+
+    def counted(partner, rows, *rest):
+        entries = sum(map(len, rows))
+        read = 0
+
+        class Row(list):
+            def __iter__(self):
+                nonlocal read
+                for x in list.__iter__(self):
+                    read += 1
+                    if read > per_entry * entries:
+                        raise AssertionError(f"read past {per_entry} x {entries} row entries")
+                    yield x
+
+        offline(partner, [Row(row) for row in rows], *rest)
+        calls.append((entries, read))
+
+    monkeypatch.setattr(matching, "_augment_on_kernel", counted)
+    return calls
+
+
+def _bipartite_kernel() -> Graph:
+    """1,000 left vertices and 19,000 right ones of degree 5 in shuffled
+    order: unbalanced, so no perfect matching ends the searches early."""
+    rng = SplitMix64(7)
+    pairs = [(rng.below(1000), 1000 + b) for b in range(19000) for _ in range(5)]
+    rng.shuffle(pairs)
+    return Graph.from_pairs(20000, pairs)
+
+
+def test_offline_work_does_not_grow_with_k(monkeypatch):
+    # G(2000, 10^4) with two pendant vertices on vertex 7, a Tutte
+    # obstruction, and an unbalanced bipartite kernel: a sweep of lengths
+    # up to 2k - 1 took 68 s and over 200 s on them at eps = 1/8.  Each
+    # kernel is the same at every epsilon below, and so must be the reads.
+    from perfbench.gen import gnm_pairs
+
+    tutte = Graph.from_pairs(2002, [*gnm_pairs(2000, 10000, 1), (7, 2000), (7, 2001)])
+    for g, size in ((tutte, 1000), (_bipartite_kernel(), 1000)):
+        calls = _reads_of_the_offline_phase(monkeypatch, 2)
+        runs = [_run_unweighted(g, eps)[0] for eps in ("1/3", "1/8", "1/16")]
+        assert runs[0].size == size
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert calls[1] == calls[0] and calls[2] == calls[0]
 
 
 @given(st.integers(0, 10_000))

@@ -194,92 +194,93 @@ _PIN_GRAPHS = {
 
 # graph, eps, budget; two-phase cover edges, overall and per-run word peaks;
 # iterative cover edges, overall and per-round word peaks.  Augmentations
-# flip the greedy first matching in every case but sparse20 at eps = 1/2.
+# flip the greedy first matching in every case, and each run's peak holds
+# 3 words per viewed vertex for its offline search.
 _PINNED_COVERS = [
     ("sparse14", "1/2", 1792,
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
-     185, [185, 108],
+     227, [227, 129],
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
       (6, 10), (4, 7)],
-     185, [185, 108, 75, 68, 66]),
+     227, [227, 129, 87, 74, 69]),
     ("sparse14", "1/3", 2688,
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
-     185, [185, 108],
+     227, [227, 129],
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
       (6, 10), (4, 7)],
-     185, [185, 108, 75, 68, 66]),
+     227, [227, 129, 87, 74, 69]),
     ("sparse14", "1/4", 3584,
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9)],
-     185, [185, 108],
+     227, [227, 129],
      [(0, 5), (6, 7), (9, 10), (2, 11), (8, 12), (1, 13), (3, 4), (1, 11), (0, 3), (8, 9), (2, 5),
       (6, 10), (4, 7)],
-     185, [185, 108, 75, 68, 66]),
+     227, [227, 129, 87, 74, 69]),
     ("sparse20", "1/2", 2560,
-     [(4, 8), (1, 19), (12, 14), (0, 13), (2, 7), (3, 15), (11, 17), (5, 6), (10, 16), (8, 16),
-      (12, 13), (6, 19), (3, 17), (7, 18)],
-     212, [212, 175],
-     [(4, 8), (1, 19), (12, 14), (0, 13), (2, 7), (3, 15), (11, 17), (5, 6), (10, 16), (8, 16),
-      (12, 13), (6, 19), (3, 17), (7, 18), (2, 10), (0, 9), (5, 11), (4, 14), (1, 18)],
-     212, [212, 175, 113, 100, 98, 96]),
+     [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
+      (8, 16), (12, 13), (0, 7), (6, 19), (3, 17)],
+     275, [275, 207],
+     [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
+      (8, 16), (12, 13), (0, 7), (6, 19), (3, 17), (2, 10), (1, 18), (4, 15), (5, 11)],
+     275, [275, 207, 119, 106, 104, 99]),
     ("sparse20", "1/3", 3840,
      [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
       (8, 16), (12, 13), (0, 7), (6, 19), (3, 17)],
-     215, [215, 177],
+     275, [275, 207],
      [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
       (8, 16), (12, 13), (0, 7), (6, 19), (3, 17), (2, 10), (1, 18), (4, 15), (5, 11)],
-     215, [215, 177, 104, 97, 98, 96]),
+     275, [275, 207, 119, 106, 104, 99]),
     ("sparse20", "1/4", 5120,
      [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
       (8, 16), (12, 13), (0, 7), (6, 19), (3, 17)],
-     215, [215, 177],
+     275, [275, 207],
      [(4, 8), (1, 19), (12, 14), (3, 15), (11, 17), (5, 6), (10, 16), (2, 13), (0, 9), (7, 18),
       (8, 16), (12, 13), (0, 7), (6, 19), (3, 17), (2, 10), (1, 18), (4, 15), (5, 11)],
-     215, [215, 177, 104, 97, 98, 96]),
+     275, [275, 207, 119, 106, 104, 99]),
     ("star26", "1/2", 3328,
-     [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
-      (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13)],
-     230, [230, 178],
-     [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
-      (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13), (1, 9),
-      (22, 25), (6, 23)],
-     230, [230, 178, 135, 114]),
-    ("star26", "1/3", 4992,
-     [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
-      (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13)],
-     230, [230, 178],
-     [(0, 1), (3, 14), (15, 16), (11, 20), (8, 21), (12, 22), (2, 9), (7, 25), (6, 24), (5, 17),
-      (4, 23), (18, 19), (0, 10), (4, 11), (7, 14), (21, 24), (2, 18), (12, 16), (5, 13), (1, 9),
-      (22, 25), (6, 23)],
-     230, [230, 178, 135, 114]),
-    ("star26", "1/4", 6656,
      [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
       (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17)],
-     233, [233, 183],
+     311, [311, 222],
      [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
       (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17), (4, 11),
       (7, 14), (9, 10), (12, 16)],
-     233, [233, 183, 129, 120, 118]),
+     311, [311, 222, 150, 132, 127]),
+    ("star26", "1/3", 4992,
+     [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
+      (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17)],
+     311, [311, 222],
+     [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
+      (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17), (4, 11),
+      (7, 14), (9, 10), (12, 16)],
+     311, [311, 222, 150, 132, 127]),
+    ("star26", "1/4", 6656,
+     [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
+      (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17)],
+     311, [311, 222],
+     [(0, 10), (15, 16), (11, 20), (8, 21), (12, 22), (14, 17), (2, 9), (7, 25), (1, 3), (6, 24),
+      (4, 23), (5, 13), (18, 19), (0, 1), (15, 23), (21, 24), (22, 25), (2, 18), (5, 17), (4, 11),
+      (7, 14), (9, 10), (12, 16)],
+     311, [311, 222, 150, 132, 127]),
     ("dense16", "1/2", 2048,
      [(5, 14), (1, 9), (8, 13), (0, 12), (4, 11), (3, 7), (6, 10), (2, 15), (2, 14), (6, 13),
       (4, 12), (1, 3)],
-     328, [328, 144],
+     376, [376, 168],
      [(5, 14), (1, 9), (8, 13), (0, 12), (4, 11), (3, 7), (6, 10), (2, 15), (2, 14), (6, 13),
       (4, 12), (1, 3), (5, 11), (7, 8), (9, 15)],
-     328, [328, 144, 88, 78, 76]),
+     376, [376, 168, 100, 84, 79]),
     ("dense16", "1/3", 3072,
      [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
       (7, 8), (10, 12)],
-     349, [349, 144],
+     397, [397, 168],
      [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
       (7, 8), (10, 12), (6, 13), (4, 11), (0, 3)],
-     349, [349, 144, 88, 78, 76]),
+     397, [397, 168, 100, 84, 79]),
     ("dense16", "1/4", 4096,
      [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
       (7, 8), (10, 12)],
-     349, [349, 144],
+     397, [397, 168],
      [(5, 14), (1, 9), (8, 13), (2, 6), (0, 12), (10, 11), (3, 7), (4, 15), (2, 14), (1, 15),
       (7, 8), (10, 12), (6, 13), (4, 11), (0, 3)],
-     349, [349, 144, 88, 78, 76]),
+     397, [397, 168, 100, 84, 79]),
 
 ]
 
