@@ -408,48 +408,33 @@ def validate_path_cover(
             if u == v:
                 return CoverCheck(False, f"self-loop at vertex {u}", ())
     deg = [0] * n
-    # Vertex x's first two neighbours, in slots 2x and 2x + 1.
-    nbrs = [0] * (2 * n)
-    # While no degree passes 2, a repeated pair shows in the slots: both its
-    # ends have degree 1 and are each other's only neighbour.  So a cover
-    # keeps no set of pairs.  An edge that would lift a degree past 2 ends
-    # that; the edges are then read again from the first, each pair checked
-    # against a set of the pairs before it, so every message and its
-    # precedence are the same either way.
-    capped = True
+    # Vertex x's first two neighbours, in slots 2x and 2x + 1; -1 is empty.
+    nbrs = [-1] * (2 * n)
+    # A repeated pair shows in the slots of whichever end had room for its
+    # first copy: u's, unless u was full by then, so v's and the set are
+    # read only once u is full.  A first copy that found both ends full
+    # goes into a set of keys a * n + b; only an invalid cover adds one.
+    full: set[int] = set()
     for u, v in zip(us, vs):
         if u >= n or v >= n:
             return CoverCheck(False, f"edge ({u}, {v}) out of range for n={n}", ())
         du, dv = deg[u], deg[v]
-        if du > 1 or dv > 1:
-            capped = False
-            break
-        if du and nbrs[2 * u] == v:
-            a, b = (u, v) if u < v else (v, u)
+        a, b = (u, v) if u < v else (v, u)
+        if (
+            nbrs[2 * u] == v
+            or nbrs[2 * u + 1] == v
+            or du > 1
+            and (nbrs[2 * v] == u or nbrs[2 * v + 1] == u or a * n + b in full)
+        ):
             return CoverCheck(False, f"parallel edges between {a} and {b}", ())
-        nbrs[2 * u + du] = v
-        nbrs[2 * v + dv] = u
+        if du < 2:
+            nbrs[2 * u + du] = v
+        if dv < 2:
+            nbrs[2 * v + dv] = u
+        elif du > 1:
+            full.add(a * n + b)
         deg[u] = du + 1
         deg[v] = dv + 1
-    if not capped:
-        deg = [0] * n
-        # Each pair a < b as the int a * n + b.
-        seen_pairs: set[int] = set()
-        for u, v in zip(us, vs):
-            if u >= n or v >= n:
-                return CoverCheck(False, f"edge ({u}, {v}) out of range for n={n}", ())
-            key = u * n + v if u < v else v * n + u
-            if key in seen_pairs:
-                a, b = (u, v) if u < v else (v, u)
-                return CoverCheck(False, f"parallel edges between {a} and {b}", ())
-            seen_pairs.add(key)
-            du, dv = deg[u], deg[v]
-            if du < 2:
-                nbrs[2 * u + du] = v
-            if dv < 2:
-                nbrs[2 * v + dv] = u
-            deg[u] = du + 1
-            deg[v] = dv + 1
 
     # Only the edges' ends are scanned, so a sparse cover of a large n costs
     # O(m) steps past the two allocations above.  The first over-degree

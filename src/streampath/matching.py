@@ -271,9 +271,10 @@ def _blossom_search(
     and is written before it is read, so it is never reset; ``link`` leads
     each vertex to its blossom's base in a union-find forest, -1 at a base.
     An edge between two even vertices is only recorded, when its second
-    end is scanned, as most searches reach a free vertex first.  Once no
-    even vertex is left to scan, each recorded edge between two blossoms
-    is contracted, and the odd vertices that join a blossom are scanned as
+    end is scanned, as most searches reach a free vertex first; an edge
+    within one blossom is not, as bases only merge.  Once no even vertex
+    is left to scan, each recorded edge still between two blossoms is
+    contracted, and the odd vertices that join a blossom are scanned as
     even ones.  As in e-maxx's ``mark_path``, a contraction walks from both
     ends to the common base, pointing each walked even vertex's ``parent``
     back along the cycle, and merges the bases it met only after both
@@ -290,7 +291,7 @@ def _blossom_search(
             label[v] = _SCANNED
             for w in rows[v]:
                 if label[w]:
-                    if label[w] == _SCANNED:
+                    if label[w] == _SCANNED and _base(link, v) != _base(link, w):
                         pending.append((v, w))
                     continue
                 parent[w] = v

@@ -5,9 +5,9 @@ Both pipelines run the one two-phase cover driver,
 Hamiltonian cycle deterministically.  For (1,2)-costs the driver runs the
 unweighted engine on the cost-1 pairs; every missing edge costs 2, so any
 completion works and the tour cost is at most ``2 n - cover_size``.  For
-max-weight tours on complete graphs it runs the weighted engine, the
-cover is patched so at most one vertex is left uncovered, then the paths
-are concatenated.
+max-weight tours on complete graphs it runs the weighted engine, one
+run of the unweighted engine patches the cover so at most one vertex is
+left uncovered, then the paths are concatenated.
 
 Each instance class is a ``Graph`` with ``weighted`` fixed, so the
 pipelines stream the instance's own columns and its edges are checked
@@ -28,8 +28,10 @@ from fractions import Fraction
 from itertools import accumulate, compress, count
 from typing import Sequence
 
-from .graph import Edge, Graph, Matching, PathCover, Tour, contract_edges
-from .matching import ApproxParams, OracleLimitError, oracle_max_weight_matching
+from .graph import Edge, Graph, Matching, PathCover, Tour, components_contraction, contract_edges
+from .matching import (
+    ApproxParams, OracleLimitError, oracle_max_weight_matching, streaming_max_matching
+)
 from .pathcover import MpcResult, two_phase_path_cover
 from .stream import Column, InMemoryEdgeSource, StreamReport, open_session
 
@@ -265,9 +267,10 @@ def approx_max_tsp(
     (parallel copies collapse to their heaviest copy inside the engine),
     and both matchings are released before it returns.  Completeness plus
     engine maximality leave at most one uncovered vertex; if the degree
-    cap ever spoils maximality, one extra greedy patch pass over the
-    stream restores it, charging its set of free vertices and the edges
-    it adds until it ends; the cover it carries is charged around it.
+    cap ever spoils maximality, one run of the unweighted engine through a
+    view that bans the cover restores it, and its edges join the second
+    matching.  That run is charged as any run, with the cover it carries
+    and its view charged around it.
     The leftover vertex, if any, is attached at the cover endpoint with
     the smallest id: the start of the path with the smallest first
     vertex, since each path runs from its lower-id endpoint.
@@ -276,31 +279,18 @@ def approx_max_tsp(
     sess = open_session(src, k=params.k, words_budget=words_budget, strict=strict)
     mpc = two_phase_path_cover(src, params, sess, weighted=True)
     cover, first, second = mpc.cover, mpc.first_matching, mpc.second_matching
-    free = sorted(set(range(inst.n)) - cover.covered)
+    covered = cover.covered
+    free = sorted(set(range(inst.n)) - covered)
     if len(free) >= 2:
-        remaining = set(free)
-        # The patch edges' ends and weights.
-        pus, pvs, pws = array("q"), array("q"), array("q")
-
-        def patch_visit(pos0: int, us: Column, vs: Column, ws: Column) -> None:
-            for u, v, w in zip(us, vs, ws):
-                if u in remaining and v in remaining:
-                    remaining.discard(u)
-                    remaining.discard(v)
-                    pus.append(u)
-                    pvs.append(v)
-                    pws.append(w)
-                    sess.charge(3)
-
-        # The pass carries the two-phase cover, 3 words an edge.
-        sess.charge(3 * cover.size)
-        sess.begin_run("leftover-patch")
-        sess.charge(len(free))
-        sess.run_pass(patch_visit)
-        sess.release(len(free) + 3 * len(pus))
-        sess.end_run()
-        sess.release(3 * cover.size)
-        second = Matching(us=second.us + pus, vs=second.vs + pvs, ws=second.ws + pws)
+        # The free vertices span a complete graph, so the greedy pass pairs
+        # them in stream order and leaves at most one free.  The run carries
+        # the cover, 3 words an edge, and the view that bans it.
+        view = components_contraction(inst.n, (), covered)
+        words = 3 * cover.size + inst.n + len(covered)
+        sess.charge(words)
+        patch = streaming_max_matching(src, params, sess, view=view, label="leftover-patch")
+        sess.release(words)
+        second = Matching(us=second.us + patch.us, vs=second.vs + patch.vs, ws=second.ws + patch.ws)
         cover = PathCover(
             inst.n, us=first.us + second.us, vs=first.vs + second.vs, ws=first.ws + second.ws
         )

@@ -56,7 +56,28 @@ _BAD_TOUR = {
     "tsp12-repeated.txt": "5 5\n0 1\n1 0\n2 3\n0 1\n3 4\n",
 }
 
-# Files the generators cannot produce: hostile or malformed input.
+
+def _patch_instance() -> str:
+    """A complete graph on 28 vertices whose heavy tour runs the leftover patch.
+
+    13 pairs (2i+2, 2i+3) of weight 1000 are joined by weight 100; vertices
+    0 and 1 weigh 2 to every pair member but the last pair's (1) and 1 to
+    each other, so at eps = 1/2 both stay free in both phases.
+    """
+    n = 28
+    lines = [f"{n} {n * (n - 1) // 2} weighted"]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u < 2:
+                w = 1 if v == 1 or v >= 26 else 2
+            else:
+                w = 1000 if u // 2 == v // 2 else 100
+            lines.append(f"{u} {v} {w}")
+    return "\n".join(lines) + "\n"
+
+
+# Files the generators cannot produce: hostile or malformed input, or an
+# instance no seeded generator is known to give.
 _WRITTEN = {
     "header-underscore.txt": "1_0 +1\n0 1\n",
     "header-too-long.txt": "1" * 5000 + " 1\n0 1\n",
@@ -68,6 +89,7 @@ _WRITTEN = {
     "p4.txt": "4 3\n0 1\n1 2\n2 3\n",
     "empty.txt": "5 0\n",
     "empty3.txt": "3 0\n",
+    "maxtsp-patch.txt": _patch_instance(),
     **_BAD_TOUR,
     **_BAD_EDGE_LINE,
 }
@@ -146,6 +168,7 @@ def cases() -> list[str]:
         "maxtsp x8.txt --oracle",
         "maxtsp x8.txt --oracle --json",
         "maxtsp x30.txt --budget 50 --strict",
+        "maxtsp maxtsp-patch.txt --epsilon 1/2 --json",
         "maxtsp g12.txt",
         "maxtsp maxtsp-incomplete.txt",
         "maxtsp maxtsp-repeated.txt",

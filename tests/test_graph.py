@@ -360,6 +360,8 @@ def test_validate_path_cover_matches_the_reference_on_seeded_edge_sets():
         # a parallel pair after a vertex of degree 3, and a range error there
         (5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 1)], "parallel edges between 1 and 2"),
         (5, [(0, 1), (0, 2), (0, 3), (1, 5), (2, 1)], "edge (1, 5) out of range for n=5"),
+        # a repeat whose first copy found both ends' slots full
+        (6, [(0, 1), (0, 2), (3, 4), (3, 5), (0, 3), (0, 3)], "parallel edges between 0 and 3"),
     ],
 )
 def test_validate_path_cover_reason_precedence(n, pairs, reason):

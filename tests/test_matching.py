@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -385,16 +386,8 @@ def test_star_sent_twice_stays_linear():
     assert sess.report().runs[-1].words_peak == (leaves + 1) + 3 + 3 * leaves + 3 * (leaves + 1)
 
 
-@pytest.mark.parametrize("top", [None, 1000, 2**63 - 1], ids=["unweighted", "w1000", "w2^63"])
-def test_unweighted_pass_keeps_at_most_24_bytes_per_charged_word(tmp_path, top):
-    # G(10^4, 5 * 10^4) read from a file, unweighted or with weights in
-    # [1, top]: the engine may keep its rows, partners and the kept pairs'
-    # original ends and weights as words, but no pair set and no ints the
-    # parser made, and it drops its rows before it builds its matching as
-    # columns; it measures 18.5-19.9 on Python 3.10-3.13 with the offline
-    # search's 3 words per viewed vertex charged, 19.9-20.6 before they
-    # were, and 27-28 when the matching is built as Edge objects, checked
-    # by a set of its ends, while the rows are still held
+def _gnm_lines(top: int | None) -> list[str]:
+    """G(10^4, 5 * 10^4) as file lines, unweighted or with weights in [1, top]."""
     rng = SplitMix64(7)
     n, m = 10**4, 5 * 10**4
     lines = [f"{n} {m}" if top is None else f"{n} {m} weighted"]
@@ -402,8 +395,36 @@ def test_unweighted_pass_keeps_at_most_24_bytes_per_charged_word(tmp_path, top):
         u, v = rng.below(n), rng.below(n)
         if u != v:
             lines.append(f"{u} {v}" if top is None else f"{u} {v} {rng.randint(1, top)}")
+    return lines
+
+
+def _tutte_lines() -> list[str]:
+    """G(2000, 10^4) with two pendant vertices on vertex 7, as file lines."""
+    from perfbench.gen import gnm_pairs
+
+    pairs = [*gnm_pairs(2000, 10000, 1), (7, 2000), (7, 2001)]
+    return [f"2002 {len(pairs)}", *(f"{u} {v}" for u, v in pairs)]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [partial(_gnm_lines, None), partial(_gnm_lines, 1000), partial(_gnm_lines, 2**63 - 1),
+     _tutte_lines],
+    ids=["unweighted", "w1000", "w2^63", "tutte"],
+)
+def test_unweighted_pass_keeps_at_most_24_bytes_per_charged_word(tmp_path, lines):
+    # Read from a file: the engine may keep its rows, partners and the kept
+    # pairs' original ends and weights as words, but no pair set and no ints
+    # the parser made, and it drops its rows before it builds its matching
+    # as columns.  On G(10^4, 5 * 10^4) it measures 18.5-19.9 on Python
+    # 3.10-3.13 with the offline search's 3 words per viewed vertex charged,
+    # 19.9-20.6 before they were, and 27-28 when the matching is built as
+    # Edge objects, checked by a set of its ends, while the rows are still
+    # held.  On the Tutte obstruction a failed blossom search records each
+    # even-even edge whose ends lie in two blossoms: 20.2-20.3 on Python
+    # 3.10-3.13, against 27.7-27.9 when it recorded those within one too.
     path = tmp_path / "g.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines()) + "\n")
     params = ApproxParams.parse("1/3")
     src = FileEdgeSource(str(path))
     sess = open_session(src, k=params.k)

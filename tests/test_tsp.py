@@ -318,8 +318,10 @@ def test_max_tsp_patch_pass_charges_only_what_it_keeps():
     res = approx_max_tsp(inst, ApproxParams.parse("1/2"))
     runs = res.report.runs
     assert [r.label for r in runs] == ["first-matching", "second-matching", "leftover-patch"]
-    # the 19-edge cover it carries, two free vertices and one patch edge
-    assert (runs[2].passes, runs[2].words_peak) == (1, 3 * 19 + 2 + 3)
+    # an engine run: the 19-edge cover it carries (57 words), the view that
+    # bans its 26 vertices (28 + 26), the partner table (28), one greedy
+    # match (6) and the offline phase's three arrays (3 * 28)
+    assert (runs[2].passes, runs[2].words_peak) == (1, 57 + 54 + 28 + 6 + 84)
     assert res.second_matching.edges[-1].pair == (0, 1)
     assert res.cover.covered == frozenset(range(n))
     assert res.tour.cost == 14204
@@ -328,8 +330,10 @@ def test_max_tsp_patch_pass_charges_only_what_it_keeps():
 def test_max_tsp_patch_pass_on_a_seeded_instance():
     # a seeded complete graph on 25 vertices, nine pairs in ten of weight 1
     # and the rest 50..100, shuffled: at eps = 1/2 both phases leave two
-    # vertices free, and the patch pass joins them with a weight-1 edge
-    # while it carries the 17-edge cover (51 words)
+    # vertices free, and the patch run joins them with a weight-1 edge; it
+    # holds the 17-edge cover (51 words), the view that bans its 23 vertices
+    # (25 + 23), the partner table (25), one greedy match (6) and the offline
+    # phase's three arrays (3 * 25): 51 + 48 + 25 + 6 + 75 = 205
     rng = SplitMix64(116)
     n = 25
     edges = [
@@ -341,7 +345,7 @@ def test_max_tsp_patch_pass_on_a_seeded_instance():
     res = approx_max_tsp(MaxTspInstance(n, tuple(edges)), ApproxParams.parse("1/2"), strict=True)
     runs = [(r.label, r.passes, r.words_peak) for r in res.report.runs]
     assert runs == [
-        ("first-matching", 1, 1089), ("second-matching", 1, 658), ("leftover-patch", 1, 56)
+        ("first-matching", 1, 1089), ("second-matching", 1, 658), ("leftover-patch", 1, 205)
     ]
     assert res.report.passes_used == 3
     assert (res.first_matching.size, res.second_matching.size) == (11, 7)
